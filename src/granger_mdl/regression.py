@@ -4,14 +4,14 @@ Builds the restricted/unrestricted autoregressions every causality test
 rests on. Fits are solved through orthogonal factorisations (QR / SVD),
 never by inverting the normal matrix, with an explicit rank guard.
 
-The module also carries a nested-scan fast path (`ols_order_scan`): a
-single Householder QR of the widest design yields the residual sum of
-squares and coefficients of every lower-order model in the family,
-which is what the order searches in `selection` and `timedomain` use.
+Every lag-order search runs through `nested_scan`: one Householder QR
+of the widest design yields the residual sum of squares and the
+coefficients of every lower-order model in the family.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -29,6 +29,7 @@ __all__ = [
     "ols_fit",
     "residual_covariance",
     "stability_check",
+    "nested_scan",
     "ols_order_scan",
 ]
 
@@ -135,13 +136,14 @@ def build_design(ts: TimeSeriesMatrix, spec: LagSpec, start: int = None):
     if not 0 <= spec.target < values.shape[1]:
         raise ValidationError(f"target variable {spec.target} out of range")
 
-    response = values[start:, spec.target]
-    cols = []
-    for v, lags in spec.predictors:
-        for ell in range(1, lags + 1):
-            cols.append(values[start - ell: n - ell, v])
-    design = np.column_stack(cols)
-    return design, response
+    columns = [(v, ell) for v, lags in spec.predictors for ell in range(1, lags + 1)]
+    return _lagged(values, start, columns), values[start:, spec.target]
+
+
+def _lagged(values: np.ndarray, start: int, columns) -> np.ndarray:
+    """Rows start.. of the lagged series, one column per (variable, lag)."""
+    variables, lags = np.array(columns).T
+    return values[np.arange(start, values.shape[0])[:, None] - lags, variables]
 
 
 def ols_fit(design: np.ndarray, response: np.ndarray) -> OlsFit:
@@ -239,38 +241,44 @@ class OrderScanEntry:
     response_sq: float
 
 
-def ols_order_scan(
+# Orders 1..n of one family as arrays over the order axis; see nested_scan.
+NestedScan = namedtuple("NestedScan", "coefficients k rss m response_sq rank_error")
+
+
+def nested_scan(
     ts: TimeSeriesMatrix,
     target: int,
     block_vars: Sequence[int],
     p_max: int,
     start: int = None,
-) -> List[OrderScanEntry]:
+) -> NestedScan:
     """Fit the shared-order family {order n: every block gets lags 1..n}.
 
-    One QR of the widest design (columns interleaved lag-major so the
-    order-n model is a column prefix) produces rss and coefficients for
-    every n in 1..p_max on a common response window starting at
-    ``start`` (default p_max). Coefficients are reported back in the
-    predictor-major order used by :func:`build_design`.
+    Columns are interleaved lag-major, so order n is a column prefix and
+    one QR X = QR serves every order on the response window starting at
+    ``start`` (default p_max). Order n's rss is y'y less the first b*n
+    squared entries of Q'y; column b*n-1 of cumsum(R^-1 * Q'y, axis=1)
+    is its coefficient vector, exactly zero below its first k = b*n
+    rows. Walking orders upward, the first order with a new diagonal
+    entry of R below RANK_TOL times the largest is rank-broken: the
+    family stops before it and ``rank_error`` holds its error (None
+    when all p_max orders fit).
     """
     if p_max < 1:
         raise ValidationError("p_max must be >= 1")
     if start is None:
         start = p_max
+    target, blocks = ts.column(target), [ts.column(v) for v in block_vars]
+    if not blocks or len(set(blocks)) != len(blocks):
+        raise ValidationError(f"predictor blocks must be distinct and non-empty, got {blocks}")
     values = ts.values
     n = values.shape[0]
     if n <= start:
         raise ValidationError(
             f"series of length {n} too short for orders up to {p_max}"
         )
-    b = len(block_vars)
-    # lag-major interleaving: [blk0_l1, blk1_l1, ..., blk0_l2, blk1_l2, ...]
-    cols = []
-    for ell in range(1, p_max + 1):
-        for v in block_vars:
-            cols.append(values[start - ell: n - ell, v])
-    X = np.column_stack(cols)
+    b = len(blocks)
+    X = _lagged(values, start, [(v, ell) for ell in range(1, p_max + 1) for v in blocks])
     y = values[start:, target]
     m = y.shape[0]
     if m < X.shape[1]:
@@ -280,32 +288,50 @@ def ols_order_scan(
 
     Q, R = np.linalg.qr(X, mode="reduced")
     diag = np.abs(np.diag(R))
-    scale = diag.max() if diag.size else 1.0
-    if scale == 0.0 or (diag / scale < RANK_TOL).any():
-        bad = [int(j) for j in np.flatnonzero(diag / max(scale, 1e-300) < RANK_TOL)]
-        names = [f"var{block_vars[j % b]}.lag{j // b + 1}" for j in bad]
-        raise RankDeficiencyError(
-            f"rank-deficient design in order scan: columns {names}",
-            columns=bad,
+    scale = diag.max()
+    bad = np.flatnonzero(diag / scale < RANK_TOL) if scale > 0 else np.arange(diag.size)
+    n_ok = p_max if bad.size == 0 else int(bad[0]) // b
+    rank_error = None
+    if n_ok < p_max:
+        names = [f"{ts.labels[blocks[j % b]]}.lag{j // b + 1}" for j in bad]
+        rank_error = RankDeficiencyError(
+            f"rank-deficient design in order scan from order {n_ok + 1}: columns "
+            f"{names} depend on earlier ones (tolerance {RANK_TOL:g})", columns=bad.tolist()
         )
-    qty = Q.T @ y
-    total = float(y @ y)
-    cum = np.cumsum(qty ** 2)
 
-    entries = []
-    for order in range(1, p_max + 1):
-        kk = b * order
-        rss = max(total - float(cum[kk - 1]), 0.0)
-        beta = scipy.linalg.solve_triangular(R[:kk, :kk], qty[:kk])
-        # back to predictor-major order: all lags of block 0, then block 1, ...
-        coef = np.empty(kk)
-        for j in range(kk):
-            block, ell = j % b, j // b
-            coef[block * order + ell] = beta[j]
-        entries.append(
-            OrderScanEntry(
-                order=order, k=kk, coefficients=coef, rss=rss, m=m,
-                response_sq=total,
-            )
+    kk = b * np.arange(1, n_ok + 1)
+    width = b * n_ok
+    qty = (Q.T @ y)[:width]
+    total = float(y @ y)
+    rss = np.maximum(total - np.cumsum(qty ** 2)[kk - 1], 0.0)
+    # LAPACK's triangular inverse, not a solve against the identity (a level-3
+    # BLAS call that stalls on threads in pool workers); it rejects 0x0
+    r_inv = scipy.linalg.lapack.dtrtri(R[:width, :width])[0] if width else R[:0, :0]
+    coefficients = np.cumsum(r_inv * qty, axis=1)[:, kk - 1]
+    return NestedScan(coefficients, kk, rss, m, total, rank_error)
+
+
+def ols_order_scan(
+    ts: TimeSeriesMatrix,
+    target: int,
+    block_vars: Sequence[int],
+    p_max: int,
+    start: int = None,
+) -> List[OrderScanEntry]:
+    """:func:`nested_scan` as one entry per order, raising if rank-broken.
+
+    Coefficients are put back in the predictor-major order used by
+    :func:`build_design`.
+    """
+    scan = nested_scan(ts, target, block_vars, p_max, start)
+    if scan.rank_error is not None:
+        raise scan.rank_error
+    b = len(block_vars)
+    return [
+        OrderScanEntry(
+            order=order, k=b * order,
+            coefficients=scan.coefficients[:b * order, order - 1].reshape(order, b).T.ravel(),
+            rss=float(scan.rss[order - 1]), m=scan.m, response_sq=scan.response_sq,
         )
-    return entries
+        for order in range(1, p_max + 1)
+    ]

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DegenerateFitError, ValidationError
-from .regression import OlsFit, ols_order_scan
+from .regression import OlsFit, nested_scan
 from .timeseries import TimeSeriesMatrix
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "bic",
     "mdl_code_length",
     "code_length_from_stats",
+    "search_order",
     "select_order",
     "markov_mdl",
     "bernoulli_code_length",
@@ -79,16 +80,15 @@ class MarkovMdlResult:
 def gaussian_loglik(rss: float, m: int) -> float:
     """Maximised Gaussian log-likelihood of m residuals with RSS ``rss``.
 
-    Equals -(m/2)(ln(2 pi rss/m) + 1). A perfect fit (rss == 0) returns
-    +inf, which callers treat as "no model beats this".
+    Equals -(m/2)(ln(2 pi rss/m) + 1), elementwise over an array. A perfect
+    fit (rss == 0) returns +inf, which callers treat as "no model beats this".
     """
-    if rss < 0:
+    if np.any(rss < 0):
         raise ValidationError(f"rss must be nonnegative, got {rss}")
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
-    if rss == 0.0:
-        return math.inf
-    return -(m / 2.0) * (math.log(2.0 * math.pi * rss / m) + 1.0)
+    with np.errstate(divide="ignore"):
+        return -(m / 2.0) * (np.log(2.0 * np.pi * rss / m) + 1.0)
 
 
 def aic(loglik: float, k: int) -> float:
@@ -100,7 +100,7 @@ def bic(loglik: float, k: int, n: int) -> float:
     """-2 log L + k log n (natural log)."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    if k < 0:
+    if np.any(k < 0):
         raise ValidationError(f"k must be >= 0, got {k}")
     return -2.0 * loglik + k * math.log(n)
 
@@ -121,15 +121,29 @@ def code_length_from_stats(
     priced max(0, ln(max(|value|, scale_floor) / delta)).
     order term: ln(k + 1) for k regression coefficients.
     """
+    coef = np.asarray(coefficients, dtype=float).reshape(-1, 1)
+    curve = _code_length_curve(
+        coef, np.array([coef.shape[0]]), np.array([rss]), m, n_total, delta, scale_floor
+    )
+    return _at(curve, 0)
+
+
+def _code_length_curve(coefficients, k, rss, m, n_total, delta, scale_floor, noiseless=0.0):
+    """:func:`code_length_from_stats` for every column of ``coefficients``.
+
+    Model j is the first k[j] entries of column j. Row i of the result
+    is field i of :class:`CodeLength`. An rss at or below ``noiseless``
+    leaves no Gaussian code length: DegenerateFitError.
+    """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
     if n_total < m:
         raise ValidationError(f"total length {n_total} below effective sample {m}")
-    if rss < 0:
+    if (rss < 0).any():
         raise ValidationError(f"rss must be nonnegative, got {rss}")
-    if rss == 0.0:
+    if (rss <= noiseless).any():
         raise DegenerateFitError(
-            "degenerate noiseless fit: residual variance is zero, "
+            "degenerate noiseless fit: residual variance vanishes, "
             "the Gaussian code length is undefined"
         )
     if delta is None:
@@ -138,25 +152,23 @@ def code_length_from_stats(
         raise ValidationError(f"delta must be positive, got {delta}")
 
     sigma2 = rss / m
-    data_term = m * math.log(math.sqrt(2.0 * math.pi * sigma2)) + m / 2.0
+    data_term = m * np.log(np.sqrt(2.0 * np.pi * sigma2)) + m / 2.0
 
-    params = np.concatenate(([sigma2], np.asarray(coefficients, dtype=float)))
+    params = np.vstack([sigma2, coefficients])
+    priced_rows = np.arange(params.shape[0])[:, None] <= k
     magnitudes = np.abs(params)
-    priced = np.maximum(magnitudes, scale_floor)
-    contributions = np.maximum(0.0, np.log(priced / delta))
-    param_term = float(contributions.sum())
-    n_counted = int((magnitudes / delta > 1.0).sum())
+    # max(0, ln(x / delta)) as ln(max(x, delta) / delta), so never ln 0
+    priced = np.maximum(np.maximum(magnitudes, scale_floor), delta)
+    param_term = np.where(priced_rows, np.log(priced / delta), 0.0).sum(axis=0)
+    n_counted = (priced_rows & (magnitudes / delta > 1.0)).sum(axis=0)
 
-    k = len(params) - 1
-    order_term = math.log(k + 1)
-    return CodeLength(
-        total=data_term + param_term + order_term,
-        data_term=data_term,
-        param_term=param_term,
-        order_term=order_term,
-        precision_delta=float(delta),
-        n_params_counted=n_counted,
-    )
+    order_term = np.log(k + 1.0)
+    total = data_term + param_term + order_term
+    return np.vstack([total, data_term, param_term, order_term, np.full_like(total, delta), n_counted])
+
+
+def _at(curve: np.ndarray, j: int) -> CodeLength:
+    return CodeLength(*curve[:5, j].tolist(), n_params_counted=int(curve[5, j]))
 
 
 def mdl_code_length(
@@ -171,20 +183,49 @@ def mdl_code_length(
     )
 
 
-def _criterion_value(criterion, coef, rss, m, n_total):
-    if criterion == "AIC":
-        return aic(gaussian_loglik(rss, m), len(coef))
-    if criterion == "BIC":
-        return bic(gaussian_loglik(rss, m), len(coef), m)
-    if criterion == "MDL":
-        return code_length_from_stats(coef, rss, m, n_total).total
-    raise ValidationError(f"unknown criterion {criterion!r}; pick one of {CRITERIA}")
+def search_order(
+    ts: TimeSeriesMatrix,
+    families: Sequence[Tuple[int, Sequence[int]]],
+    criterion: str,
+    p_max: int,
+    delta: Optional[float] = None,
+    scale_floor: float = DEFAULT_SCALE_FLOOR,
+):
+    """The shared order 1..p_max minimising the summed curves of ``families``.
+
+    Each (target, blocks) family is scanned once and scored at every
+    order as an array; ties go to the smaller order. Walking orders
+    upward, the first rank-broken order raises RankDeficiencyError,
+    unless under MDL an earlier order has rss <= 1e-12 y'y: that raises
+    DegenerateFitError. Returns (order, value, per-family CodeLength at
+    the order, an empty list unless MDL).
+    """
+    criterion = str(criterion).upper()
+    if criterion not in CRITERIA:
+        raise ValidationError(f"unknown criterion {criterion!r}; pick one of {CRITERIA}")
+    summed, curves = 0.0, []
+    for target, blocks in families:
+        scan = nested_scan(ts, target, blocks, p_max)
+        if criterion == "MDL":  # before the rank error: a noiseless order raises first
+            curves.append(_code_length_curve(
+                scan.coefficients, scan.k, scan.rss, scan.m, ts.n_samples,
+                delta, scale_floor, noiseless=1e-12 * scan.response_sq,
+            ))
+            values = curves[-1][0]
+        if scan.rank_error is not None:
+            raise scan.rank_error
+        if criterion != "MDL":
+            loglik = gaussian_loglik(scan.rss, scan.m)
+            values = aic(loglik, scan.k) if criterion == "AIC" else bic(loglik, scan.k, scan.m)
+        summed = summed + values
+    best = int(np.argmin(summed))
+    return best + 1, float(summed[best]), [_at(curve, best) for curve in curves]
 
 
 def select_order(
     ts: TimeSeriesMatrix,
-    target: int,
-    predictors: Sequence[int],
+    target,
+    predictors: Sequence,
     criterion: str = "MDL",
     p_max: int = 10,
 ) -> CriterionScore:
@@ -193,19 +234,10 @@ def select_order(
     Every block in ``predictors`` receives the candidate order; all
     candidates are scored on the common response window starting at row
     p_max so values are comparable. Ties break toward the smaller order.
+    Variables are given by label or index.
     """
-    criterion = str(criterion).upper()
-    if criterion not in CRITERIA:
-        raise ValidationError(f"unknown criterion {criterion!r}; pick one of {CRITERIA}")
-    entries = ols_order_scan(ts, target, list(predictors), p_max)
-    best = None
-    for entry in entries:
-        value = _criterion_value(
-            criterion, entry.coefficients, entry.rss, entry.m, ts.n_samples
-        )
-        if best is None or value < best.value:
-            best = CriterionScore(criterion=criterion, value=float(value), order=entry.order)
-    return best
+    order, value, _ = search_order(ts, [(target, predictors)], criterion, p_max)
+    return CriterionScore(criterion=str(criterion).upper(), value=value, order=order)
 
 
 def universal_int_bits(j: int) -> float:

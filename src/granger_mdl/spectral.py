@@ -22,12 +22,11 @@ from .regression import (
     ResidualCovariance,
     build_design,
     ols_fit,
-    ols_order_scan,
     residual_covariance,
     stability_check,
 )
-from .selection import code_length_from_stats
-from .timeseries import TimeSeriesMatrix
+from .selection import search_order
+from .timeseries import TimeSeriesMatrix, checked_sample_rate
 
 __all__ = [
     "BivariateVar",
@@ -96,17 +95,7 @@ def select_var_order(ts: TimeSeriesMatrix, x, y, p_max: int = 10) -> int:
     xi, yi = ts.column(x), ts.column(y)
     if xi == yi:
         raise ValidationError("x and y must be distinct variables")
-    totals = None
-    for target in (xi, yi):
-        entries = ols_order_scan(ts, target, [xi, yi], p_max)
-        lengths = [
-            code_length_from_stats(
-                e.coefficients, e.rss, e.m, ts.n_samples
-            ).total
-            for e in entries
-        ]
-        totals = lengths if totals is None else [a + b for a, b in zip(totals, lengths)]
-    return 1 + int(np.argmin(totals))
+    return search_order(ts, [(xi, [xi, yi]), (yi, [xi, yi])], "MDL", p_max)[0]
 
 
 def fit_bivariate_var(ts: TimeSeriesMatrix, x, y, order: int) -> BivariateVar:
@@ -193,7 +182,7 @@ def geweke_spectrum(
     which either lag polynomial is singular yield NaN rows rather than
     failing the whole grid.
     """
-    fs = float(sample_rate_hz) if sample_rate_hz else 1.0
+    fs = checked_sample_rate(sample_rate_hz) or 1.0
     freqs = np.asarray(list(frequencies_hz), dtype=float)
     if freqs.size == 0:
         raise ValidationError("empty frequency grid")
@@ -248,17 +237,12 @@ def default_frequency_grid(sample_rate_hz: Optional[float] = None) -> np.ndarray
     nothing survives the Nyquist cut): 64 uniform points spanning
     (0, pi) radians/sample, expressed in cycles/sample.
     """
-    if sample_rate_hz:
-        nyquist = sample_rate_hz / 2.0
-        grid = [f for f in list(range(1, 31)) + [50, 100] if f <= nyquist]
-        if grid:
-            return np.array(grid, dtype=float)
-        fs = sample_rate_hz
-    else:
-        fs = 1.0
-    k = np.arange(1, 65)
-    omegas = np.pi * k / 65.0
-    return omegas * fs / TWO_PI
+    fs = checked_sample_rate(sample_rate_hz)
+    grid = [f for f in list(range(1, 31)) + [50, 100] if fs and f <= fs / 2.0]
+    if grid:
+        return np.array(grid, dtype=float)
+    omegas = np.pi * np.arange(1, 65) / 65.0
+    return omegas * (fs or 1.0) / TWO_PI
 
 
 def spectral_to_csv(result: SpectralCausality, path) -> None:

@@ -24,15 +24,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import betainc
 
-from .errors import DegenerateFitError, RankDeficiencyError, ValidationError
-from .regression import (
-    LagSpec,
-    OrderScanEntry,
-    build_design,
-    ols_fit,
-    ols_order_scan,
-)
-from .selection import CodeLength, code_length_from_stats, select_order
+from .errors import ValidationError
+from .regression import LagSpec, build_design, ols_fit
+from .selection import CodeLength, search_order, select_order
 from .timeseries import TimeSeriesMatrix
 
 __all__ = [
@@ -252,52 +246,9 @@ def log_variance_ratio(result: FTestResult) -> float:
     return math.log(result.rss_restricted / result.rss_unrestricted)
 
 
-def _scan_entries(ts, target, blocks, p_max):
-    """Order-family fits, falling back to per-order fits near rank trouble.
-
-    The wide-matrix scan flags a deficiency anywhere in the family; the
-    fallback walks orders from 1 upward so the first genuinely broken
-    (or perfectly fitting) model surfaces its own error.
-    """
-    try:
-        return ols_order_scan(ts, target, blocks, p_max)
-    except RankDeficiencyError:
-        entries = []
-        for order in range(1, p_max + 1):
-            spec = LagSpec(target, [(v, order) for v in blocks])
-            X, y = build_design(ts, spec, start=p_max)
-            fit = ols_fit(X, y)
-            _require_noise(fit.rss, float(y @ y))
-            entries.append(
-                OrderScanEntry(
-                    order=order, k=fit.k, coefficients=fit.coefficients,
-                    rss=fit.rss, m=fit.m, response_sq=float(y @ y),
-                )
-            )
-        return entries
-
-
-def _require_noise(rss, response_sq):
-    if rss <= 1e-12 * response_sq:
-        raise DegenerateFitError(
-            "degenerate noiseless fit: residual variance vanishes, "
-            "the Gaussian code length is undefined"
-        )
-
-
 def _best_code_length(ts, target, blocks, p_max, delta, scale_floor) -> CodeLength:
     """Shortest code length over shared orders 1..p_max for one family."""
-    entries = _scan_entries(ts, target, blocks, p_max)
-    best = None
-    for entry in entries:
-        _require_noise(entry.rss, entry.response_sq)
-        cl = code_length_from_stats(
-            entry.coefficients, entry.rss, entry.m, ts.n_samples,
-            delta=delta, scale_floor=scale_floor,
-        )
-        if best is None or cl.total < best.total:
-            best = cl
-    return best
+    return search_order(ts, [(target, blocks)], "MDL", p_max, delta, scale_floor)[2][0]
 
 
 def mdl_gc(

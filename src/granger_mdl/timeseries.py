@@ -62,10 +62,7 @@ class TimeSeriesMatrix:
             )
         if len(set(labels)) != len(labels):
             raise ValidationError("labels must be unique")
-        if sample_rate_hz is not None:
-            sample_rate_hz = float(sample_rate_hz)
-            if not (sample_rate_hz > 0 and np.isfinite(sample_rate_hz)):
-                raise ValidationError("sample_rate_hz must be positive and finite")
+        sample_rate_hz = checked_sample_rate(sample_rate_hz)
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -97,6 +94,15 @@ class TimeSeriesMatrix:
                 f"variable index {idx} out of range [0, {self.n_variables - 1}]"
             )
         return idx
+
+
+def checked_sample_rate(sample_rate_hz) -> Optional[float]:
+    """A sample rate as a positive finite float; None means no rate."""
+    if sample_rate_hz is not None:
+        sample_rate_hz = float(sample_rate_hz)
+        if not (sample_rate_hz > 0 and np.isfinite(sample_rate_hz)):
+            raise ValidationError("sample_rate_hz must be positive and finite")
+    return sample_rate_hz
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from granger_mdl.errors import RankDeficiencyError, ValidationError
 from granger_mdl.regression import (
     LagSpec,
     build_design,
+    nested_scan,
     ols_fit,
     ols_order_scan,
     residual_covariance,
@@ -214,6 +215,18 @@ class TestFamilyProperties:
         np.testing.assert_allclose(fa.coefficients[2:], fb.coefficients[:3], rtol=1e-8)
 
 
+def check_scan_matches_per_order_fits(ts, target, blocks, p_max):
+    entries = ols_order_scan(ts, target, blocks, p_max)
+    assert [e.order for e in entries] == list(range(1, p_max + 1))
+    for entry in entries:
+        spec = LagSpec(target, [(v, entry.order) for v in blocks])
+        X, y = build_design(ts, spec, start=p_max)
+        fit = ols_fit(X, y)
+        assert entry.rss == pytest.approx(fit.rss, rel=1e-9, abs=1e-12)
+        np.testing.assert_allclose(entry.coefficients, fit.coefficients, rtol=1e-8, atol=1e-10)
+        assert entry.m == fit.m
+
+
 class TestOrderScan:
     def test_matches_per_order_fits(self):
         rng = np.random.default_rng(11)
@@ -223,18 +236,46 @@ class TestOrderScan:
         for t in range(2, n):
             x[t] = 0.6 * x[t - 1] - 0.2 * x[t - 2] + 0.3 * z[t - 1] + rng.standard_normal() * 0.5
         ts = series(x, z)
-        p_max = 6
-        entries = ols_order_scan(ts, 0, [0, 1], p_max)
-        assert [e.order for e in entries] == list(range(1, p_max + 1))
-        for entry in entries:
-            X, y = build_design(ts, LagSpec(0, [(0, entry.order), (1, entry.order)]), start=p_max)
-            fit = ols_fit(X, y)
-            assert entry.rss == pytest.approx(fit.rss, rel=1e-9, abs=1e-12)
-            np.testing.assert_allclose(entry.coefficients, fit.coefficients, rtol=1e-8, atol=1e-10)
-            assert entry.m == fit.m
+        check_scan_matches_per_order_fits(ts, 0, [0, 1], 6)
+        # 1, 3 and 12 blocks, in an order that is not the column order
+        panel = TimeSeriesMatrix(
+            np.cumsum(rng.standard_normal((300, 12)), axis=0) * 0.1
+            + rng.standard_normal((300, 12))
+        )
+        check_scan_matches_per_order_fits(panel, 4, [4], 10)
+        check_scan_matches_per_order_fits(panel, 2, [7, 2, 0], 8)
+        check_scan_matches_per_order_fits(panel, 11, list(range(11, -1, -1)), 10)
 
     def test_scan_flags_duplicate_blocks(self):
         x = np.arange(30, dtype=float)
         ts = series(x, x)
         with pytest.raises(RankDeficiencyError):
             ols_order_scan(ts, 0, [0, 1], 3)
+
+    def test_rank_error_names_columns_by_label(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(120)
+        y = np.roll(x, 1)
+        ts = series(x, y, labels=["x", "y"])
+        # y.lag1 equals x.lag2, so the family breaks at order 2
+        with pytest.raises(RankDeficiencyError, match=r"x\.lag2") as info:
+            ols_order_scan(ts, 0, [0, 1], 4)
+        assert "var0" not in str(info.value)
+        scan = nested_scan(ts, 0, [0, 1], 4)
+        assert scan.rss.shape == (1,)
+        assert scan.rank_error is not None
+
+    @pytest.mark.parametrize(
+        "target, blocks",
+        [(-1, [-1]), (5, [5]), (0, [0, 5]), (0, [1, 1]), (0, [])],
+    )
+    def test_scan_rejects_bad_variables(self, target, blocks):
+        ts = TimeSeriesMatrix(np.random.default_rng(4).standard_normal((60, 3)))
+        with pytest.raises(ValidationError):
+            ols_order_scan(ts, target, blocks, 3)
+
+    def test_scan_resolves_labels(self):
+        ts = TimeSeriesMatrix(np.random.default_rng(4).standard_normal((60, 3)), ["a", "b", "c"])
+        by_label = nested_scan(ts, "a", ["a", "c"], 3)
+        by_index = nested_scan(ts, 0, [0, 2], 3)
+        np.testing.assert_array_equal(by_label.rss, by_index.rss)

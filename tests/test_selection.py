@@ -5,8 +5,9 @@ import pytest
 
 from granger_mdl.bench import NetworkSpec, simulate
 from granger_mdl.errors import DegenerateFitError, ValidationError
-from granger_mdl.regression import LagSpec, OlsFit, build_design, ols_fit
+from granger_mdl.regression import LagSpec, OlsFit, build_design, nested_scan, ols_fit, ols_order_scan
 from granger_mdl.selection import (
+    _code_length_curve,
     aic,
     bernoulli_code_length,
     bic,
@@ -187,6 +188,43 @@ class TestSelectOrder:
         ts = ar2_series(100, seed=1)
         with pytest.raises(ValidationError, match="criterion"):
             select_order(ts, 0, [0], "HQC", p_max=3)
+
+    @pytest.mark.parametrize("target, predictors", [(-1, [-1]), (5, [5]), (0, [0, 0])])
+    def test_bad_variables_rejected(self, target, predictors):
+        ts = TimeSeriesMatrix(np.random.default_rng(2).standard_normal((80, 3)), ["a", "b", "c"])
+        with pytest.raises(ValidationError):
+            select_order(ts, target, predictors, "AIC", 5)
+
+    def test_labels_resolve(self):
+        ts = TimeSeriesMatrix(np.random.default_rng(2).standard_normal((80, 3)), ["a", "b", "c"])
+        assert select_order(ts, "a", ["a", "c"], "BIC", 5) == select_order(ts, 0, [0, 2], "BIC", 5)
+
+
+class TestCodeLengthCurve:
+    @pytest.mark.parametrize("scale_floor", [1.0, 0.0])
+    def test_every_order_matches_term_by_term_oracle(self, scale_floor):
+        rng = np.random.default_rng(21)
+        ts = demean(TimeSeriesMatrix(
+            np.column_stack([ar2_series(400, seed=5).values[:, 0], rng.standard_normal(400)])
+        ))
+        p_max = 8
+        scan = nested_scan(ts, 0, [0, 1], p_max)
+        curve = _code_length_curve(
+            scan.coefficients, scan.k, scan.rss, scan.m, ts.n_samples, None, scale_floor
+        )
+        entries = ols_order_scan(ts, 0, [0, 1], p_max)
+        for j, entry in enumerate(entries):
+            total, data, param, order = code_length_by_terms(
+                entry.coefficients, entry.rss, entry.m, ts.n_samples, scale_floor
+            )
+            assert curve[0, j] == pytest.approx(total, rel=1e-12)
+            assert curve[1, j] == pytest.approx(data, rel=1e-12)
+            assert curve[2, j] == pytest.approx(param, rel=1e-12, abs=1e-12)
+            assert curve[3, j] == pytest.approx(order, rel=1e-12)
+            scalar = code_length_from_stats(
+                entry.coefficients, entry.rss, entry.m, ts.n_samples, scale_floor=scale_floor
+            )
+            assert scalar.total == pytest.approx(curve[0, j], rel=1e-14)
 
 
 class TestMonotonePenalty:

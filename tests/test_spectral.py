@@ -214,6 +214,14 @@ class TestGrids:
         assert len(grid) == 64
         assert grid.min() > 0 and grid.max() < 0.5
 
+    @pytest.mark.parametrize("rate", [0, 0.0, -200.0, float("inf"), float("nan")])
+    def test_bad_sample_rate_rejected(self, rate):
+        model = BivariateVar(order=1, a_mats=[np.zeros((2, 2))], noise_cov=diagonal_noise())
+        with pytest.raises(ValidationError, match="sample_rate_hz"):
+            geweke_spectrum(model, [0.1, 0.4], sample_rate_hz=rate)
+        with pytest.raises(ValidationError, match="sample_rate_hz"):
+            default_frequency_grid(rate)
+
 
 def test_csv_output(tmp_path):
     model = BivariateVar(

@@ -150,6 +150,30 @@ class TestMdlGc:
         with pytest.raises(DegenerateFitError):
             mdl_gc(ts, "y", "x", p_max=6)
 
+    def test_rank_break_after_order_one_is_an_error(self):
+        # y.lag1 equals x.lag2: orders >= 2 of x's unrestricted family are
+        # rank-broken, and the search must not quietly stop at order 1
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(200)
+        y = np.roll(x, 1)
+        y[0] = 0.0
+        ts = TimeSeriesMatrix(np.column_stack([x, y]), ["x", "y"])
+        with pytest.raises(RankDeficiencyError):
+            mdl_gc(ts, "x", "y", p_max=4)
+
+    def test_rank_error_names_labels(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(200)
+        ts = TimeSeriesMatrix(np.column_stack([x, np.roll(x, 1)]), ["x", "y"])
+        with pytest.raises(RankDeficiencyError, match=r"x\.lag2"):
+            mdl_gc(ts, "x", "y", p_max=4)
+
+    def test_duplicate_conditioning_variable_rejected(self):
+        rng = np.random.default_rng(9)
+        ts = TimeSeriesMatrix(rng.standard_normal((150, 3)), ["a", "b", "c"])
+        with pytest.raises(ValidationError):
+            conditional_mdl_gc(ts, "a", "b", ["c", "c"], p_max=3)
+
     def test_saving_equals_length_difference(self):
         ts = sim3(77)
         result = mdl_gc(ts, "node2", "node1")
