@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .timedomain import infer_network
+from .timedomain import _infer_network
 from .timeseries import TimeSeriesMatrix, demean as demean_ts
 
 __all__ = [
@@ -341,15 +341,10 @@ def _evaluate_trial(spec, configs, seed, apply_demean):
     ts = simulate(spec, int(seed))
     if apply_demean:
         ts = demean_ts(ts)
+    engines = {}  # one factorisation of the trial's series for all its configs
     graphs = []
     for cfg in configs:
-        graph = infer_network(
-            ts,
-            method=cfg.method,
-            p_max=cfg.p_max,
-            alpha=cfg.alpha,
-            order_criterion=cfg.order_criterion,
-        )
+        graph = _infer_network(ts, cfg.method, cfg.p_max, cfg.alpha, cfg.order_criterion, engines)
         graphs.append(graph.adjacency)
     return graphs
 

@@ -4,9 +4,10 @@ Builds the restricted/unrestricted autoregressions every causality test
 rests on. Fits are solved through orthogonal factorisations (QR / SVD),
 never by inverting the normal matrix, with an explicit rank guard.
 
-Every lag-order search runs through `nested_scan`: one Householder QR
-of the widest design yields the residual sum of squares and the
-coefficients of every lower-order model in the family.
+Every lag-order search runs through a `LagEngine`: one R-only QR of all
+lags of a series' variables, from which each model family takes one
+small QR that yields the residual sum of squares and the coefficients
+of all its orders. `nested_scan` is the one-family view.
 """
 
 from __future__ import annotations
@@ -245,6 +246,109 @@ class OrderScanEntry:
 NestedScan = namedtuple("NestedScan", "coefficients k rss m response_sq rank_error")
 
 
+def _qr_r(a: np.ndarray) -> np.ndarray:
+    """R of a = QR (LAPACK dgeqrf; Q is never formed), min(rows, cols) rows."""
+    return np.triu(scipy.linalg.lapack.dgeqrf(a, overwrite_a=True)[0][: min(a.shape)])
+
+
+class LagEngine:
+    """One factorisation of a series' lagged design, shared by its model families.
+
+    ``Z = [lags 1..p_max of every variable, lag-major | the responses]`` on
+    the window starting at row ``start`` (default p_max) is factored once
+    as Z = QR, keeping only R. A family (a target plus predictor blocks
+    that share one order) has design columns S of Z, so a QR of the slice
+    ``R[:, S + [target's response]]`` is a QR of its own design with its
+    response appended: the top-left block is the family's R, the last
+    column is Q'y over the family. A family using every variable is a
+    column prefix of Z and reads R as it is.
+
+    ``variables`` (labels or indices; default all, ascending) fixes the
+    engine's order. Blocks are always taken in that order, and each
+    family is scanned once per engine, however its blocks are listed.
+    """
+
+    def __init__(self, ts: TimeSeriesMatrix, p_max: int, start: int = None, variables=None):
+        if p_max < 1:
+            raise ValidationError("p_max must be >= 1")
+        if start is None:
+            start = p_max
+        if start < p_max:
+            raise ValidationError(f"start={start} is below p_max {p_max}")
+        values = ts.values
+        n = values.shape[0]
+        if n <= start:
+            raise ValidationError(
+                f"series of length {n} too short for orders up to {p_max}"
+            )
+        if variables is None:
+            variables = range(values.shape[1])
+        self.variables = list(dict.fromkeys(ts.column(v) for v in variables))
+        self._position = {v: i for i, v in enumerate(self.variables)}
+        self.ts, self.p_max, self.m = ts, p_max, n - start
+        lags = _lagged(values, start, [(v, ell) for ell in range(1, p_max + 1) for v in self.variables])
+        self._responses = values[start:]
+        self._r = _qr_r(np.hstack([lags, self._responses[:, self.variables]]))
+        self._memo = {}
+
+    def scan(self, target, block_vars: Sequence, orders: int = None) -> NestedScan:
+        """Orders 1..min(p_max, m // b) of the family, as :func:`nested_scan`.
+
+        ``orders`` (default p_max) is the highest order the caller reads;
+        a window with fewer rows than its b*orders columns is a
+        ValidationError.
+        """
+        target = self.ts.column(target)
+        blocks = sorted((self.ts.column(v) for v in block_vars), key=self._position.__getitem__)
+        if not blocks or len(set(blocks)) != len(blocks):
+            raise ValidationError(f"predictor blocks must be distinct and non-empty, got {blocks}")
+        orders = self.p_max if orders is None else orders
+        if self.m < len(blocks) * orders:
+            raise ValidationError(
+                f"underdetermined scan: {self.m} rows < {len(blocks) * orders} columns "
+                f"at order {orders}"
+            )
+        key = (target, tuple(blocks))
+        if key not in self._memo:
+            self._memo[key] = self._scan(target, blocks)
+        return self._memo[key]
+
+    def _scan(self, target: int, blocks: List[int]) -> NestedScan:
+        b, width_z = len(blocks), len(self.variables)
+        n_fit = min(self.p_max, self.m // b)
+        width = b * n_fit
+        columns = [ell * width_z + self._position[v] for ell in range(n_fit) for v in blocks]
+        factor = self._r[:, columns + [width_z * self.p_max + self._position[target]]]
+        if b < width_z:  # with every variable the columns lead Z: R is their factor
+            factor = _qr_r(factor)
+
+        diag = np.abs(np.diag(factor)[:width])
+        scale = diag.max()
+        bad = np.flatnonzero(diag / scale < RANK_TOL) if scale > 0 else np.arange(width)
+        n_ok = n_fit if bad.size == 0 else int(bad[0]) // b
+        rank_error = None
+        if bad.size:
+            names = [f"{self.ts.labels[blocks[j % b]]}.lag{j // b + 1}" for j in bad]
+            rank_error = RankDeficiencyError(
+                f"rank-deficient design in order scan from order {n_ok + 1}: columns "
+                f"{names} depend on earlier ones (tolerance {RANK_TOL:g})", columns=bad.tolist()
+            )
+
+        kk = b * np.arange(1, n_ok + 1)
+        ok = b * n_ok
+        qty = factor[:ok, width]
+        # rss(k) = y'y - sum_{j<k} qty_j^2, summed from the far end so nothing
+        # cancels: what the widest fit leaves, plus qty_j^2 for j >= k
+        tail = factor[width:, width]
+        rss = np.cumsum(np.append(factor[:width, width] ** 2, tail @ tail)[::-1])[::-1][kk]
+        y = self._responses[:, target]
+        # LAPACK's triangular inverse, not a solve against the identity (a level-3
+        # BLAS call that stalls on threads in pool workers); it rejects 0x0
+        r_inv = scipy.linalg.lapack.dtrtri(factor[:ok, :ok])[0] if ok else factor[:0, :0]
+        coefficients = np.cumsum(r_inv * qty, axis=1)[:, kk - 1]
+        return NestedScan(coefficients, kk, rss, self.m, float(y @ y), rank_error)
+
+
 def nested_scan(
     ts: TimeSeriesMatrix,
     target: int,
@@ -254,61 +358,18 @@ def nested_scan(
 ) -> NestedScan:
     """Fit the shared-order family {order n: every block gets lags 1..n}.
 
-    Columns are interleaved lag-major, so order n is a column prefix and
-    one QR X = QR serves every order on the response window starting at
-    ``start`` (default p_max). Order n's rss is y'y less the first b*n
-    squared entries of Q'y; column b*n-1 of cumsum(R^-1 * Q'y, axis=1)
-    is its coefficient vector, exactly zero below its first k = b*n
-    rows. Walking orders upward, the first order with a new diagonal
-    entry of R below RANK_TOL times the largest is rank-broken: the
-    family stops before it and ``rank_error`` holds its error (None
-    when all p_max orders fit).
+    Columns are interleaved lag-major in the order of ``block_vars``, so
+    order n is a column prefix and one QR X = QR serves every order on
+    the response window starting at ``start`` (default p_max). Order n's
+    rss is y'y less the first b*n squared entries of Q'y; column b*n-1 of
+    cumsum(R^-1 * Q'y, axis=1) is its coefficient vector, exactly zero
+    below its first k = b*n rows. Walking orders upward, the first order
+    with a new diagonal entry of R below RANK_TOL times the largest is
+    rank-broken: the family stops before it and ``rank_error`` holds its
+    error (None when all p_max orders fit). This is a one-family
+    :class:`LagEngine`.
     """
-    if p_max < 1:
-        raise ValidationError("p_max must be >= 1")
-    if start is None:
-        start = p_max
-    target, blocks = ts.column(target), [ts.column(v) for v in block_vars]
-    if not blocks or len(set(blocks)) != len(blocks):
-        raise ValidationError(f"predictor blocks must be distinct and non-empty, got {blocks}")
-    values = ts.values
-    n = values.shape[0]
-    if n <= start:
-        raise ValidationError(
-            f"series of length {n} too short for orders up to {p_max}"
-        )
-    b = len(blocks)
-    X = _lagged(values, start, [(v, ell) for ell in range(1, p_max + 1) for v in blocks])
-    y = values[start:, target]
-    m = y.shape[0]
-    if m < X.shape[1]:
-        raise ValidationError(
-            f"underdetermined scan: {m} rows < {X.shape[1]} columns at p_max={p_max}"
-        )
-
-    Q, R = np.linalg.qr(X, mode="reduced")
-    diag = np.abs(np.diag(R))
-    scale = diag.max()
-    bad = np.flatnonzero(diag / scale < RANK_TOL) if scale > 0 else np.arange(diag.size)
-    n_ok = p_max if bad.size == 0 else int(bad[0]) // b
-    rank_error = None
-    if n_ok < p_max:
-        names = [f"{ts.labels[blocks[j % b]]}.lag{j // b + 1}" for j in bad]
-        rank_error = RankDeficiencyError(
-            f"rank-deficient design in order scan from order {n_ok + 1}: columns "
-            f"{names} depend on earlier ones (tolerance {RANK_TOL:g})", columns=bad.tolist()
-        )
-
-    kk = b * np.arange(1, n_ok + 1)
-    width = b * n_ok
-    qty = (Q.T @ y)[:width]
-    total = float(y @ y)
-    rss = np.maximum(total - np.cumsum(qty ** 2)[kk - 1], 0.0)
-    # LAPACK's triangular inverse, not a solve against the identity (a level-3
-    # BLAS call that stalls on threads in pool workers); it rejects 0x0
-    r_inv = scipy.linalg.lapack.dtrtri(R[:width, :width])[0] if width else R[:0, :0]
-    coefficients = np.cumsum(r_inv * qty, axis=1)[:, kk - 1]
-    return NestedScan(coefficients, kk, rss, m, total, rank_error)
+    return LagEngine(ts, p_max, start, [*block_vars, target]).scan(target, block_vars)
 
 
 def ols_order_scan(

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateFitError, ValidationError
-from .regression import OlsFit, nested_scan
+from .regression import LagEngine, OlsFit
 from .timeseries import TimeSeriesMatrix
 
 __all__ = [
@@ -193,22 +193,33 @@ def search_order(
 ):
     """The shared order 1..p_max minimising the summed curves of ``families``.
 
-    Each (target, blocks) family is scanned once and scored at every
-    order as an array; ties go to the smaller order. Walking orders
-    upward, the first rank-broken order raises RankDeficiencyError,
-    unless under MDL an earlier order has rss <= 1e-12 y'y: that raises
-    DegenerateFitError. Returns (order, value, per-family CodeLength at
-    the order, an empty list unless MDL).
+    Each (target, blocks) family is scanned once, all of them from one
+    :class:`LagEngine` over their variables, and scored at every order as
+    an array; ties go to the smaller order. Walking orders upward, the
+    first rank-broken order raises RankDeficiencyError, unless under MDL
+    an earlier order has rss <= 1e-12 y'y: that raises DegenerateFitError.
+    Returns (order, value, per-family CodeLength at the order, an empty
+    list unless MDL).
     """
+    families = list(families)
+    if not families:
+        raise ValidationError("search_order needs at least one model family")
+    variables = [v for target, blocks in families for v in (*blocks, target)]
+    engine = LagEngine(ts, p_max, variables=variables)
+    return _search_order(engine, families, criterion, delta, scale_floor)
+
+
+def _search_order(engine, families, criterion, delta=None, scale_floor=DEFAULT_SCALE_FLOOR):
+    """:func:`search_order` on the scans of ``engine``."""
     criterion = str(criterion).upper()
     if criterion not in CRITERIA:
         raise ValidationError(f"unknown criterion {criterion!r}; pick one of {CRITERIA}")
     summed, curves = 0.0, []
     for target, blocks in families:
-        scan = nested_scan(ts, target, blocks, p_max)
+        scan = engine.scan(target, blocks)
         if criterion == "MDL":  # before the rank error: a noiseless order raises first
             curves.append(_code_length_curve(
-                scan.coefficients, scan.k, scan.rss, scan.m, ts.n_samples,
+                scan.coefficients, scan.k, scan.rss, scan.m, engine.ts.n_samples,
                 delta, scale_floor, noiseless=1e-12 * scan.response_sq,
             ))
             values = curves[-1][0]

@@ -90,7 +90,8 @@ def select_var_order(ts: TimeSeriesMatrix, x, y, p_max: int = 10) -> int:
 
     Both equations of the bivariate system are scored at every order
     and the per-order code lengths are summed, so the winning order
-    accommodates whichever equation needs the longer history.
+    accommodates whichever equation needs the longer history. Both
+    regress on the same lags of (x, y), so one factorisation serves both.
     """
     xi, yi = ts.column(x), ts.column(y)
     if xi == yi:

@@ -25,8 +25,8 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import ValidationError
-from .regression import LagSpec, build_design, ols_fit
-from .selection import CodeLength, search_order, select_order
+from .regression import LagEngine, LagSpec, build_design, ols_fit
+from .selection import CodeLength, _search_order
 from .timeseries import TimeSeriesMatrix
 
 __all__ = [
@@ -246,9 +246,9 @@ def log_variance_ratio(result: FTestResult) -> float:
     return math.log(result.rss_restricted / result.rss_unrestricted)
 
 
-def _best_code_length(ts, target, blocks, p_max, delta, scale_floor) -> CodeLength:
-    """Shortest code length over shared orders 1..p_max for one family."""
-    return search_order(ts, [(target, blocks)], "MDL", p_max, delta, scale_floor)[2][0]
+def _best_code_length(engine, target, blocks, delta, scale_floor) -> CodeLength:
+    """Shortest code length over the engine's shared orders for one family."""
+    return _search_order(engine, [(target, blocks)], "MDL", delta, scale_floor)[2][0]
 
 
 def mdl_gc(
@@ -291,8 +291,14 @@ def conditional_mdl_gc(
         raise ValidationError("source and target must differ")
     if xi in zi or yi in zi:
         raise ValidationError("conditioning set must be disjoint from source and target")
-    restricted = _best_code_length(ts, xi, [xi] + zi, p_max, delta, scale_floor)
-    unrestricted = _best_code_length(ts, xi, [xi, yi] + zi, p_max, delta, scale_floor)
+    engine = LagEngine(ts, p_max, variables=[xi, yi, *zi])
+    return _conditional_mdl(engine, xi, yi, zi, delta, scale_floor)
+
+
+def _conditional_mdl(engine, xi, yi, zi, delta=None, scale_floor=1.0) -> MdlCausality:
+    """:func:`conditional_mdl_gc` on resolved variables, from ``engine``'s scans."""
+    restricted = _best_code_length(engine, xi, [xi] + zi, delta, scale_floor)
+    unrestricted = _best_code_length(engine, xi, [xi, yi] + zi, delta, scale_floor)
     f_nats = restricted.total - unrestricted.total
     return MdlCausality(
         f_nats=float(f_nats),
@@ -321,9 +327,10 @@ def joint_mdl_gc(
     xi, yi, zi = ts.column(x), ts.column(y), ts.column(z)
     if len({xi, yi, zi}) != 3:
         raise ValidationError("x, y, z must be three distinct variables")
-    l_xy = _best_code_length(ts, xi, [xi, yi], p_max, delta, scale_floor)
-    l_xz = _best_code_length(ts, xi, [xi, zi], p_max, delta, scale_floor)
-    l_xyz = _best_code_length(ts, xi, [xi, yi, zi], p_max, delta, scale_floor)
+    engine = LagEngine(ts, p_max, variables=[xi, yi, zi])
+    l_xy = _best_code_length(engine, xi, [xi, yi], delta, scale_floor)
+    l_xz = _best_code_length(engine, xi, [xi, zi], delta, scale_floor)
+    l_xyz = _best_code_length(engine, xi, [xi, yi, zi], delta, scale_floor)
     return JointMdlCausality(
         f_nats=float(min(l_xy.total, l_xz.total) - l_xyz.total),
         len_with_first=l_xy,
@@ -332,22 +339,30 @@ def joint_mdl_gc(
     )
 
 
-def _f_edge(ts, target, source, rest, p_max, alpha, order_criterion):
-    """Conventional edge decision: conditional F-test at a searched order."""
-    score = select_order(ts, target, [target] + rest, order_criterion, p_max)
-    n = score.order
-    result = conditional_f_test_gc(
-        ts, target, source, rest, n, n, n if rest else 0, alpha, start=p_max
-    )
+def _f_edge(engine, target, source, rest, alpha, order_criterion):
+    """Conventional edge decision: conditional F-test at a searched order.
+
+    The restricted rss is the searched family's at order n, the
+    unrestricted one the target's all-variable family's (only its orders
+    up to n need to fit the window); as :func:`conditional_f_test_gc` with
+    p = q = r = n on the engine's window.
+    """
+    n = _search_order(engine, [(target, [target] + rest)], order_criterion)[0]
+    restricted = engine.scan(target, [target] + rest)
+    unrestricted = engine.scan(target, [target, source] + rest, orders=n)
+    if unrestricted.rss.size < n:
+        raise unrestricted.rank_error
+    d2 = engine.m - (len(rest) + 2) * n - 1
+    result = _f_comparison(restricted.rss[n - 1], unrestricted.rss[n - 1], n, d2, alpha)
     return result.significant, result.f_value
 
 
-def _mdl_edge(ts, target, source, rest, p_max):
+def _mdl_edge(engine, target, source, rest):
     """Code-length edge decision: pairwise gate, then conditional check."""
-    pairwise = mdl_gc(ts, target, source, p_max)
+    pairwise = _conditional_mdl(engine, target, source, [])
     if not pairwise.causal or not rest:
         return pairwise.causal, pairwise.f_nats
-    conditional = conditional_mdl_gc(ts, target, source, rest, p_max)
+    conditional = _conditional_mdl(engine, target, source, rest)
     return conditional.causal, conditional.f_nats
 
 
@@ -367,6 +382,19 @@ def infer_network(
     pairwise and the conditional comparison to both be positive, the
     F-test method keeps an edge its conditional test deems significant
     at ``alpha``.
+
+    All fits come from one :class:`LagEngine` over ``ts``: one
+    factorisation, and each model family scanned once.
+    """
+    return _infer_network(ts, method, p_max, alpha, order_criterion, {})
+
+
+def _infer_network(ts, method, p_max, alpha, order_criterion, engines) -> CausalGraph:
+    """:func:`infer_network` reading its fits from ``engines[p_max]``.
+
+    The engine over ``ts`` is built on first use and left in the dict, so
+    calls on one series that share the dict share its factorisation and
+    its scans.
     """
     method_key = str(method).strip().lower().replace("-", "_")
     if method_key in ("mdl",):
@@ -382,6 +410,9 @@ def infer_network(
     if p_max < 1:
         raise ValidationError(f"p_max must be >= 1, got {p_max}")
 
+    if p_max not in engines:
+        engines[p_max] = LagEngine(ts, p_max)
+    engine = engines[p_max]
     nv = ts.n_variables
     adjacency = np.zeros((nv, nv), dtype=bool)
     weight = np.zeros((nv, nv))
@@ -391,9 +422,9 @@ def infer_network(
                 continue
             rest = [k for k in range(nv) if k not in (i, j)]
             if tag == "MDL":
-                keep, evidence = _mdl_edge(ts, i, j, rest, p_max)
+                keep, evidence = _mdl_edge(engine, i, j, rest)
             else:
-                keep, evidence = _f_edge(ts, i, j, rest, p_max, alpha, order_criterion)
+                keep, evidence = _f_edge(engine, i, j, rest, alpha, order_criterion)
             adjacency[j, i] = keep
             weight[j, i] = evidence
 

@@ -6,6 +6,7 @@ import pytest
 from granger_mdl.bench import NetworkSpec, builtin_3node, simulate
 from granger_mdl.errors import RankDeficiencyError, ValidationError
 from granger_mdl.regression import (
+    LagEngine,
     LagSpec,
     build_design,
     nested_scan,
@@ -279,3 +280,65 @@ class TestOrderScan:
         by_label = nested_scan(ts, "a", ["a", "c"], 3)
         by_index = nested_scan(ts, 0, [0, 2], 3)
         np.testing.assert_array_equal(by_label.rss, by_index.rss)
+
+
+def check_engine_scan(engine, target, blocks, orders):
+    """Every order of an engine scan against a fresh ols_fit, to 1e-10."""
+    scan = engine.scan(target, blocks, orders)
+    ordered = sorted(blocks)  # the engine's default order is ascending
+    b = len(blocks)
+    assert scan.rss.shape == (orders,)
+    for n in range(1, orders + 1):
+        spec = LagSpec(target, [(v, n) for v in ordered])
+        fit = ols_fit(*build_design(engine.ts, spec, start=engine.p_max))
+        assert scan.rss[n - 1] == pytest.approx(fit.rss, rel=1e-10)
+        coefficients = scan.coefficients[:b * n, n - 1].reshape(n, b).T.ravel()
+        scale = np.abs(fit.coefficients).max()
+        np.testing.assert_allclose(coefficients, fit.coefficients, rtol=1e-10, atol=1e-10 * scale)
+        assert not scan.coefficients[b * n:, n - 1].any()
+
+
+class TestLagEngine:
+    def panel(self, n, nv, seed):
+        rng = np.random.default_rng(seed)
+        return TimeSeriesMatrix(
+            np.cumsum(rng.standard_normal((n, nv)), axis=0) * 0.1 + rng.standard_normal((n, nv))
+        )
+
+    def test_random_families_match_per_order_fits(self):
+        rng = np.random.default_rng(21)
+        engine = LagEngine(self.panel(300, 12, 5), 10)
+        families = [(3, list(range(12))), (0, [7]), (5, [1, 2])]  # all, one, target outside
+        for _ in range(12):
+            b = int(rng.integers(1, 13))
+            families.append((int(rng.integers(12)), rng.permutation(12)[:b].tolist()))
+        for target, blocks in families:
+            check_engine_scan(engine, target, blocks, 10)
+
+    def test_memo_returns_one_scan_per_family(self):
+        engine = LagEngine(self.panel(200, 5, 6), 6)
+        first = engine.scan(2, [4, 2, 0])
+        assert engine.scan("v2", [0, 2, 4]) is first
+        assert engine.scan(2, [2, 0, 4], orders=3) is first
+        assert engine.scan(1, [4, 2, 0]) is not first
+        check_engine_scan(engine, 2, [0, 2, 4], 6)
+
+    def test_wide_factor(self):
+        # 90 rows against 12 * 10 + 12 columns of Z: R is 90 x 132
+        engine = LagEngine(self.panel(100, 12, 7), 10)
+        assert engine.m < 12 * 10 + 12
+        for target, blocks in [(0, [0, 3, 5]), (11, list(range(9))), (4, [6, 1])]:
+            check_engine_scan(engine, target, blocks, 10)
+
+    def test_orders_that_fit_the_window(self):
+        # all 12 blocks need 120 columns at p_max 10; 90 rows fit orders 1..7
+        engine = LagEngine(self.panel(100, 12, 8), 10)
+        with pytest.raises(ValidationError, match="underdetermined"):
+            engine.scan(0, list(range(12)))
+        with pytest.raises(ValidationError, match="underdetermined"):
+            engine.scan(0, list(range(12)), orders=8)
+        check_engine_scan(engine, 0, list(range(12)), 7)
+
+    def test_start_below_p_max_rejected(self):
+        with pytest.raises(ValidationError, match="below p_max"):
+            nested_scan(self.panel(60, 2, 9), 0, [0, 1], 4, start=2)

@@ -15,6 +15,7 @@ from granger_mdl.selection import (
     gaussian_loglik,
     markov_mdl,
     mdl_code_length,
+    search_order,
     select_order,
     universal_int_bits,
 )
@@ -198,6 +199,11 @@ class TestSelectOrder:
     def test_labels_resolve(self):
         ts = TimeSeriesMatrix(np.random.default_rng(2).standard_normal((80, 3)), ["a", "b", "c"])
         assert select_order(ts, "a", ["a", "c"], "BIC", 5) == select_order(ts, 0, [0, 2], "BIC", 5)
+
+    def test_search_needs_a_family(self):
+        ts = TimeSeriesMatrix(np.random.default_rng(2).standard_normal((80, 3)))
+        with pytest.raises(ValidationError, match="family"):
+            search_order(ts, [], "AIC", 3)
 
 
 class TestCodeLengthCurve:

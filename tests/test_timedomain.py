@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from granger_mdl.bench import builtin_3node, simulate
+from granger_mdl.bench import builtin_3node, builtin_5node, simulate
 from granger_mdl.errors import (
     DegenerateFitError,
     RankDeficiencyError,
@@ -23,6 +24,7 @@ from granger_mdl.timedomain import (
     similarity,
     _f_comparison,
 )
+from granger_mdl.selection import select_order
 from granger_mdl.timeseries import TimeSeriesMatrix, demean
 
 from oracles import f_cdf_oracle
@@ -253,6 +255,41 @@ class TestInferNetwork:
                     expected = conditional_mdl_gc(ts, i, j, rest, p_max=8).causal
                 assert graph.adjacency[j, i] == expected
 
+    @pytest.mark.parametrize("ts, p_max", [
+        (sim3(9), 8),
+        (demean(simulate(builtin_5node(), 31)), 10),
+    ])
+    def test_ftest_decisions_are_traversal_independent(self, ts, p_max):
+        # every F edge equals the standalone conditional test at the AIC order
+        graph = infer_network(ts, "ftest", p_max=p_max, alpha=0.05)
+        nv = ts.n_variables
+        for i in range(nv):
+            for j in range(nv):
+                if i == j:
+                    continue
+                rest = [k for k in range(nv) if k not in (i, j)]
+                n = select_order(ts, i, [i] + rest, "AIC", p_max).order
+                expected = conditional_f_test_gc(ts, i, j, rest, n, n, n, 0.05, start=p_max)
+                assert graph.adjacency[j, i] == expected.significant
+                assert graph.weight[j, i] == pytest.approx(expected.f_value, rel=1e-9)
+
+    @pytest.mark.parametrize("nv, n, mdl_ok, ftest_ok", [
+        (12, 125, False, False),
+        (5, 58, False, False),
+        (5, 62, True, True),
+        (3, 45, True, True),
+        # no pairwise gate passes, so MDL never asks for the 30-column family
+        (3, 38, True, False),
+    ])
+    def test_short_panels(self, nv, n, mdl_ok, ftest_ok):
+        ts = TimeSeriesMatrix(np.random.default_rng(2).standard_normal((n, nv)))
+        for method, ok in (("mdl", mdl_ok), ("ftest", ftest_ok)):
+            if ok:
+                infer_network(ts, method, p_max=10)
+            else:
+                with pytest.raises(ValidationError):
+                    infer_network(ts, method, p_max=10)
+
     def test_ftest_method_runs_and_tags(self):
         graph = infer_network(sim3(10), "ftest", p_max=8, alpha=0.05)
         assert graph.method == "F_TEST"
@@ -288,6 +325,36 @@ class TestScaleInvariance:
             assert (
                 mdl_gc(ts, target, source, p_max=8).causal
                 == mdl_gc(scaled, target, source, p_max=8).causal
+            )
+
+
+def sparse_var_panel(seed, nv, n=240):
+    """A stable VAR(1) panel with own lags and a few cross edges."""
+    rng = np.random.default_rng(seed)
+    a = np.diag(rng.uniform(0.2, 0.6, nv))
+    a[rng.integers(nv, size=nv), rng.integers(nv, size=nv)] += 0.4
+    a *= 0.9 / max(0.9, np.abs(np.linalg.eigvals(a)).max())
+    x = np.zeros((n + 50, nv))
+    noise = rng.standard_normal((n + 50, nv))
+    for t in range(1, n + 50):
+        x[t] = a @ x[t - 1] + noise[t]
+    return demean(TimeSeriesMatrix(x[50:]))
+
+
+class TestPermutationEquivariance:
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(data=st.data())
+    def test_permuting_variables_permutes_the_graph(self, data):
+        nv = data.draw(st.sampled_from([4, 5]))
+        perm = data.draw(st.permutations(range(nv)))
+        ts = sparse_var_panel(data.draw(st.integers(0, 2**31 - 1)), nv)
+        permuted = TimeSeriesMatrix(ts.values[:, perm])
+        for method in ("mdl", "ftest"):
+            graph = infer_network(ts, method, p_max=5)
+            moved = infer_network(permuted, method, p_max=5)
+            np.testing.assert_array_equal(moved.adjacency, graph.adjacency[np.ix_(perm, perm)])
+            np.testing.assert_allclose(
+                moved.weight, graph.weight[np.ix_(perm, perm)], rtol=1e-9, atol=1e-9
             )
 
 
