@@ -69,4 +69,62 @@ from .timedomain import (
 )
 from .timeseries import TimeSeriesMatrix, ValidationReport, demean, load_csv, save_csv, validate
 
+__all__ = [
+    "BenchReport",
+    "MethodConfig",
+    "NetworkSpec",
+    "builtin_3node",
+    "builtin_5node",
+    "run_bench",
+    "run_bench_multi",
+    "simulate",
+    "true_edge_matrix",
+    "DegenerateFitError",
+    "DivergenceError",
+    "GrangerMdlError",
+    "NumericalError",
+    "RankDeficiencyError",
+    "ValidationError",
+    "LagSpec",
+    "OlsFit",
+    "ResidualCovariance",
+    "build_design",
+    "ols_fit",
+    "residual_covariance",
+    "stability_check",
+    "CodeLength",
+    "CriterionScore",
+    "MarkovMdlResult",
+    "aic",
+    "bernoulli_code_length",
+    "bic",
+    "gaussian_loglik",
+    "markov_mdl",
+    "mdl_code_length",
+    "select_order",
+    "BivariateVar",
+    "SpectralCausality",
+    "default_frequency_grid",
+    "fit_bivariate_var",
+    "geweke_spectrum",
+    "select_var_order",
+    "CausalGraph",
+    "FTestResult",
+    "MdlCausality",
+    "conditional_f_test_gc",
+    "conditional_mdl_gc",
+    "f_cdf",
+    "f_test_gc",
+    "infer_network",
+    "joint_mdl_gc",
+    "mdl_gc",
+    "similarity",
+    "TimeSeriesMatrix",
+    "ValidationReport",
+    "demean",
+    "load_csv",
+    "save_csv",
+    "validate",
+]
+
 __version__ = "0.1.0"

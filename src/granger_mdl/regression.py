@@ -313,6 +313,18 @@ class LagEngine:
             self._memo[key] = self._scan(target, blocks)
         return self._memo[key]
 
+    def residual_covariance(self) -> np.ndarray:
+        """Residual covariance (divisor m) of the responses on every lag column.
+
+        Each response of the engine's variables, in the engine's order, is
+        regressed on lags 1..p_max of all of them. With T the trailing
+        block of R (the responses' rows and columns), the residuals'
+        cross-products are T'T, so this is T'T / m.
+        """
+        width = len(self.variables) * self.p_max
+        t = self._r[width:, width:]
+        return t.T @ t / self.m
+
     def _scan(self, target: int, blocks: List[int]) -> NestedScan:
         b, width_z = len(blocks), len(self.variables)
         n_fit = min(self.p_max, self.m // b)

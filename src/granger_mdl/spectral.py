@@ -9,7 +9,6 @@ frequency is the log ratio of total to intrinsic spectrum.
 
 from __future__ import annotations
 
-import cmath
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -17,14 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .regression import (
-    LagSpec,
-    ResidualCovariance,
-    build_design,
-    ols_fit,
-    residual_covariance,
-    stability_check,
-)
+from .regression import LagEngine, ResidualCovariance, stability_check
 from .selection import search_order
 from .timeseries import TimeSeriesMatrix, checked_sample_rate
 
@@ -102,50 +94,63 @@ def select_var_order(ts: TimeSeriesMatrix, x, y, p_max: int = 10) -> int:
 def fit_bivariate_var(ts: TimeSeriesMatrix, x, y, order: int) -> BivariateVar:
     """Estimate a bivariate VAR for (x, y) by per-equation least squares.
 
-    Both equations share one response window. The fitted coefficient
-    matrices are negated into the lag-polynomial sign convention, and a
-    stationarity warning is emitted when the companion spectral radius
-    reaches 1.
+    Both equations regress on lags 1..order of (x, y) over the window
+    that starts at row ``order``, so one :class:`LagEngine` factor serves
+    both, and the residual covariance is read off its trailing block. A
+    window of at most 2*order rows would interpolate the data and is an
+    input error. The fitted coefficient matrices are negated into the
+    lag-polynomial sign convention, and a stationarity warning is emitted
+    when the companion spectral radius reaches 1.
     """
     xi, yi = ts.column(x), ts.column(y)
     if xi == yi:
         raise ValidationError("x and y must be distinct variables")
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
-
-    predictors = [(xi, order), (yi, order)]
-    Xd, resp_x = build_design(ts, LagSpec(xi, predictors), start=order)
-    _, resp_y = build_design(ts, LagSpec(yi, predictors), start=order)
-    fit_x = ols_fit(Xd, resp_x)
-    fit_y = ols_fit(Xd, resp_y)
-
-    # coefficients are predictor-major: x-lags then y-lags
-    b_mats = []
-    for ell in range(order):
-        b = np.array(
-            [
-                [fit_x.coefficients[ell], fit_x.coefficients[order + ell]],
-                [fit_y.coefficients[ell], fit_y.coefficients[order + ell]],
-            ]
+    m = ts.n_samples - order
+    if m <= 2 * order:
+        raise ValidationError(
+            f"VAR({order}) fit needs more rows than its {2 * order} columns per "
+            f"equation, got {max(m, 0)} rows"
         )
-        b_mats.append(-b)
-    cov = residual_covariance(fit_x, fit_y)
 
-    radius = stability_check([-a for a in b_mats])
+    engine = LagEngine(ts, order, variables=[xi, yi])
+    coefficients = []
+    for target in (xi, yi):
+        scan = engine.scan(target, [xi, yi])
+        if scan.rank_error is not None:
+            raise scan.rank_error
+        # lag-major columns: row l is the equation's [x, y] coefficients at lag l+1
+        coefficients.append(scan.coefficients[:, order - 1].reshape(order, 2))
+    a_mats = -np.stack(coefficients, axis=1)
+
+    radius = stability_check(-a_mats)
     if radius >= 1.0:
         warnings.warn(
             f"fitted VAR is not stationary (companion radius {radius:.4f})",
             RuntimeWarning,
             stacklevel=2,
         )
-    return BivariateVar(order=order, a_mats=tuple(b_mats), noise_cov=cov)
+    return BivariateVar(order, a_mats, ResidualCovariance(engine.residual_covariance()))
 
 
-def _lag_polynomial(model: BivariateVar, omega: float) -> np.ndarray:
-    a = np.eye(2, dtype=complex)
+def _transfer(model: BivariateVar, omegas: np.ndarray):
+    """D = [P A(e^{-i omega})]^{-1} at every omega, and where P A is singular.
+
+    Singular rows (condition number above CONDITION_LIMIT) are inverted
+    as the identity, so one of them cannot fail the whole grid.
+    """
+    sigma2 = model.noise_cov.var_x
+    if sigma2 <= 0:
+        raise NumericalError("noise variance of the first equation must be positive")
+    p = np.array([[1.0, 0.0], [-model.noise_cov.cov_xy / sigma2, 1.0]], dtype=complex)
+    a = np.tile(np.eye(2, dtype=complex), (omegas.size, 1, 1))
     for ell, mat in enumerate(model.a_mats, start=1):
-        a = a + mat * cmath.exp(-1j * omega * ell)
-    return a
+        a += mat * np.exp(-1j * omegas * ell)[:, None, None]
+    pa = p @ a
+    singular = np.linalg.cond(pa) > CONDITION_LIMIT
+    pa[singular] = np.eye(2)
+    return np.linalg.inv(pa), singular
 
 
 def transfer_matrix(model: BivariateVar, omega: float) -> np.ndarray:
@@ -155,17 +160,12 @@ def transfer_matrix(model: BivariateVar, omega: float) -> np.ndarray:
     pair has the diagonal covariance diag(var_x, var_y - cov^2/var_x).
     Raises when the lag polynomial is numerically singular at omega.
     """
-    sigma2 = model.noise_cov.var_x
-    upsilon = model.noise_cov.cov_xy
-    if sigma2 <= 0:
-        raise NumericalError("noise variance of the first equation must be positive")
-    p = np.array([[1.0, 0.0], [-upsilon / sigma2, 1.0]], dtype=complex)
-    pa = p @ _lag_polynomial(model, omega)
-    if np.linalg.cond(pa) > CONDITION_LIMIT:
+    d, singular = _transfer(model, np.array([float(omega)]))
+    if singular[0]:
         raise NumericalError(
             f"transfer matrix singular at omega={omega:.6g} rad/sample"
         )
-    return np.linalg.inv(pa)
+    return d[0]
 
 
 def geweke_spectrum(
@@ -178,10 +178,10 @@ def geweke_spectrum(
     The spectrum of the pair is S = D diag(var_x, var_y') D* with
     var_y' = var_y - cov^2/var_x; the first diagonal entry splits into
     the intrinsic |D11|^2 var_x plus the part routed from the other
-    series, and the influence is ln(S11 / (|D11|^2 var_x)). The reverse
-    direction is computed on the role-swapped model. Frequencies at
-    which either lag polynomial is singular yield NaN rows rather than
-    failing the whole grid.
+    series, and the influence is ln(S11 / (|D11|^2 var_x)). The whole
+    grid is evaluated at once; the reverse direction is computed on the
+    role-swapped model. Frequencies at which either lag polynomial is
+    singular yield NaN rows rather than failing the whole grid.
     """
     fs = checked_sample_rate(sample_rate_hz) or 1.0
     freqs = np.asarray(list(frequencies_hz), dtype=float)
@@ -193,15 +193,9 @@ def geweke_spectrum(
             f"frequencies must lie in (0, {nyquist}] Hz for sample rate {fs} Hz"
         )
 
-    swapped = model.swapped()
-    n = freqs.size
-    f_y_to_x = np.empty(n)
-    f_x_to_y = np.empty(n)
-    spectra = np.empty((n, 2, 2), dtype=complex)
-    for idx, f_hz in enumerate(freqs):
-        omega = TWO_PI * f_hz / fs
-        f_y_to_x[idx], spectra[idx] = _one_direction(model, omega)
-        f_x_to_y[idx], _ = _one_direction(swapped, omega)
+    omegas = TWO_PI * freqs / fs
+    f_y_to_x, spectra = _one_direction(model, omegas)
+    f_x_to_y, _ = _one_direction(model.swapped(), omegas)
     return SpectralCausality(
         frequencies_hz=freqs,
         f_y_to_x=f_y_to_x,
@@ -210,24 +204,22 @@ def geweke_spectrum(
     )
 
 
-def _one_direction(model: BivariateVar, omega: float):
+def _one_direction(model: BivariateVar, omegas: np.ndarray):
     try:
-        d = transfer_matrix(model, omega)
+        d, singular = _transfer(model, omegas)
     except NumericalError:
-        return float("nan"), np.full((2, 2), complex("nan"))
-    sigma2 = model.noise_cov.var_x
-    gamma2 = model.noise_cov.var_y
-    upsilon = model.noise_cov.cov_xy
-    upsilon_prime = gamma2 - upsilon * upsilon / sigma2
-    diag = np.array([[sigma2, 0.0], [0.0, upsilon_prime]], dtype=complex)
-    s = d @ diag @ d.conj().T
+        return np.full(omegas.size, np.nan), np.full((omegas.size, 2, 2), complex("nan"))
+    cov = model.noise_cov
+    # the normalised noise variances diag(var_x, var_y - cov^2/var_x)
+    variances = np.array([cov.var_x, cov.var_y - cov.cov_xy * cov.cov_xy / cov.var_x])
+    s = (d * variances) @ d.conj().swapaxes(1, 2)
     # total spectrum = intrinsic + routed part; forming the ratio this
     # way keeps f at exactly 0 when the cross transfer vanishes
-    intrinsic = (d[0, 0] * np.conj(d[0, 0])).real * sigma2
-    routed = (d[0, 1] * np.conj(d[0, 1])).real * upsilon_prime
-    if intrinsic <= 0:
-        return float("nan"), s
-    return float(np.log1p(routed / intrinsic)), s
+    intrinsic, routed = ((d[:, 0] * d[:, 0].conj()).real * variances).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(intrinsic > 0, np.log1p(routed / intrinsic), np.nan)
+    f[singular], s[singular] = np.nan, np.nan
+    return f, s
 
 
 def default_frequency_grid(sample_rate_hz: Optional[float] = None) -> np.ndarray:

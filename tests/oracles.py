@@ -2,10 +2,12 @@
 
 These deliberately take different numerical routes from the package:
 the incomplete beta uses a Lentz continued fraction, least squares goes
-through the normal equations, and code lengths are recomputed term by
-term with plain Python floats.
+through the normal equations, code lengths are recomputed term by
+term with plain Python floats, and Geweke spectra come from the
+unnormalised transfer function one frequency at a time.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -104,3 +106,35 @@ def ar2_autocovariance0(a1, a2, noise_var):
     rho1 = a1 / (1.0 - a2)
     g0 = noise_var / (1.0 - a1 * rho1 - a2 * (a1 * rho1 + a2))
     return g0
+
+
+def geweke_by_transfer(a_mats, noise_cov, omega):
+    """Both Geweke influences at one frequency, without normalising the noise.
+
+    H = A(e^{-i omega})^{-1} by the explicit 2x2 inverse, S = H Sigma H*,
+    and f_{y->x} = ln(S_xx / (S_xx - (Sigma_yy - Sigma_xy^2/Sigma_xx) |H_xy|^2)),
+    with the mirror image for f_{x->y}. Returns (f_y_to_x, f_x_to_y, S as
+    nested lists).
+    """
+    a = [[1.0 + 0j, 0j], [0j, 1.0 + 0j]]
+    for ell, mat in enumerate(a_mats, start=1):
+        z = cmath.exp(-1j * omega * ell)
+        for r in range(2):
+            for c in range(2):
+                a[r][c] += float(mat[r][c]) * z
+    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    h = [[a[1][1] / det, -a[0][1] / det], [-a[1][0] / det, a[0][0] / det]]
+    sig = [[float(v) for v in row] for row in noise_cov]
+    s = [
+        [
+            sum(h[r][i] * sig[i][j] * h[c][j].conjugate() for i in range(2) for j in range(2))
+            for c in range(2)
+        ]
+        for r in range(2)
+    ]
+    sxx, syy = s[0][0].real, s[1][1].real
+    part_y = sig[1][1] - sig[0][1] ** 2 / sig[0][0]
+    part_x = sig[0][0] - sig[0][1] ** 2 / sig[1][1]
+    f_y_to_x = math.log(sxx / (sxx - part_y * abs(h[0][1]) ** 2))
+    f_x_to_y = math.log(syy / (syy - part_x * abs(h[1][0]) ** 2))
+    return f_y_to_x, f_x_to_y, s

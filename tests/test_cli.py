@@ -138,6 +138,17 @@ class TestSpectral:
         assert run_cli("spectral", str(sim_csv), "--x", "node1", "--y", "nodeZ",
                        "--out", str(tmp_path / "x.csv")) == 2
 
+    @pytest.mark.filterwarnings("ignore:fitted VAR is not stationary")
+    def test_interpolating_order_exits_2(self, sim_csv, tmp_path, capsys):
+        # at order 7 a 21-row series leaves m = 14 rows for 14 columns per equation
+        rows = sim_csv.read_text().strip().split("\n")
+        for n_rows, code in ((21, 2), (22, 0)):
+            short = tmp_path / f"short{n_rows}.csv"
+            short.write_text("\n".join(rows[: n_rows + 1]) + "\n")
+            assert run_cli("spectral", str(short), "--x", "node2", "--y", "node1",
+                           "--order", "7", "--out", str(tmp_path / "x.csv")) == code
+        assert "14 columns per equation, got 14 rows" in capsys.readouterr().err
+
 
 class TestSimilarity:
     def graph_json(self, path, edges, nodes=("a", "b", "c")):

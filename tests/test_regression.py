@@ -339,6 +339,14 @@ class TestLagEngine:
             engine.scan(0, list(range(12)), orders=8)
         check_engine_scan(engine, 0, list(range(12)), 7)
 
+    def test_residual_covariance_matches_direct_fits(self):
+        ts = self.panel(120, 3, 10)
+        engine = LagEngine(ts, 4, variables=[2, 0, 1])
+        predictors = [(v, 4) for v in (2, 0, 1)]
+        fits = [ols_fit(*build_design(ts, LagSpec(v, predictors))) for v in (2, 0, 1)]
+        expected = np.array([[residual_covariance(a, b).matrix[0, 1] for b in fits] for a in fits])
+        np.testing.assert_allclose(engine.residual_covariance(), expected, rtol=1e-10, atol=1e-14)
+
     def test_start_below_p_max_rejected(self):
         with pytest.raises(ValidationError, match="below p_max"):
             nested_scan(self.panel(60, 2, 9), 0, [0, 1], 4, start=2)

@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from granger_mdl.bench import NetworkSpec, builtin_3node, simulate
-from granger_mdl.errors import ValidationError
-from granger_mdl.regression import LagSpec, ResidualCovariance, build_design, ols_fit
+from granger_mdl.errors import NumericalError, RankDeficiencyError, ValidationError
+from granger_mdl.regression import (
+    LagSpec,
+    ResidualCovariance,
+    build_design,
+    ols_fit,
+    residual_covariance,
+    stability_check,
+)
 from granger_mdl.spectral import (
     BivariateVar,
     default_frequency_grid,
@@ -14,6 +21,8 @@ from granger_mdl.spectral import (
     transfer_matrix,
 )
 from granger_mdl.timeseries import TimeSeriesMatrix, demean
+
+from oracles import geweke_by_transfer
 
 
 def decoupled_pair(seed, n=10_000):
@@ -64,6 +73,43 @@ class TestFitBivariateVar:
         ts = decoupled_pair(1, n=30)
         with pytest.raises(ValidationError):
             fit_bivariate_var(ts, "x", "y", order=20)
+
+    @pytest.mark.filterwarnings("ignore:fitted VAR is not stationary")
+    def test_interpolating_order_rejected(self):
+        # 21 rows at order 7 leave m = 14 = 2 * order rows for 14 columns
+        ts = decoupled_pair(3, n=21)
+        with pytest.raises(ValidationError, match="14 columns .* got 14 rows"):
+            fit_bivariate_var(ts, "x", "y", order=7)
+        model = fit_bivariate_var(decoupled_pair(3, n=22), "x", "y", order=7)
+        # one residual degree of freedom: both variances positive, rank one
+        assert model.noise_cov.var_x > 0 and model.noise_cov.var_y > 0
+
+    def test_matches_design_route(self):
+        rng = np.random.default_rng(8)
+        for order in range(1, 7):
+            n = int(rng.integers(60, 200))
+            values = rng.standard_normal((n, 3))
+            for t in range(1, n):
+                values[t] += np.array([[0.5, 0.3, 0.0], [0.0, 0.4, 0.2], [0.2, 0.0, 0.3]]) @ values[t - 1]
+            ts = TimeSeriesMatrix(values)
+            x, y = (int(v) for v in rng.permutation(3)[:2])
+            model = fit_bivariate_var(ts, x, y, order)
+            predictors = [(x, order), (y, order)]
+            fits = [ols_fit(*build_design(ts, LagSpec(v, predictors))) for v in (x, y)]
+            for ell in range(order):
+                expected = -np.array([[f.coefficients[ell], f.coefficients[order + ell]]
+                                      for f in fits])
+                np.testing.assert_allclose(model.a_mats[ell], expected, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(
+                model.noise_cov.matrix, residual_covariance(*fits).matrix, rtol=1e-10, atol=0
+            )
+
+    def test_duplicated_column_names_label(self):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((100, 3))
+        values[:, 2] = values[:, 1]
+        with pytest.raises(RankDeficiencyError, match=r"v2\.lag1"):
+            fit_bivariate_var(TimeSeriesMatrix(values), "v1", "v2", order=2)
 
     def test_nonstationary_fit_warns(self):
         rng = np.random.default_rng(2)
@@ -191,6 +237,51 @@ class TestGewekeSpectrum:
         assert np.isfinite(sc.f_y_to_x[0])
         assert np.isnan(sc.f_y_to_x[1])
         assert np.isnan(sc.spectra[1]).all()
+
+    def test_matches_unnormalised_oracle(self):
+        rng = np.random.default_rng(12)
+        freqs = np.linspace(0.01, 0.5, 23)
+        for order in (1, 2, 3, 4):
+            for _ in range(3):
+                a_mats = rng.uniform(-0.5, 0.5, (order, 2, 2)) / order
+                while stability_check(-a_mats) >= 0.95:
+                    a_mats = a_mats * 0.8
+                chol = np.array([[rng.uniform(0.5, 1.5), 0.0], rng.uniform(-0.8, 0.8, 2)])
+                chol[1, 1] = abs(chol[1, 1]) + 0.3
+                sigma = chol @ chol.T
+                model = BivariateVar(order, a_mats, ResidualCovariance(sigma))
+                sc = geweke_spectrum(model, freqs, 1.0)
+                for idx, f_hz in enumerate(freqs):
+                    fyx, fxy, s = geweke_by_transfer(a_mats, sigma, 2.0 * np.pi * f_hz)
+                    assert sc.f_y_to_x[idx] == pytest.approx(fyx, rel=1e-10, abs=1e-13)
+                    assert sc.f_x_to_y[idx] == pytest.approx(fxy, rel=1e-10, abs=1e-13)
+                    np.testing.assert_allclose(sc.spectra[idx], np.array(s), rtol=1e-10)
+
+    def test_nan_rows_exactly_where_transfer_matrix_raises(self):
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        model = BivariateVar(order=1, a_mats=[swap], noise_cov=diagonal_noise(1.0, 2.0, 0.3))
+        freqs = [0.1, 0.5, 0.25, 0.5, 0.45]
+        sc = geweke_spectrum(model, freqs, 1.0)
+        for direction, f in ((model, sc.f_y_to_x), (model.swapped(), sc.f_x_to_y)):
+            singular = []
+            for f_hz in freqs:
+                try:
+                    transfer_matrix(direction, 2.0 * np.pi * f_hz)
+                    singular.append(False)
+                except NumericalError:
+                    singular.append(True)
+            assert singular == [False, True, False, True, False]
+            np.testing.assert_array_equal(np.isnan(f), singular)
+
+    def test_zero_first_variance_fails_one_direction(self):
+        a1 = np.array([[-0.5, 0.2], [0.1, -0.4]])
+        model = BivariateVar(order=1, a_mats=[a1], noise_cov=diagonal_noise(0.0, 1.0))
+        sc = geweke_spectrum(model, [0.1, 0.2, 0.3], 1.0)
+        assert np.isnan(sc.f_y_to_x).all()
+        assert np.isnan(sc.spectra).all()
+        assert np.isfinite(sc.f_x_to_y).all()
+        with pytest.raises(NumericalError):
+            transfer_matrix(model, 0.3)
 
     def test_frequency_validation(self):
         model = BivariateVar(order=1, a_mats=[np.zeros((2, 2))], noise_cov=diagonal_noise())
