@@ -1,13 +1,11 @@
 """Lagged design matrices and linear least-squares estimation.
 
 Builds the restricted/unrestricted autoregressions every causality test
-rests on. Fits are solved through orthogonal factorisations (QR / SVD),
-never by inverting the normal matrix, with an explicit rank guard.
-
-Every lag-order search runs through a `LagEngine`: one R-only QR of all
-lags of a series' variables, from which each model family takes one
-small QR that yields the residual sum of squares and the coefficients
-of all its orders. `nested_scan` is the one-family view.
+rests on. Every fit takes one route: an R-only QR of [X | y], one rank
+check on the 1-norm condition number of R's leading blocks, then R^-1.
+Every time-domain fit runs through a `LagEngine`: one QR of all lags of
+a series' variables, from which each model family takes one small QR
+that yields the residual sums and coefficients of all its orders.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ __all__ = [
     "ols_order_scan",
 ]
 
-RANK_TOL = 1e-10
+RANK_TOL = 1e-10  # least reciprocal 1-norm condition number of a design
 
 
 @dataclass(frozen=True)
@@ -148,10 +146,10 @@ def _lagged(values: np.ndarray, start: int, columns) -> np.ndarray:
 
 
 def ols_fit(design: np.ndarray, response: np.ndarray) -> OlsFit:
-    """Solve min ||X b - y||^2 with a rank guard.
+    """Solve min ||X b - y||^2 on the engine's route: QR of [X | y], then R^-1.
 
-    Rank deficiency (smallest/largest singular value below 1e-10) is a
-    hard error that names the offending columns, found via a pivoted QR.
+    The first column that breaks :func:`_fit_prefixes`' rank policy raises
+    RankDeficiencyError naming it.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -163,19 +161,10 @@ def ols_fit(design: np.ndarray, response: np.ndarray) -> OlsFit:
     if m < k:
         raise ValidationError(f"underdetermined system: {m} rows < {k} columns")
 
-    sv = np.linalg.svd(X, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] < RANK_TOL:
-        _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(R))
-        scale = diag[0] if diag[0] > 0 else 1.0
-        bad = [int(piv[j]) for j in range(k) if diag[j] / scale < RANK_TOL]
-        raise RankDeficiencyError(
-            f"rank-deficient design: columns {sorted(bad)} are linearly "
-            f"dependent on the others (tolerance {RANK_TOL:g})",
-            columns=sorted(bad),
-        )
-
-    coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+    _, _, coef, rank_error = _fit_prefixes(_qr_r(np.column_stack([X, y])), np.array([k]), str)
+    if rank_error is not None:
+        raise rank_error
+    coef = coef[:, 0]
     residuals = y - X @ coef
     rss = float(residuals @ residuals)
     return OlsFit(coefficients=coef, residuals=residuals, rss=rss, m=m, k=k)
@@ -251,17 +240,53 @@ def _qr_r(a: np.ndarray) -> np.ndarray:
     return np.triu(scipy.linalg.lapack.dgeqrf(a, overwrite_a=True)[0][: min(a.shape)])
 
 
+def _fit_prefixes(factor: np.ndarray, sizes: np.ndarray, label):
+    """Least squares of y on the leading ``sizes`` (ascending) columns of X: the one rank policy.
+
+    ``factor`` is R of [X | y], so its last column is Q'y. The first k
+    columns' R_k is R's leading block, and R_k^-1 that of R^-1, so
+    kappa_1(R_k) is cummax(colsum|R|) * cummax(colsum|R^-1|) at k-1. The
+    first column with a zero pivot or 1/kappa_1 below RANK_TOL breaks the
+    rank, and the sizes reaching it are dropped. Returns (sizes that fit,
+    their rss, their coefficients in columns, zero below each size, None
+    or a RankDeficiencyError naming the column by ``label(index)``).
+    """
+    width = factor.shape[1] - 1
+    pivots = np.diag(factor)[:width] != 0.0
+    k = width if pivots.all() else int(np.argmin(pivots))
+    # LAPACK's triangular inverse, not a solve against the identity (a level-3
+    # BLAS call that stalls on threads in pool workers); it rejects 0x0
+    r_inv = scipy.linalg.lapack.dtrtri(factor[:k, :k])[0] if k else factor[:0, :0]
+    kappa = np.maximum.accumulate(np.abs(factor[:k, :k]).sum(axis=0))
+    kappa *= np.maximum.accumulate(np.abs(r_inv).sum(axis=0))
+    passed = kappa * RANK_TOL <= 1.0  # NaN fails
+    rank_error = None
+    if k < width or not passed.all():
+        k = k if passed.all() else int(np.argmin(passed))
+        condition = kappa[k] if k < kappa.size else np.inf  # inf: a zero pivot
+        rank_error = RankDeficiencyError(
+            f"rank-deficient design: column {label(k)} depends on the columns before it "
+            f"(1-norm condition number {condition:.3g} > {1 / RANK_TOL:g})", columns=[k])
+        sizes = sizes[sizes <= k]
+    ok = int(sizes[-1]) if sizes.size else 0
+    # rss(k) = y'y - sum_{j<k} qty_j^2, summed from the far end so nothing
+    # cancels: what the widest fit leaves, plus qty_j^2 for j >= k
+    tail = factor[width:, width]
+    rss = np.cumsum(np.append(factor[:width, width] ** 2, tail @ tail)[::-1])[::-1][sizes]
+    coefficients = np.cumsum(r_inv[:ok, :ok] * factor[:ok, width], axis=1)[:, sizes - 1]
+    return sizes, rss, coefficients, rank_error
+
+
 class LagEngine:
     """One factorisation of a series' lagged design, shared by its model families.
 
     ``Z = [lags 1..p_max of every variable, lag-major | the responses]`` on
     the window starting at row ``start`` (default p_max) is factored once
-    as Z = QR, keeping only R. A family (a target plus predictor blocks
-    that share one order) has design columns S of Z, so a QR of the slice
-    ``R[:, S + [target's response]]`` is a QR of its own design with its
-    response appended: the top-left block is the family's R, the last
-    column is Q'y over the family. A family using every variable is a
-    column prefix of Z and reads R as it is.
+    as Z = QR, keeping only R. Any design (a model family's, whose blocks
+    share one order, or an F test's) has columns S of Z, so a QR of the
+    slice ``R[:, S + [target's response]]`` is a QR of its own design with
+    its response appended: the top-left block is the design's R, the last
+    column is Q'y over it. Columns that lead Z read R as it is.
 
     ``variables`` (labels or indices; default all, ascending) fixes the
     engine's order. Blocks are always taken in that order, and each
@@ -292,20 +317,20 @@ class LagEngine:
         self._memo = {}
 
     def scan(self, target, block_vars: Sequence, orders: int = None) -> NestedScan:
-        """Orders 1..min(p_max, m // b) of the family, as :func:`nested_scan`.
+        """Orders 1..min(p_max, (m - 1) // b) of the family, as :func:`nested_scan`.
 
         ``orders`` (default p_max) is the highest order the caller reads;
-        a window with fewer rows than its b*orders columns is a
-        ValidationError.
+        a window with no more rows than its b*orders columns would
+        interpolate the data and is a ValidationError.
         """
         target = self.ts.column(target)
         blocks = sorted((self.ts.column(v) for v in block_vars), key=self._position.__getitem__)
         if not blocks or len(set(blocks)) != len(blocks):
             raise ValidationError(f"predictor blocks must be distinct and non-empty, got {blocks}")
         orders = self.p_max if orders is None else orders
-        if self.m < len(blocks) * orders:
+        if self.m <= len(blocks) * orders:
             raise ValidationError(
-                f"underdetermined scan: {self.m} rows < {len(blocks) * orders} columns "
+                f"underdetermined scan: {self.m} rows ≤ {len(blocks) * orders} columns "
                 f"at order {orders}"
             )
         key = (target, tuple(blocks))
@@ -326,39 +351,23 @@ class LagEngine:
         return t.T @ t / self.m
 
     def _scan(self, target: int, blocks: List[int]) -> NestedScan:
-        b, width_z = len(blocks), len(self.variables)
-        n_fit = min(self.p_max, self.m // b)
-        width = b * n_fit
-        columns = [ell * width_z + self._position[v] for ell in range(n_fit) for v in blocks]
-        factor = self._r[:, columns + [width_z * self.p_max + self._position[target]]]
-        if b < width_z:  # with every variable the columns lead Z: R is their factor
-            factor = _qr_r(factor)
-
-        diag = np.abs(np.diag(factor)[:width])
-        scale = diag.max()
-        bad = np.flatnonzero(diag / scale < RANK_TOL) if scale > 0 else np.arange(width)
-        n_ok = n_fit if bad.size == 0 else int(bad[0]) // b
-        rank_error = None
-        if bad.size:
-            names = [f"{self.ts.labels[blocks[j % b]]}.lag{j // b + 1}" for j in bad]
-            rank_error = RankDeficiencyError(
-                f"rank-deficient design in order scan from order {n_ok + 1}: columns "
-                f"{names} depend on earlier ones (tolerance {RANK_TOL:g})", columns=bad.tolist()
-            )
-
-        kk = b * np.arange(1, n_ok + 1)
-        ok = b * n_ok
-        qty = factor[:ok, width]
-        # rss(k) = y'y - sum_{j<k} qty_j^2, summed from the far end so nothing
-        # cancels: what the widest fit leaves, plus qty_j^2 for j >= k
-        tail = factor[width:, width]
-        rss = np.cumsum(np.append(factor[:width, width] ** 2, tail @ tail)[::-1])[::-1][kk]
+        b = len(blocks)
+        n_fit = min(self.p_max, (self.m - 1) // b)
+        columns = [(v, ell) for ell in range(n_fit) for v in blocks]
+        kk, rss, coefficients, rank_error = self._fit(target, columns, b * np.arange(1, n_fit + 1))
         y = self._responses[:, target]
-        # LAPACK's triangular inverse, not a solve against the identity (a level-3
-        # BLAS call that stalls on threads in pool workers); it rejects 0x0
-        r_inv = scipy.linalg.lapack.dtrtri(factor[:ok, :ok])[0] if ok else factor[:0, :0]
-        coefficients = np.cumsum(r_inv * qty, axis=1)[:, kk - 1]
         return NestedScan(coefficients, kk, rss, self.m, float(y @ y), rank_error)
+
+    def _fit(self, target: int, columns, sizes: np.ndarray):
+        """:func:`_fit_prefixes` on Z's (variable, lag - 1) ``columns``: the one slice-and-QR step."""
+        width_z = len(self.variables)
+        index = [ell * width_z + self._position[v] for v, ell in columns]
+        factor = self._r[:, index + [width_z * self.p_max + self._position[target]]]
+        if index != list(range(len(index))):
+            factor = _qr_r(factor)
+        return _fit_prefixes(
+            factor, sizes, lambda j: f"{self.ts.labels[columns[j][0]]}.lag{columns[j][1] + 1}"
+        )
 
 
 def nested_scan(
@@ -371,15 +380,11 @@ def nested_scan(
     """Fit the shared-order family {order n: every block gets lags 1..n}.
 
     Columns are interleaved lag-major in the order of ``block_vars``, so
-    order n is a column prefix and one QR X = QR serves every order on
-    the response window starting at ``start`` (default p_max). Order n's
-    rss is y'y less the first b*n squared entries of Q'y; column b*n-1 of
-    cumsum(R^-1 * Q'y, axis=1) is its coefficient vector, exactly zero
-    below its first k = b*n rows. Walking orders upward, the first order
-    with a new diagonal entry of R below RANK_TOL times the largest is
-    rank-broken: the family stops before it and ``rank_error`` holds its
-    error (None when all p_max orders fit). This is a one-family
-    :class:`LagEngine`.
+    order n is a column prefix and one QR serves every order on the
+    window starting at ``start`` (default p_max), as :func:`_fit_prefixes`
+    says. The family stops before its first rank-broken order, whose error
+    ``rank_error`` holds (None when all p_max orders fit). This is a
+    one-family :class:`LagEngine`.
     """
     return LagEngine(ts, p_max, start, [*block_vars, target]).scan(target, block_vars)
 

@@ -95,6 +95,17 @@ class TestAnalyze:
         assert run_cli("analyze", str(path), "--method", "mdl") == 3
         assert "numerical error" in capsys.readouterr().err
 
+    def test_interpolating_panel_exits_2(self, tmp_path, capsys):
+        # 30 variables on 300 rows: at p_max 10 a restricted conditional
+        # family has 29 * 10 = 290 columns on the 290-row window
+        values = np.random.default_rng(0).standard_normal((300, 30))
+        path = tmp_path / "wide.csv"
+        path.write_text(",".join(f"v{i}" for i in range(30)) + "\n"
+                        + "\n".join(",".join(f"{v:.17g}" for v in row) for row in values) + "\n")
+        for method in ("mdl", "ftest"):
+            assert run_cli("analyze", str(path), "--method", method) == 2
+            assert "290 rows ≤ 290 columns" in capsys.readouterr().err
+
     def test_config_file_supplies_defaults(self, sim_csv, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"method": "mdl", "p_max": 6}))
@@ -148,6 +159,18 @@ class TestSpectral:
             assert run_cli("spectral", str(short), "--x", "node2", "--y", "node1",
                            "--order", "7", "--out", str(tmp_path / "x.csv")) == code
         assert "14 columns per equation, got 14 rows" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:fitted VAR is not stationary")
+    def test_interpolating_order_search_exits_2(self, tmp_path, capsys):
+        # the default p_max 10 on 30 rows leaves a 20-row window for order
+        # 10's 20 columns; one more row gives the search a residual
+        values = np.random.default_rng(0).standard_normal((31, 2))
+        for n_rows, code in ((30, 2), (31, 0)):
+            path = tmp_path / f"pair{n_rows}.csv"
+            path.write_text("a,b\n" + "\n".join(f"{u:.17g},{v:.17g}" for u, v in values[:n_rows]) + "\n")
+            assert run_cli("spectral", str(path), "--x", "a", "--y", "b",
+                           "--out", str(tmp_path / "x.csv")) == code
+        assert "20 rows ≤ 20 columns at order 10" in capsys.readouterr().err
 
 
 class TestSimilarity:

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from granger_mdl.bench import NetworkSpec, builtin_3node, simulate
+from granger_mdl.bench import NetworkSpec, builtin_3node, builtin_5node, simulate
 from granger_mdl.errors import RankDeficiencyError, ValidationError
 from granger_mdl.regression import (
     LagEngine,
@@ -15,6 +16,8 @@ from granger_mdl.regression import (
     residual_covariance,
     stability_check,
 )
+from granger_mdl.spectral import fit_bivariate_var
+from granger_mdl.timedomain import conditional_f_test_gc, f_test_gc, infer_network
 from granger_mdl.timeseries import TimeSeriesMatrix, demean
 
 from oracles import normal_equations_fit
@@ -327,8 +330,11 @@ class TestLagEngine:
         # 90 rows against 12 * 10 + 12 columns of Z: R is 90 x 132
         engine = LagEngine(self.panel(100, 12, 7), 10)
         assert engine.m < 12 * 10 + 12
-        for target, blocks in [(0, [0, 3, 5]), (11, list(range(9))), (4, [6, 1])]:
+        for target, blocks in [(0, [0, 3, 5]), (4, [6, 1])]:
             check_engine_scan(engine, target, blocks, 10)
+        # 9 blocks at order 10 are 90 columns on 90 rows: they interpolate
+        with pytest.raises(ValidationError, match="90 rows ≤ 90 columns at order 10"):
+            engine.scan(11, list(range(9)))
 
     def test_orders_that_fit_the_window(self):
         # all 12 blocks need 120 columns at p_max 10; 90 rows fit orders 1..7
@@ -350,3 +356,74 @@ class TestLagEngine:
     def test_start_below_p_max_rejected(self):
         with pytest.raises(ValidationError, match="below p_max"):
             nested_scan(self.panel(60, 2, 9), 0, [0, 1], 4, start=2)
+
+
+def near_copy(noise):
+    """x, y = x one step back plus ``noise`` white noise, z independent."""
+    rng = np.random.default_rng(0)
+    x, z = rng.standard_normal((2, 200))
+    y = np.roll(x, 1) + noise * rng.standard_normal(200)
+    return TimeSeriesMatrix(np.column_stack([x, y, z]), ["x", "y", "z"])
+
+
+class TestRankPolicy:
+    """One kappa_1 threshold, whichever entry point a design comes in through."""
+
+    @pytest.mark.parametrize("noise, raises", [
+        (1e-6, False), (1e-8, False), (1e-10, True), (1e-12, True),
+    ])
+    def test_near_collinear_designs_agree(self, noise, raises):
+        # y.lag1 is x.lag2 plus noise, so the design's condition number is
+        # about 2 / noise against the 1e10 limit
+        ts = near_copy(noise)
+        outcomes = []
+        try:
+            ols_fit(*build_design(ts, LagSpec(0, [(0, 2), (1, 1)])))
+            outcomes.append(None)
+        except RankDeficiencyError as exc:
+            outcomes.append(exc.columns)
+        outcomes.append(nested_scan(ts, "x", ["x", "y"], 2).rank_error)
+        try:
+            conditional_f_test_gc(ts, "x", "y", ["z"], p=2, q=1, r=1)
+            outcomes.append(None)
+        except RankDeficiencyError as exc:
+            outcomes.append(exc)
+        assert [o is not None for o in outcomes] == [raises] * 3
+        if raises:
+            assert outcomes[0] == (2,)
+            assert "column x.lag2 depends" in str(outcomes[1])
+            assert "column y.lag1 depends" in str(outcomes[2])
+
+    def test_kahan_matrix_passes_the_diagonal_ratio_and_fails_kappa(self):
+        n, theta = 50, 1.0
+        c, s = math.cos(theta), math.sin(theta)
+        kahan = np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+        diag = np.abs(np.diag(kahan))
+        assert diag.min() / diag.max() > 1e-4  # no small pivot to see
+        assert np.linalg.cond(kahan, 1) > 1e13
+        # stacked on zero rows the QR leaves Kahan's R as it is
+        design = np.vstack([kahan, np.zeros((5, n))])
+        with pytest.raises(RankDeficiencyError, match="column 37 depends") as info:
+            ols_fit(design, np.ones(n + 5))
+        assert info.value.columns == (37,)
+
+    def test_zero_pivot_raises(self):
+        design = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        with pytest.raises(RankDeficiencyError, match="column 1 depends"):
+            ols_fit(design, np.ones(3))
+
+
+class TestOneRoute:
+    def test_fits_need_no_svd_lstsq_or_pivoted_qr(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("second least-squares route used")
+
+        for module, name in ((np.linalg, "svd"), (np.linalg, "lstsq"), (scipy.linalg, "qr")):
+            monkeypatch.setattr(module, name, forbidden)
+        ts = demean(simulate(builtin_5node(), 5))
+        ols_fit(*build_design(ts, LagSpec(1, [(1, 3), (0, 2)])))
+        f_test_gc(ts, 1, 0, p=2, q=2)
+        conditional_f_test_gc(ts, 3, 1, [0, 2], p=2, q=3, r=1)
+        infer_network(ts, "mdl", p_max=6)
+        infer_network(ts, "ftest", p_max=6)
+        fit_bivariate_var(ts, 0, 1, order=3)

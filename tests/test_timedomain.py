@@ -94,6 +94,22 @@ class TestFTest:
         m = 300 - 3
         assert result.dof == (2, m - 3 - 2 - 1)
 
+    def test_small_sample_size_is_calibrated(self):
+        # white-noise pairs at m = 22 (p = q = 2, so d2 = m - k - 1 = 17):
+        # 10,000 replications put the standard error of the size at 0.2 points
+        rng = np.random.default_rng(2024)
+        trials = 10_000
+        hits = sum(
+            f_test_gc(TimeSeriesMatrix(rng.standard_normal((24, 2)), ["x", "y"]),
+                      "x", "y", p=2, q=2, alpha=0.05).significant
+            for _ in range(trials)
+        )
+        size = hits / trials
+        se = math.sqrt(size * (1.0 - size) / trials)
+        assert se <= 0.002
+        assert size <= 0.05
+        assert abs(size - 0.0416) <= 3.0 * se
+
     def test_log_variance_ratio(self):
         result = _f_comparison(rss_r=8.0, rss_u=4.0, q=1, d2=20, alpha=0.05)
         assert log_variance_ratio(result) == pytest.approx(math.log(2.0))
