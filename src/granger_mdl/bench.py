@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .timedomain import _infer_network
+from .timedomain import MethodConfig, _infer_network
 from .timeseries import TimeSeriesMatrix, demean as demean_ts
 
 __all__ = [
@@ -245,41 +245,6 @@ def true_edge_matrix(spec: NetworkSpec) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MethodConfig:
-    """One analysis method and its parameters for a benchmark run."""
-
-    method: str
-    alpha: float = 0.05
-    p_max: int = 10
-    order_criterion: str = "AIC"
-
-    @property
-    def label(self) -> str:
-        if self.method == "ftest":
-            return f"ftest:{self.alpha:g}"
-        return self.method
-
-    @staticmethod
-    def parse(text: str) -> "MethodConfig":
-        """Parse 'mdl' or 'ftest:<alpha>' (alpha defaults to 0.05)."""
-        parts = text.strip().split(":")
-        name = parts[0].strip().lower()
-        if name == "mdl":
-            if len(parts) > 1:
-                raise ValidationError(f"mdl takes no parameter, got {text!r}")
-            return MethodConfig(method="mdl")
-        if name in ("ftest", "f_test", "f-test"):
-            alpha = 0.05
-            if len(parts) > 1:
-                try:
-                    alpha = float(parts[1])
-                except ValueError:
-                    raise ValidationError(f"bad alpha in {text!r}") from None
-            return MethodConfig(method="ftest", alpha=alpha)
-        raise ValidationError(f"unknown method {text!r}; use 'mdl' or 'ftest[:alpha]'")
-
-
-@dataclass(frozen=True)
 class BenchReport:
     """Monte Carlo tallies for one method on one network."""
 
@@ -342,21 +307,18 @@ def _evaluate_trial(spec, configs, seed, apply_demean):
     if apply_demean:
         ts = demean_ts(ts)
     engines = {}  # one factorisation of the trial's series for all its configs
-    graphs = []
-    for cfg in configs:
-        graph = _infer_network(ts, cfg.method, cfg.p_max, cfg.alpha, cfg.order_criterion, engines)
-        graphs.append(graph.adjacency)
-    return graphs
+    return [_infer_network(ts, cfg, engines).adjacency for cfg in configs]
 
 
 def _run_chunk(args):
-    spec, configs, seeds, indices, apply_demean = args
+    """(adjacencies, None) or (None, error text) for each trial of a chunk, in order."""
+    spec, configs, seeds, apply_demean = args
     out = []
-    for idx, seed in zip(indices, seeds):
+    for seed in seeds:
         try:
-            out.append((idx, _evaluate_trial(spec, configs, seed, apply_demean), None))
+            out.append((_evaluate_trial(spec, configs, seed, apply_demean), None))
         except Exception as exc:  # recorded per trial, never dropped silently
-            out.append((idx, None, f"{type(exc).__name__}: {exc}"))
+            out.append((None, f"{type(exc).__name__}: {exc}"))
     return out
 
 
@@ -385,65 +347,47 @@ def run_bench_multi(
 
     seeds = child_seeds(master_seed, n_trials)
     workers = worker_count(n_workers)
-    results = [None] * n_trials
-
+    chunk_size = max(1, (n_trials + workers * 4 - 1) // (workers * 4))
+    tasks = [
+        (spec, tuple(configs), seeds[lo:lo + chunk_size], demean)
+        for lo in range(0, n_trials, chunk_size)
+    ]
     if workers <= 1 or n_trials == 1:
-        chunk = _run_chunk((spec, tuple(configs), seeds, range(n_trials), demean))
-        for idx, graphs, err in chunk:
-            results[idx] = (graphs, err)
+        chunks = list(map(_run_chunk, tasks))
     else:
-        chunk_size = max(1, (n_trials + workers * 4 - 1) // (workers * 4))
-        tasks = []
-        for lo in range(0, n_trials, chunk_size):
-            hi = min(lo + chunk_size, n_trials)
-            tasks.append((spec, tuple(configs), seeds[lo:hi], range(lo, hi), demean))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_run_chunk, tasks):
-                for idx, graphs, err in chunk:
-                    results[idx] = (graphs, err)
+            chunks = list(pool.map(_run_chunk, tasks))
+    results = [trial for chunk in chunks for trial in chunk]
 
     truth = true_edge_matrix(spec)
     nv = spec.n_nodes
+    failures = tuple((t_idx, err) for t_idx, (_, err) in enumerate(results) if err is not None)
+    # (successful trials, configs, nv, nv); zero rows when every trial failed
+    adj = np.array(
+        [graphs for graphs, err in results if err is None], dtype=bool
+    ).reshape(-1, len(configs), nv, nv)
+    wrong = adj != truth
+    counts = adj.sum(0)
+    exact = (~wrong.any((2, 3))).sum(0)
+    # a node is right when every edge into and out of it is
+    node_hits = (~(wrong.any(3) | wrong.any(2))).sum(0)
     node_labels = tuple(f"node{i + 1}" for i in range(nv))
-    reports = {}
-    for c_idx, cfg in enumerate(configs):
-        counts = np.zeros((nv, nv), dtype=int)
-        node_hits = np.zeros(nv, dtype=int)
-        exact = 0
-        failures = []
-        for t_idx in range(n_trials):
-            graphs, err = results[t_idx]
-            if err is not None:
-                failures.append((t_idx, err))
-                continue
-            adj = graphs[c_idx]
-            counts += adj
-            if (adj == truth).all():
-                exact += 1
-            for node in range(nv):
-                involved = np.zeros((nv, nv), dtype=bool)
-                involved[node, :] = True
-                involved[:, node] = True
-                involved[node, node] = False
-                if (adj[involved] == truth[involved]).all():
-                    node_hits[node] += 1
-        params = {"p_max": cfg.p_max}
-        if cfg.method == "ftest":
-            params["alpha"] = cfg.alpha
-            params["order_criterion"] = cfg.order_criterion
-        reports[cfg.label] = BenchReport(
+    true_edges = tuple((int(j), int(i)) for j, i in np.argwhere(truth))
+    return {
+        cfg.label: BenchReport(
             method=cfg.label,
-            params=params,
+            params=cfg.params,
             n_trials=n_trials,
             master_seed=int(master_seed),
             labels=node_labels,
-            true_edges=tuple((int(j), int(i)) for j, i in np.argwhere(truth)),
-            per_edge_detection_counts=counts,
-            per_node_accuracy=tuple(float(h) / n_trials for h in node_hits),
-            total_accuracy=exact / n_trials,
-            failures=tuple(failures),
+            true_edges=true_edges,
+            per_edge_detection_counts=counts[c_idx],
+            per_node_accuracy=tuple(float(h) / n_trials for h in node_hits[c_idx]),
+            total_accuracy=int(exact[c_idx]) / n_trials,
+            failures=failures,
         )
-    return reports
+        for c_idx, cfg in enumerate(configs)
+    }
 
 
 def run_bench(

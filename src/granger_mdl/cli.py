@@ -122,19 +122,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    method = _merged(args, config, "method", "mdl")
-    alpha = float(_merged(args, config, "alpha", 0.05))
-    p_max = int(_merged(args, config, "p_max", 10))
-    criterion = _merged(args, config, "order_criterion", "AIC")
+    cfg = MethodConfig(
+        method=_merged(args, config, "method", "mdl"),
+        alpha=float(_merged(args, config, "alpha", 0.05)),
+        p_max=int(_merged(args, config, "p_max", 10)),
+        order_criterion=_merged(args, config, "order_criterion", "AIC"),
+    )
     apply_demean = not args.no_demean and config.get("demean", True)
 
     ts = load_csv(args.input, has_header=not args.no_header)
-    if ts.n_variables < 2:
-        raise ValidationError("analyze needs at least 2 variables")
     if apply_demean:
         ts = demean_ts(ts)
     graph = infer_network(
-        ts, method=method, p_max=p_max, alpha=alpha, order_criterion=criterion
+        ts, method=cfg.method, p_max=cfg.p_max, alpha=cfg.alpha,
+        order_criterion=cfg.order_criterion,
     )
     text = graph.to_json()
     if args.out:
@@ -154,8 +155,6 @@ def cmd_spectral(args: argparse.Namespace) -> int:
 
     ts = load_csv(args.input, has_header=not args.no_header, sample_rate_hz=sample_rate)
     xi, yi = ts.column(args.x), ts.column(args.y)
-    if xi == yi:
-        raise ValidationError("x and y must name two different variables")
     apply_demean = not args.no_demean and config.get("demean", True)
     if apply_demean:
         ts = demean_ts(ts)
@@ -200,16 +199,9 @@ def cmd_mc_bench(args: argparse.Namespace) -> int:
 
     spec = _network_spec(args.network, noise)
     configs = [
-        MethodConfig.parse(tok)
+        MethodConfig.parse(tok, p_max=p_max)
         for tok in str(methods_text).split(",")
         if tok.strip()
-    ]
-    configs = [
-        MethodConfig(
-            method=c.method, alpha=c.alpha, p_max=p_max,
-            order_criterion=c.order_criterion,
-        )
-        for c in configs
     ]
     reports = run_bench_multi(spec, configs, trials, seed, n_workers=workers)
     sys.stdout.write(format_report_table(reports))

@@ -160,6 +160,8 @@ def ols_fit(design: np.ndarray, response: np.ndarray) -> OlsFit:
         raise ValidationError(f"response length {y.shape} != design rows {m}")
     if m < k:
         raise ValidationError(f"underdetermined system: {m} rows < {k} columns")
+    if k == 0:
+        raise ValidationError("design has no columns")
 
     _, _, coef, rank_error = _fit_prefixes(_qr_r(np.column_stack([X, y])), np.array([k]), str)
     if rank_error is not None:

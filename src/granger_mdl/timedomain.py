@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,7 +26,7 @@ from scipy.special import betainc
 
 from .errors import ValidationError
 from .regression import LagEngine
-from .selection import CodeLength, _search_order
+from .selection import CRITERIA, CodeLength, _search_order
 from .timeseries import TimeSeriesMatrix
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "MdlCausality",
     "JointMdlCausality",
     "CausalGraph",
+    "MethodConfig",
     "f_cdf",
     "f_test_gc",
     "conditional_f_test_gc",
@@ -44,6 +45,82 @@ __all__ = [
     "infer_network",
     "similarity",
 ]
+
+
+# Every accepted spelling of a method name (any case, surrounding space
+# stripped) and the canonical name it stands for.
+_METHOD_ALIASES = {"mdl": "mdl", "ftest": "ftest", "f_test": "ftest", "f-test": "ftest", "f": "ftest"}
+
+
+@dataclass(frozen=True)
+class MethodConfig:
+    """One analysis method and its parameters, validated when built.
+
+    ``method`` is normalised through ``_METHOD_ALIASES`` to ``"mdl"`` or
+    ``"ftest"`` and ``order_criterion`` to upper case; a bad method, an
+    ``alpha`` outside (0, 1), ``p_max < 1`` or a criterion outside
+    :data:`~granger_mdl.selection.CRITERIA` raises ValidationError.
+    ``alpha`` and ``order_criterion`` only affect the F-test method.
+    """
+
+    method: str
+    alpha: float = 0.05
+    p_max: int = 10
+    order_criterion: str = "AIC"
+
+    def __post_init__(self):
+        method = _METHOD_ALIASES.get(str(self.method).strip().lower())
+        if method is None:
+            raise ValidationError(
+                f"unknown method {self.method!r}; use one of {sorted(_METHOD_ALIASES)} (any case)"
+            )
+        if not 0.0 < self.alpha < 1.0:
+            raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.p_max < 1:
+            raise ValidationError(f"p_max must be >= 1, got {self.p_max}")
+        criterion = str(self.order_criterion).upper()
+        if criterion not in CRITERIA:
+            raise ValidationError(
+                f"unknown order criterion {self.order_criterion!r}; pick one of {CRITERIA}"
+            )
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "order_criterion", criterion)
+
+    @property
+    def label(self) -> str:
+        """``mdl`` or ``ftest:<alpha>`` with alpha's shortest exact repr; :meth:`parse` reads it back."""
+        if self.method == "ftest":
+            return f"ftest:{float(self.alpha)}"
+        return self.method
+
+    @property
+    def tag(self) -> str:
+        """The graph JSON's method name: ``MDL`` or ``F_TEST``."""
+        return "MDL" if self.method == "mdl" else "F_TEST"
+
+    @property
+    def params(self) -> dict:
+        """The parameters the method reads, as recorded in graphs and reports."""
+        params = {"p_max": self.p_max}
+        if self.method == "ftest":
+            params["alpha"] = self.alpha
+            params["order_criterion"] = self.order_criterion
+        return params
+
+    @staticmethod
+    def parse(text: str, p_max: int = 10) -> "MethodConfig":
+        """Parse ``<method>`` or ``<f-test method>:<alpha>`` (alpha defaults to 0.05)."""
+        name, colon, param = str(text).partition(":")
+        cfg = MethodConfig(name, p_max=p_max)
+        if not colon:
+            return cfg
+        if cfg.method == "mdl":
+            raise ValidationError(f"mdl takes no parameter, got {text!r}")
+        try:
+            alpha = float(param)
+        except ValueError:
+            raise ValidationError(f"bad alpha in {text!r}") from None
+        return replace(cfg, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -394,33 +471,21 @@ def infer_network(
     All fits come from one :class:`LagEngine` over ``ts``: one
     factorisation, and each model family scanned once.
     """
-    return _infer_network(ts, method, p_max, alpha, order_criterion, {})
+    return _infer_network(ts, MethodConfig(method, alpha, p_max, order_criterion), {})
 
 
-def _infer_network(ts, method, p_max, alpha, order_criterion, engines) -> CausalGraph:
-    """:func:`infer_network` reading its fits from ``engines[p_max]``.
+def _infer_network(ts, cfg: MethodConfig, engines) -> CausalGraph:
+    """:func:`infer_network` for ``cfg``, reading its fits from ``engines[cfg.p_max]``.
 
     The engine over ``ts`` is built on first use and left in the dict, so
     calls on one series that share the dict share its factorisation and
     its scans.
     """
-    method_key = str(method).strip().lower().replace("-", "_")
-    if method_key in ("mdl",):
-        tag = "MDL"
-    elif method_key in ("ftest", "f_test", "f"):
-        tag = "F_TEST"
-    else:
-        raise ValidationError(f"unknown method {method!r}; use 'mdl' or 'ftest'")
     if ts.n_variables < 2:
         raise ValidationError("network inference needs at least 2 variables")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    if p_max < 1:
-        raise ValidationError(f"p_max must be >= 1, got {p_max}")
-
-    if p_max not in engines:
-        engines[p_max] = LagEngine(ts, p_max)
-    engine = engines[p_max]
+    if cfg.p_max not in engines:
+        engines[cfg.p_max] = LagEngine(ts, cfg.p_max)
+    engine = engines[cfg.p_max]
     nv = ts.n_variables
     adjacency = np.zeros((nv, nv), dtype=bool)
     weight = np.zeros((nv, nv))
@@ -429,23 +494,19 @@ def _infer_network(ts, method, p_max, alpha, order_criterion, engines) -> Causal
             if i == j:
                 continue
             rest = [k for k in range(nv) if k not in (i, j)]
-            if tag == "MDL":
+            if cfg.method == "mdl":
                 keep, evidence = _mdl_edge(engine, i, j, rest)
             else:
-                keep, evidence = _f_edge(engine, i, j, rest, alpha, order_criterion)
+                keep, evidence = _f_edge(engine, i, j, rest, cfg.alpha, cfg.order_criterion)
             adjacency[j, i] = keep
             weight[j, i] = evidence
 
-    params = {"p_max": p_max}
-    if tag == "F_TEST":
-        params["alpha"] = alpha
-        params["order_criterion"] = order_criterion
     return CausalGraph(
         n_nodes=nv,
         adjacency=adjacency,
         weight=weight,
-        method=tag,
-        params=params,
+        method=cfg.tag,
+        params=cfg.params,
         labels=ts.labels,
     )
 

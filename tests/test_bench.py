@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from granger_mdl import bench, timedomain
 from granger_mdl.bench import (
     MethodConfig,
     NetworkSpec,
@@ -195,6 +199,59 @@ class TestRunBench:
             MethodConfig.parse("wald")
         with pytest.raises(ValidationError):
             MethodConfig.parse("mdl:0.1")
+        assert MethodConfig.parse("f").method == "ftest"
+
+    @pytest.mark.parametrize("nv", [2, 3, 5, 12])
+    def test_reduction_matches_per_trial_loop(self, nv, monkeypatch):
+        spec = NetworkSpec(nv, [(i, (i + 1) % nv, 1, 0.3) for i in range(nv)],
+                           [0.1] * nv, 10, 0, [0.0] * nv)
+        truth = true_edge_matrix(spec)
+        rng = np.random.default_rng(nv)
+        trials = []
+
+        def fake_trial(spec_, configs, seed, apply_demean):
+            if rng.random() < 0.15:
+                trials.append(None)
+                raise DivergenceError("fake", node=0, step=0)
+            graphs = []
+            for _ in configs:
+                adj = truth ^ (rng.random((nv, nv)) < 0.5 / nv**2)
+                np.fill_diagonal(adj, False)
+                graphs.append(adj)
+            trials.append(graphs)
+            return graphs
+
+        monkeypatch.setattr(bench, "_evaluate_trial", fake_trial)
+        configs = [MethodConfig("mdl"), MethodConfig("ftest")]
+        n_trials = 40
+        reports = run_bench_multi(spec, configs, n_trials, master_seed=0, n_workers=1)
+        for c_idx, cfg in enumerate(configs):
+            counts = np.zeros((nv, nv), dtype=int)
+            node_hits = np.zeros(nv, dtype=int)
+            exact = 0
+            for graphs in filter(None, trials):
+                adj = graphs[c_idx]
+                counts += adj
+                exact += bool((adj == truth).all())
+                for node in range(nv):
+                    involved = np.zeros((nv, nv), dtype=bool)
+                    involved[node, :] = involved[:, node] = True
+                    involved[node, node] = False
+                    node_hits[node] += bool((adj[involved] == truth[involved]).all())
+            rep = reports[cfg.label]
+            np.testing.assert_array_equal(rep.per_edge_detection_counts, counts)
+            assert rep.per_node_accuracy == tuple(h / n_trials for h in node_hits)
+            assert rep.total_accuracy == exact / n_trials
+            assert [f[0] for f in rep.failures] == [t for t, g in enumerate(trials) if g is None]
+
+    def test_f_test_alphas_are_distinct_configs(self):
+        reports = run_bench_multi(
+            builtin_3node(),
+            [MethodConfig("f_test", alpha=0.05, p_max=4), MethodConfig("F-TEST", alpha=0.01, p_max=4)],
+            1, master_seed=0,
+        )
+        assert sorted(reports) == ["ftest:0.01", "ftest:0.05"]
+        assert reports["ftest:0.01"].params == {"p_max": 4, "alpha": 0.01, "order_criterion": "AIC"}
 
     def test_table_formatting(self):
         reports = run_bench_multi(
@@ -204,3 +261,38 @@ class TestRunBench:
         assert "node1" in table and "total" in table
         assert "true edges:" in table and "false edges:" in table
         assert "/5" in table
+
+
+class TestMethodConfig:
+    def test_one_class(self):
+        assert bench.MethodConfig is timedomain.MethodConfig
+
+    @pytest.mark.parametrize("kwargs", [
+        {"method": "wald"},
+        {"method": "mdl", "alpha": 0},
+        {"method": "ftest", "alpha": 1},
+        {"method": "ftest", "alpha": 2},
+        {"method": "mdl", "p_max": 0},
+        {"method": "ftest", "order_criterion": "XYZ"},
+    ])
+    def test_invalid_config_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValidationError):
+            MethodConfig(**kwargs)
+
+    def test_aliases_normalise(self):
+        cfg = MethodConfig("FTEST", alpha=0.01, order_criterion="bic")
+        assert cfg.method == "ftest" and cfg.label == "ftest:0.01" and cfg.tag == "F_TEST"
+        assert cfg.params == {"p_max": 10, "alpha": 0.01, "order_criterion": "BIC"}
+        assert MethodConfig(" Mdl ").params == {"p_max": 10}
+
+    @given(
+        name=st.sampled_from(["mdl", " MDL", "ftest", "FTest", "f_test", "f-test", "F"]),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        p_max=st.integers(1, 50),
+    )
+    def test_label_round_trips(self, name, alpha, p_max):
+        # the label names the method and, for the F-test, its alpha
+        cfg = MethodConfig(name, p_max=p_max)
+        if cfg.method == "ftest":
+            cfg = replace(cfg, alpha=alpha)
+        assert MethodConfig.parse(cfg.label, p_max=p_max) == cfg

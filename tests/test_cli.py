@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from granger_mdl import bench
 from granger_mdl.cli import main
 from granger_mdl.timedomain import CausalGraph
 
@@ -113,6 +114,14 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "MDL"
         assert payload["params"]["p_max"] == 6
+
+    def test_config_criterion_is_normalised(self, sim_csv, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"method": "f_test", "p_max": 4, "order_criterion": "bic"}))
+        assert run_cli("analyze", str(sim_csv), "--config", str(config)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "F_TEST"
+        assert payload["params"] == {"alpha": 0.05, "order_criterion": "BIC", "p_max": 4}
 
     def test_flags_override_config(self, sim_csv, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -231,3 +240,14 @@ class TestMcBench:
     def test_bad_method_exits_2(self):
         assert run_cli("mc-bench", "--network", "3node", "--methods", "wald",
                        "--trials", "2", "--seed", "0") == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--methods", "mdl,ftest:2"],
+        ["--methods", "mdl", "--p-max", "0"],
+    ])
+    def test_bad_config_exits_2_before_any_trial(self, flags, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "simulate", lambda *a: calls.append(a))
+        assert run_cli("mc-bench", "--network", "3node", "--trials", "2",
+                       "--seed", "0", *flags) == 2
+        assert calls == []

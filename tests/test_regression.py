@@ -102,6 +102,10 @@ class TestOlsFit:
         with pytest.raises(ValidationError, match="underdetermined"):
             ols_fit(np.ones((2, 3)), np.ones(2))
 
+    def test_zero_column_design_rejected(self):
+        with pytest.raises(ValidationError, match="no columns"):
+            ols_fit(np.ones((5, 0)), np.ones(5))
+
     def test_ar2_estimates_on_long_run(self):
         base = builtin_3node()
         spec = NetworkSpec(

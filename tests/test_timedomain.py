@@ -321,6 +321,10 @@ class TestInferNetwork:
         with pytest.raises(ValidationError):
             infer_network(white_pair(0), "wald")
 
+    def test_unknown_order_criterion(self):
+        with pytest.raises(ValidationError, match="order criterion"):
+            infer_network(white_pair(0), "mdl", order_criterion="XYZ")
+
 
 class TestScaleInvariance:
     def test_f_test_decisions_scale_free(self):
