@@ -9,9 +9,11 @@ many seeded trials, optionally in parallel worker processes.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -278,7 +280,7 @@ class BenchReport:
 def worker_count(requested: Optional[int] = None) -> int:
     """Resolve the worker count: argument, else GRANGER_MDL_THREADS, else 1.
 
-    A value of 0 means all available cores.
+    A value of 0 means every CPU this process may run on.
     """
     if requested is None:
         env = os.environ.get("GRANGER_MDL_THREADS", "")
@@ -293,6 +295,8 @@ def worker_count(requested: Optional[int] = None) -> int:
     if requested < 0:
         raise ValidationError("worker count must be >= 0")
     if requested == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return requested
 
@@ -300,6 +304,70 @@ def worker_count(requested: Optional[int] = None) -> int:
 def child_seeds(master_seed: int, n_trials: int) -> np.ndarray:
     """Deterministic, order-independent per-trial seeds from one master seed."""
     return np.random.SeedSequence(master_seed).generate_state(n_trials, np.uint64)
+
+
+# (get, set) thread-count entry points; numpy's and scipy's wheels rename them
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _loaded_openblas() -> list:
+    """(get, set) thread-count calls of every OpenBLAS this process has loaded.
+
+    The libraries are found in the process's memory map, so none are
+    found where there is no ``/proc``, and opened with ``RTLD_NOLOAD``,
+    so nothing new is loaded.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({
+                line.split(None, 5)[5].strip() for line in fh if "openblas" in line
+            })
+    except OSError:
+        return []
+    calls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                calls.append((get, set_))
+                break
+    return calls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold every loaded OpenBLAS at one thread, then restore each count.
+
+    Pool workers are forked inside this block (the default start method
+    on Linux before Python 3.14), so they inherit one BLAS thread each
+    and cannot oversubscribe the cores. Setting the count in each child
+    from a pool initializer is not enough: in a forked child the setter
+    first starts OpenBLAS's thread pool at the inherited count, leaving
+    one spinning thread per library in every worker. With 16 three-node
+    trials an op and 2 workers on 2 cores, the op median was 178-268 ms
+    with the library default, 117-131 ms with the initializer and 46 ms
+    with this block, the same as ``OPENBLAS_NUM_THREADS=1`` for the
+    whole process.
+    """
+    calls = _loaded_openblas()
+    saved = [get() for get, _ in calls]
+    for _, set_ in calls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(calls, saved):
+            set_(count)
 
 
 def _evaluate_trial(spec, configs, seed, apply_demean):
@@ -352,10 +420,11 @@ def run_bench_multi(
         (spec, tuple(configs), seeds[lo:lo + chunk_size], demean)
         for lo in range(0, n_trials, chunk_size)
     ]
-    if workers <= 1 or n_trials == 1:
+    pool_size = min(workers, len(tasks))
+    if pool_size <= 1:
         chunks = list(map(_run_chunk, tasks))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _one_blas_thread(), ProcessPoolExecutor(max_workers=pool_size) as pool:
             chunks = list(pool.map(_run_chunk, tasks))
     results = [trial for chunk in chunks for trial in chunk]
 

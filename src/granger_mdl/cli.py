@@ -65,6 +65,22 @@ def _merged(args: argparse.Namespace, config: dict, key: str, fallback):
     return fallback
 
 
+def _merged_number(args: argparse.Namespace, config: dict, key: str, fallback, kind):
+    """:func:`_merged` converted by ``kind`` (int or float); None stays None.
+
+    Flags are converted by argparse, so a bad value here comes from the
+    config file, and the error names its key.
+    """
+    value = _merged(args, config, key, fallback)
+    if value is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        wanted = "an integer" if kind is int else "a number"
+        raise ValidationError(f"config {key!r} must be {wanted}, got {value!r}") from None
+
+
 def _network_spec(name: str, noise: str) -> NetworkSpec:
     if name == "3node":
         return builtin_3node(noise)
@@ -108,7 +124,7 @@ def _parse_freqs(text: str) -> np.ndarray:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    seed = int(_merged(args, config, "seed", 0))
+    seed = _merged_number(args, config, "seed", 0, int)
     noise = _merged(args, config, "noise", "low")
     spec = _network_spec(args.network, noise)
     ts = simulate(spec, seed)
@@ -124,8 +140,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     cfg = MethodConfig(
         method=_merged(args, config, "method", "mdl"),
-        alpha=float(_merged(args, config, "alpha", 0.05)),
-        p_max=int(_merged(args, config, "p_max", 10)),
+        alpha=_merged_number(args, config, "alpha", 0.05, float),
+        p_max=_merged_number(args, config, "p_max", 10, int),
         order_criterion=_merged(args, config, "order_criterion", "AIC"),
     )
     apply_demean = not args.no_demean and config.get("demean", True)
@@ -148,10 +164,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_spectral(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    p_max = int(_merged(args, config, "p_max", 10))
-    sample_rate = _merged(args, config, "sample_rate", None)
-    if sample_rate is not None:
-        sample_rate = float(sample_rate)
+    p_max = _merged_number(args, config, "p_max", 10, int)
+    sample_rate = _merged_number(args, config, "sample_rate", None, float)
 
     ts = load_csv(args.input, has_header=not args.no_header, sample_rate_hz=sample_rate)
     xi, yi = ts.column(args.x), ts.column(args.y)
@@ -159,10 +173,10 @@ def cmd_spectral(args: argparse.Namespace) -> int:
     if apply_demean:
         ts = demean_ts(ts)
 
-    order = _merged(args, config, "order", None)
+    order = _merged_number(args, config, "order", None, int)
     if order is None:
         order = select_var_order(ts, xi, yi, p_max)
-    model = fit_bivariate_var(ts, xi, yi, int(order))
+    model = fit_bivariate_var(ts, xi, yi, order)
 
     freqs_text = _merged(args, config, "freqs", None)
     fs = ts.sample_rate_hz
@@ -190,12 +204,12 @@ def cmd_similarity(args: argparse.Namespace) -> int:
 
 def cmd_mc_bench(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    trials = int(_merged(args, config, "trials", 100))
-    seed = int(_merged(args, config, "seed", 0))
+    trials = _merged_number(args, config, "trials", 100, int)
+    seed = _merged_number(args, config, "seed", 0, int)
     noise = _merged(args, config, "noise", "low")
-    p_max = int(_merged(args, config, "p_max", 10))
+    p_max = _merged_number(args, config, "p_max", 10, int)
     methods_text = _merged(args, config, "methods", "mdl")
-    workers = args.workers
+    workers = _merged_number(args, config, "workers", None, int)
 
     spec = _network_spec(args.network, noise)
     configs = [

@@ -1,3 +1,5 @@
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -261,6 +263,63 @@ class TestRunBench:
         assert "node1" in table and "total" in table
         assert "true edges:" in table and "false edges:" in table
         assert "/5" in table
+
+
+def _report_blas_threads(args):
+    """Pool task stand-in: every trial fails with this worker's BLAS thread counts."""
+    counts = [get() for get, _ in bench._loaded_openblas()]
+    return [(None, f"threads {counts}")] * len(args[2])
+
+
+def _fail_in_worker(args):
+    raise RuntimeError("worker failed")
+
+
+@pytest.fixture
+def parent_blas_at_two():
+    """The loaded OpenBLAS libraries' (get, set) calls, held at two threads."""
+    calls = bench._loaded_openblas()
+    if not calls:
+        pytest.skip("no loaded OpenBLAS exposes a thread-count setter")
+    saved = [get() for get, _ in calls]
+    for _, set_ in calls:
+        set_(2)
+    yield calls
+    for (_, set_), count in zip(calls, saved):
+        set_(count)
+
+
+class TestPoolWorkers:
+    def test_workers_run_one_blas_thread(self, parent_blas_at_two, monkeypatch):
+        monkeypatch.setattr(bench, "_run_chunk", _report_blas_threads)
+        rep = run_bench(builtin_3node(), MethodConfig("mdl"), 12, master_seed=0, n_workers=2)
+        assert len(rep.failures) == 12
+        assert {err for _, err in rep.failures} == {f"threads {[1] * len(parent_blas_at_two)}"}
+
+    def test_parent_blas_threads_restored(self, parent_blas_at_two, monkeypatch):
+        spec, cfg = builtin_3node(), MethodConfig("mdl", p_max=4)
+        run_bench(spec, cfg, 4, master_seed=0, n_workers=2)
+        assert [get() for get, _ in parent_blas_at_two] == [2] * len(parent_blas_at_two)
+        monkeypatch.setattr(bench, "_run_chunk", _fail_in_worker)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            run_bench(spec, cfg, 4, master_seed=0, n_workers=2)
+        assert [get() for get, _ in parent_blas_at_two] == [2] * len(parent_blas_at_two)
+
+    def test_pool_starts_no_idle_workers(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        run_bench(builtin_3node(), MethodConfig("mdl", p_max=4), 2, master_seed=0, n_workers=8)
+        assert sizes == [2]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity mask")
+    def test_zero_workers_means_cpus_this_process_may_use(self):
+        assert bench.worker_count(0) == len(os.sched_getaffinity(0))
 
 
 class TestMethodConfig:

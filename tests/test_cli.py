@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from granger_mdl import bench
+from granger_mdl import bench, cli
 from granger_mdl.cli import main
 from granger_mdl.timedomain import CausalGraph
 
@@ -131,6 +131,12 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert payload["params"]["p_max"] == 4
 
+    def test_non_numeric_config_value_exits_2(self, sim_csv, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"alpha": "x"}))
+        assert run_cli("analyze", str(sim_csv), "--config", str(config)) == 2
+        assert "config 'alpha' must be a number, got 'x'" in capsys.readouterr().err
+
 
 class TestSpectral:
     def test_frequency_grid_override_row_count(self, sim_csv, tmp_path):
@@ -251,3 +257,19 @@ class TestMcBench:
         assert run_cli("mc-bench", "--network", "3node", "--trials", "2",
                        "--seed", "0", *flags) == 2
         assert calls == []
+
+    def test_non_numeric_config_value_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"trials": "ten"}))
+        assert run_cli("mc-bench", "--network", "3node", "--config", str(config)) == 2
+        assert "config 'trials' must be an integer, got 'ten'" in capsys.readouterr().err
+
+    def test_config_supplies_workers(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_bench_multi",
+                            lambda *a, n_workers: seen.append(n_workers) or {})
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"workers": 2}))
+        assert run_cli("mc-bench", "--network", "3node", "--trials", "2",
+                       "--config", str(config)) == 0
+        assert seen == [2]
