@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import ctypes
 import json
+import multiprocessing
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -344,20 +346,30 @@ def _loaded_openblas() -> list:
     return calls
 
 
+def _pool_context():
+    """The ``fork`` context on Linux, so workers inherit :func:`_one_blas_thread`.
+
+    Named rather than left to the interpreter's default, which is
+    ``forkserver`` on Linux from Python 3.14: a server process loads
+    OpenBLAS afresh at the library default. Elsewhere None, the default:
+    no OpenBLAS is found there, so there is nothing to inherit.
+    """
+    return multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
+
+
 @contextmanager
 def _one_blas_thread():
     """Hold every loaded OpenBLAS at one thread, then restore each count.
 
-    Pool workers are forked inside this block (the default start method
-    on Linux before Python 3.14), so they inherit one BLAS thread each
-    and cannot oversubscribe the cores. Setting the count in each child
-    from a pool initializer is not enough: in a forked child the setter
-    first starts OpenBLAS's thread pool at the inherited count, leaving
-    one spinning thread per library in every worker. With 16 three-node
-    trials an op and 2 workers on 2 cores, the op median was 178-268 ms
-    with the library default, 117-131 ms with the initializer and 46 ms
-    with this block, the same as ``OPENBLAS_NUM_THREADS=1`` for the
-    whole process.
+    Pool workers are forked inside this block (:func:`_pool_context`), so
+    they inherit one BLAS thread each and cannot oversubscribe the cores.
+    Setting the count in each child from a pool initializer is not
+    enough: in a forked child the setter first starts OpenBLAS's thread
+    pool at the inherited count, leaving one spinning thread per library
+    in every worker. With 16 three-node trials an op and 2 workers on
+    2 cores, the op median was 178-268 ms with the library default,
+    117-131 ms with the initializer and 46 ms with this block, the same
+    as ``OPENBLAS_NUM_THREADS=1`` for the whole process.
     """
     calls = _loaded_openblas()
     saved = [get() for get, _ in calls]
@@ -424,7 +436,9 @@ def run_bench_multi(
     if pool_size <= 1:
         chunks = list(map(_run_chunk, tasks))
     else:
-        with _one_blas_thread(), ProcessPoolExecutor(max_workers=pool_size) as pool:
+        with _one_blas_thread(), ProcessPoolExecutor(
+            max_workers=pool_size, mp_context=_pool_context()
+        ) as pool:
             chunks = list(pool.map(_run_chunk, tasks))
     results = [trial for chunk in chunks for trial in chunk]
 

@@ -66,19 +66,27 @@ def _merged(args: argparse.Namespace, config: dict, key: str, fallback):
 
 
 def _merged_number(args: argparse.Namespace, config: dict, key: str, fallback, kind):
-    """:func:`_merged` converted by ``kind`` (int or float); None stays None.
+    """:func:`_merged` converted by ``kind`` (int or float).
 
     Flags are converted by argparse, so a bad value here comes from the
-    config file, and the error names its key.
+    config file, and the error names its key. A null is taken as unset
+    only for keys whose default is None; elsewhere it is an error, so no
+    seed or count is ever silently left out. Booleans, and for int keys
+    floats that are not whole numbers, are errors too, not truncated.
     """
     value = _merged(args, config, key, fallback)
-    if value is None:
+    if value is None and fallback is None:
         return None
+    wanted = "an integer" if kind is int else "a number"
+    bad = ValidationError(f"config {key!r} must be {wanted}, got {value!r}")
+    if value is None or isinstance(value, bool):
+        raise bad
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise bad
     try:
         return kind(value)
-    except (TypeError, ValueError):
-        wanted = "an integer" if kind is int else "a number"
-        raise ValidationError(f"config {key!r} must be {wanted}, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise bad from None
 
 
 def _network_spec(name: str, noise: str) -> NetworkSpec:
@@ -290,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--noise", default=None)
     p_mc.add_argument("--p-max", dest="p_max", type=int, default=None)
     p_mc.add_argument("--workers", type=int, default=None,
-                      help="parallel workers (default GRANGER_MDL_THREADS, 0 = all cores)")
+                      help="parallel workers (default GRANGER_MDL_THREADS, "
+                           "0 = every CPU this process may run on)")
     p_mc.add_argument("--out", default=None)
     p_mc.add_argument("--config", default=None)
     p_mc.set_defaults(func=cmd_mc_bench)

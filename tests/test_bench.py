@@ -1,4 +1,6 @@
+import multiprocessing
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -289,8 +291,20 @@ def parent_blas_at_two():
         set_(count)
 
 
+@pytest.fixture(params=["fork", "forkserver"])
+def default_start_method(request):
+    """The interpreter's default start method, set to each Linux choice in turn."""
+    if request.param not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {request.param} start method here")
+    saved = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(request.param, force=True)
+    yield request.param
+    multiprocessing.set_start_method(saved, force=True)
+
+
 class TestPoolWorkers:
-    def test_workers_run_one_blas_thread(self, parent_blas_at_two, monkeypatch):
+    def test_workers_run_one_blas_thread(self, parent_blas_at_two, default_start_method,
+                                         monkeypatch):
         monkeypatch.setattr(bench, "_run_chunk", _report_blas_threads)
         rep = run_bench(builtin_3node(), MethodConfig("mdl"), 12, master_seed=0, n_workers=2)
         assert len(rep.failures) == 12
@@ -309,13 +323,17 @@ class TestPoolWorkers:
         sizes = []
 
         class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
                 sizes.append(max_workers)
-                super().__init__(max_workers)
+                super().__init__(max_workers, mp_context)
 
         monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
         run_bench(builtin_3node(), MethodConfig("mdl", p_max=4), 2, master_seed=0, n_workers=8)
         assert sizes == [2]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="OpenBLAS is found on Linux only")
+    def test_pool_forks_on_linux(self):
+        assert bench._pool_context().get_start_method() == "fork"
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity mask")
     def test_zero_workers_means_cpus_this_process_may_use(self):

@@ -264,6 +264,37 @@ class TestMcBench:
         assert run_cli("mc-bench", "--network", "3node", "--config", str(config)) == 2
         assert "config 'trials' must be an integer, got 'ten'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "mc-bench"])
+    def test_null_seed_exits_2(self, command, tmp_path, capsys):
+        config = tmp_path / "null.json"
+        config.write_text('{"seed": null}')
+        extra = ["--out", str(tmp_path / "sim.csv")] if command == "simulate" else ["--trials", "2"]
+        assert run_cli(command, "--network", "3node", *extra, "--config", str(config)) == 2
+        assert "config 'seed' must be an integer, got None" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, shown", [
+        ('{"trials": 1e999}', "inf"),
+        ('{"trials": 2.7}', "2.7"),
+        ('{"trials": null}', "None"),
+        ('{"workers": true}', "True"),
+    ])
+    def test_config_value_not_an_integer_exits_2(self, text, shown, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(text)
+        assert run_cli("mc-bench", "--network", "3node", "--config", str(config)) == 2
+        key = json.loads(text).popitem()[0]
+        assert f"config {key!r} must be an integer, got {shown}" in capsys.readouterr().err
+
+    def test_whole_float_config_value_is_an_integer(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_bench_multi",
+                            lambda spec, configs, trials, *a, **k: seen.append(trials) or {})
+        config = tmp_path / "run.json"
+        config.write_text('{"trials": 3.0}')
+        assert run_cli("mc-bench", "--network", "3node", "--config", str(config)) == 0
+        assert seen == [3]
+        assert type(seen[0]) is int
+
     def test_config_supplies_workers(self, tmp_path, monkeypatch):
         seen = []
         monkeypatch.setattr(cli, "run_bench_multi",
