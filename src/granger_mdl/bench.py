@@ -217,26 +217,31 @@ def simulate(spec: NetworkSpec, seed: int) -> TimeSeriesMatrix:
     sds = np.sqrt(variances)
     n, k = spec.total_len, spec.n_nodes
     start = spec.max_lag
-    values = np.zeros((n, k))
-    values[:start] = np.asarray(spec.initial_values)
     noise = rng.standard_normal((n, k)) * sds
+    noise[:start] = spec.initial_values
+    # the recursion runs on Python floats (IEEE doubles, so each sum is
+    # bit-identical to numpy's): row t starts as its noise, then each term
+    # is added in coefficient order
+    values = noise.tolist()
     by_target: Dict[int, List[Tuple[int, int, float]]] = {}
     for t, s, lag, v in spec.coefficients:
         by_target.setdefault(t, []).append((s, lag, v))
+    terms = [by_target.get(node, ()) for node in range(k)]
     for t in range(start, n):
-        for node in range(k):
-            acc = noise[t, node]
-            for s, lag, v in by_target.get(node, ()):
-                acc += v * values[t - lag, s]
+        row = values[t]
+        for node, node_terms in enumerate(terms):
+            acc = row[node]
+            for s, lag, v in node_terms:
+                acc += v * values[t - lag][s]
             if abs(acc) > DIVERGENCE_LIMIT:
                 raise DivergenceError(
                     f"trajectory diverged at node {node}, step {t}: |{acc:.3e}|",
                     node=node,
                     step=t,
                 )
-            values[t, node] = acc
+            row[node] = acc
     labels = [f"node{i + 1}" for i in range(k)]
-    return TimeSeriesMatrix(values[spec.burn_in:], labels)
+    return TimeSeriesMatrix(np.array(values[spec.burn_in:]), labels)
 
 
 def true_edge_matrix(spec: NetworkSpec) -> np.ndarray:

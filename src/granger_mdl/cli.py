@@ -89,6 +89,27 @@ def _merged_number(args: argparse.Namespace, config: dict, key: str, fallback, k
         raise bad from None
 
 
+def _merged_text(args: argparse.Namespace, config: dict, key: str, fallback):
+    """:func:`_merged` for a text key, whose config value must be a JSON string.
+
+    A null is taken as unset only for keys whose default is None.
+    """
+    value = _merged(args, config, key, fallback)
+    if value is None and fallback is None:
+        return None
+    if not isinstance(value, str):
+        raise ValidationError(f"config {key!r} must be a string, got {value!r}")
+    return value
+
+
+def _demean_wanted(args: argparse.Namespace, config: dict) -> bool:
+    """Whether to demean: not under --no-demean, else config ``demean``, a JSON boolean."""
+    value = config.get("demean", True)
+    if not isinstance(value, bool):
+        raise ValidationError(f"config 'demean' must be true or false, got {value!r}")
+    return value and not args.no_demean
+
+
 def _network_spec(name: str, noise: str) -> NetworkSpec:
     if name == "3node":
         return builtin_3node(noise)
@@ -133,7 +154,7 @@ def _parse_freqs(text: str) -> np.ndarray:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     seed = _merged_number(args, config, "seed", 0, int)
-    noise = _merged(args, config, "noise", "low")
+    noise = _merged_text(args, config, "noise", "low")
     spec = _network_spec(args.network, noise)
     ts = simulate(spec, seed)
     save_csv(ts, args.out)
@@ -147,12 +168,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     cfg = MethodConfig(
-        method=_merged(args, config, "method", "mdl"),
+        method=_merged_text(args, config, "method", "mdl"),
         alpha=_merged_number(args, config, "alpha", 0.05, float),
         p_max=_merged_number(args, config, "p_max", 10, int),
-        order_criterion=_merged(args, config, "order_criterion", "AIC"),
+        order_criterion=_merged_text(args, config, "order_criterion", "AIC"),
     )
-    apply_demean = not args.no_demean and config.get("demean", True)
+    apply_demean = _demean_wanted(args, config)
 
     ts = load_csv(args.input, has_header=not args.no_header)
     if apply_demean:
@@ -174,19 +195,19 @@ def cmd_spectral(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     p_max = _merged_number(args, config, "p_max", 10, int)
     sample_rate = _merged_number(args, config, "sample_rate", None, float)
+    order = _merged_number(args, config, "order", None, int)
+    freqs_text = _merged_text(args, config, "freqs", None)
+    apply_demean = _demean_wanted(args, config)
 
     ts = load_csv(args.input, has_header=not args.no_header, sample_rate_hz=sample_rate)
     xi, yi = ts.column(args.x), ts.column(args.y)
-    apply_demean = not args.no_demean and config.get("demean", True)
     if apply_demean:
         ts = demean_ts(ts)
 
-    order = _merged_number(args, config, "order", None, int)
     if order is None:
         order = select_var_order(ts, xi, yi, p_max)
     model = fit_bivariate_var(ts, xi, yi, order)
 
-    freqs_text = _merged(args, config, "freqs", None)
     fs = ts.sample_rate_hz
     freqs = _parse_freqs(freqs_text) if freqs_text else default_frequency_grid(fs)
     result = geweke_spectrum(model, freqs, fs)
@@ -214,15 +235,15 @@ def cmd_mc_bench(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     trials = _merged_number(args, config, "trials", 100, int)
     seed = _merged_number(args, config, "seed", 0, int)
-    noise = _merged(args, config, "noise", "low")
+    noise = _merged_text(args, config, "noise", "low")
     p_max = _merged_number(args, config, "p_max", 10, int)
-    methods_text = _merged(args, config, "methods", "mdl")
+    methods_text = _merged_text(args, config, "methods", "mdl")
     workers = _merged_number(args, config, "workers", None, int)
 
     spec = _network_spec(args.network, noise)
     configs = [
         MethodConfig.parse(tok, p_max=p_max)
-        for tok in str(methods_text).split(",")
+        for tok in methods_text.split(",")
         if tok.strip()
     ]
     reports = run_bench_multi(spec, configs, trials, seed, n_workers=workers)

@@ -234,7 +234,9 @@ class OrderScanEntry:
 
 
 # Orders 1..n of one family as arrays over the order axis; see nested_scan.
-NestedScan = namedtuple("NestedScan", "coefficients k rss m response_sq rank_error")
+# ``curves`` holds the family's criterion rows once scored (selection fills
+# it), so an engine's memo entry keeps a family's scan and scores together.
+NestedScan = namedtuple("NestedScan", "coefficients k rss m response_sq rank_error curves")
 
 
 def _qr_r(a: np.ndarray) -> np.ndarray:
@@ -292,7 +294,8 @@ class LagEngine:
 
     ``variables`` (labels or indices; default all, ascending) fixes the
     engine's order. Blocks are always taken in that order, and each
-    family is scanned once per engine, however its blocks are listed.
+    family is scanned once per engine, however its blocks are listed; its
+    memo entry, the scan, also keeps the family's criterion scores.
     """
 
     def __init__(self, ts: TimeSeriesMatrix, p_max: int, start: int = None, variables=None):
@@ -358,7 +361,7 @@ class LagEngine:
         columns = [(v, ell) for ell in range(n_fit) for v in blocks]
         kk, rss, coefficients, rank_error = self._fit(target, columns, b * np.arange(1, n_fit + 1))
         y = self._responses[:, target]
-        return NestedScan(coefficients, kk, rss, self.m, float(y @ y), rank_error)
+        return NestedScan(coefficients, kk, rss, self.m, float(y @ y), rank_error, {})
 
     def _fit(self, target: int, columns, sizes: np.ndarray):
         """:func:`_fit_prefixes` on Z's (variable, lag - 1) ``columns``: the one slice-and-QR step."""

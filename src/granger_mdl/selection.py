@@ -210,27 +210,42 @@ def search_order(
 
 
 def _search_order(engine, families, criterion, delta=None, scale_floor=DEFAULT_SCALE_FLOOR):
-    """:func:`search_order` on the scans of ``engine``."""
+    """:func:`search_order` on the scans of ``engine``, each family scored once per engine."""
     criterion = str(criterion).upper()
     if criterion not in CRITERIA:
         raise ValidationError(f"unknown criterion {criterion!r}; pick one of {CRITERIA}")
     summed, curves = 0.0, []
     for target, blocks in families:
         scan = engine.scan(target, blocks)
-        if criterion == "MDL":  # before the rank error: a noiseless order raises first
-            curves.append(_code_length_curve(
-                scan.coefficients, scan.k, scan.rss, scan.m, engine.ts.n_samples,
+        curves.append(_scored(scan, criterion, engine.ts.n_samples, delta, scale_floor))
+        summed = summed + curves[-1][0]
+    best = int(np.argmin(summed))
+    lengths = [_at(curve, best) for curve in curves] if criterion == "MDL" else []
+    return best + 1, float(summed[best]), lengths
+
+
+def _scored(scan, criterion, n_total, delta, scale_floor):
+    """The criterion's rows over a family's orders, kept in ``scan.curves``.
+
+    One row for AIC and BIC, the :func:`_code_length_curve` rows for MDL,
+    keyed by (criterion, delta, scale_floor). A noiseless order raises
+    before a rank-broken one, and nothing that raises is kept.
+    """
+    key = (criterion, delta, scale_floor)
+    if key not in scan.curves:
+        if criterion == "MDL":
+            curve = _code_length_curve(
+                scan.coefficients, scan.k, scan.rss, scan.m, n_total,
                 delta, scale_floor, noiseless=1e-12 * scan.response_sq,
-            ))
-            values = curves[-1][0]
+            )
         if scan.rank_error is not None:
             raise scan.rank_error
         if criterion != "MDL":
             loglik = gaussian_loglik(scan.rss, scan.m)
             values = aic(loglik, scan.k) if criterion == "AIC" else bic(loglik, scan.k, scan.m)
-        summed = summed + values
-    best = int(np.argmin(summed))
-    return best + 1, float(summed[best]), [_at(curve, best) for curve in curves]
+            curve = values[None]
+        scan.curves[key] = curve
+    return scan.curves[key]
 
 
 def select_order(

@@ -469,7 +469,7 @@ def infer_network(
     at ``alpha``.
 
     All fits come from one :class:`LagEngine` over ``ts``: one
-    factorisation, and each model family scanned once.
+    factorisation, and each model family scanned and scored once.
     """
     return _infer_network(ts, MethodConfig(method, alpha, p_max, order_criterion), {})
 

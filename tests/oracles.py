@@ -4,13 +4,17 @@ These deliberately take different numerical routes from the package:
 the incomplete beta uses a Lentz continued fraction, least squares goes
 through the normal equations, code lengths are recomputed term by
 term with plain Python floats, and Geweke spectra come from the
-unnormalised transfer function one frequency at a time.
+unnormalised transfer function one frequency at a time. The simulator
+oracle is the network recursion as it was first written, on numpy
+scalars one element at a time.
 """
 
 import cmath
 import math
 
 import numpy as np
+
+from granger_mdl.errors import DivergenceError
 
 MACHEP = 1.1102230246251565e-16
 
@@ -138,3 +142,41 @@ def geweke_by_transfer(a_mats, noise_cov, omega):
     f_y_to_x = math.log(sxx / (sxx - part_y * abs(h[0][1]) ** 2))
     f_x_to_y = math.log(syy / (syy - part_x * abs(h[1][0]) ** 2))
     return f_y_to_x, f_x_to_y, s
+
+
+def simulate_by_loop(spec, seed):
+    """Values of ``bench.simulate(spec, seed)``, by the per-element numpy recursion.
+
+    The same draws (variances, then the whole noise block) and, per node,
+    noise first and then each term in coefficient order; the retained
+    rows as an array.
+    """
+    rng = np.random.default_rng(seed)
+    variances = np.array(
+        [
+            rng.uniform(v[0], v[1]) if isinstance(v, tuple) else v
+            for v in spec.noise_variances
+        ]
+    )
+    sds = np.sqrt(variances)
+    n, k = spec.total_len, spec.n_nodes
+    start = spec.max_lag
+    values = np.zeros((n, k))
+    values[:start] = np.asarray(spec.initial_values)
+    noise = rng.standard_normal((n, k)) * sds
+    by_target = {}
+    for t, s, lag, v in spec.coefficients:
+        by_target.setdefault(t, []).append((s, lag, v))
+    for t in range(start, n):
+        for node in range(k):
+            acc = noise[t, node]
+            for s, lag, v in by_target.get(node, ()):
+                acc += v * values[t - lag, s]
+            if abs(acc) > 1e12:
+                raise DivergenceError(
+                    f"trajectory diverged at node {node}, step {t}: |{acc:.3e}|",
+                    node=node,
+                    step=t,
+                )
+            values[t, node] = acc
+    return values[spec.burn_in:]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import multiprocessing
 import os
 import sys
@@ -10,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from granger_mdl import bench, timedomain
 from granger_mdl.bench import (
+    NOISE_PRESETS,
     MethodConfig,
     NetworkSpec,
     builtin_3node,
@@ -22,6 +25,19 @@ from granger_mdl.bench import (
     true_edge_matrix,
 )
 from granger_mdl.errors import DivergenceError, ValidationError
+from oracles import simulate_by_loop
+
+# a zero-variance node, a fixed variance, a range, a lag-3 term and no burn-in,
+# so the retained rows start with the initial values
+JSON_SPEC = json.dumps({
+    "n_nodes": 3,
+    "coefficients": [[0, 0, 1, 0.5], [1, 0, 3, -0.7], [1, 1, 1, 0.3], [2, 1, 2, 0.9],
+                     [2, 2, 1, -0.2], [2, 0, 1, 0.4]],
+    "noise_variances": [0.0, 0.5, [0.2, 0.6]],
+    "total_len": 120,
+    "burn_in": 0,
+    "initial_values": [1.0, -2.0, 0.25],
+})
 
 
 class TestBuiltinSpecs:
@@ -120,6 +136,31 @@ class TestSimulate:
         assert info.value.step > 0
         assert "node 0" in str(info.value)
 
+    @pytest.mark.parametrize("spec, seeds", [
+        *((builtin_3node(noise), range(25)) for noise in sorted(NOISE_PRESETS)),
+        (builtin_5node(), range(40)),
+        (NetworkSpec.from_dict(json.loads(JSON_SPEC)), range(20)),
+    ])
+    def test_bit_identical_to_per_element_loop(self, spec, seeds):
+        for seed in seeds:
+            got = simulate(spec, seed).values
+            assert got.tobytes() == simulate_by_loop(spec, seed).tobytes()
+            assert got.shape == (spec.total_len - spec.burn_in, spec.n_nodes)
+
+    @pytest.mark.parametrize("coefficients", [
+        [(0, 0, 1, 1.6)],
+        [(0, 0, 1, 0.5), (1, 0, 2, 3.0), (1, 1, 1, 1.1)],
+    ])
+    def test_divergence_matches_per_element_loop(self, coefficients):
+        n = 1 + max(t for t, _, _, _ in coefficients)
+        spec = NetworkSpec(n, coefficients, [0.1] * n, 400, 0, [1.0] * n)
+        with pytest.raises(DivergenceError) as want:
+            simulate_by_loop(spec, 3)
+        with pytest.raises(DivergenceError) as got:
+            simulate(spec, 3)
+        assert (got.value.node, got.value.step) == (want.value.node, want.value.step)
+        assert str(got.value) == str(want.value)
+
     def test_trajectories_bounded_across_seeds(self):
         for spec in (builtin_3node(), builtin_5node()):
             for seed in range(1000):
@@ -164,6 +205,34 @@ class TestRunBench:
         c = run_bench_multi(spec, cfg, 12, master_seed=5, n_workers=2)
         for label in a:
             assert a[label].to_json() == b[label].to_json() == c[label].to_json()
+
+    # sha256 of each report's to_json(), recorded before the simulator ran on
+    # Python floats and before each family's criterion curve was memoised;
+    # any change to a tally, an accuracy or a failure string shows here
+    REPORT_SHA256 = {
+        "3node": {
+            "mdl": "9612edddb26d0e82eb19ac4f9fe4bc8cc1d27ef6aeac8380c0c20fd5830baffa",
+            "ftest:0.05": "bf47336c8586068b9d1f6bc6120163c729c065c863d3003e53c42285bcddaf66",
+            "ftest:0.01": "4a5c174cd96f6871f7feab71d048f402b313235c0e16de9d8a2c2aff241dc602",
+        },
+        "5node": {
+            "mdl": "41676c9efcbb13d37b3688b4d460d3bed211007417ff8568b87a96ec5c4d72f5",
+            "ftest:0.05": "be20eb0b74a10875172133617981490446a4cbadc1f9e17dd9311a159c507309",
+            "ftest:0.01": "c1ea5e83269884a68fca9ce2308aeeb576d418f30b8587a5f5881fd85f150e01",
+        },
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("network", ["3node", "5node"])
+    def test_reports_match_pinned_digests(self, network, workers):
+        spec = builtin_3node() if network == "3node" else builtin_5node()
+        configs = [MethodConfig.parse(tok) for tok in ("mdl", "ftest:0.05", "ftest:0.01")]
+        reports = run_bench_multi(spec, configs, 24, master_seed=2024, n_workers=workers)
+        digests = {
+            label: hashlib.sha256(rep.to_json().encode()).hexdigest()
+            for label, rep in reports.items()
+        }
+        assert digests == self.REPORT_SHA256[network]
 
     def test_counts_and_accuracy_consistency(self):
         spec = builtin_3node()

@@ -304,3 +304,77 @@ class TestMcBench:
         assert run_cli("mc-bench", "--network", "3node", "--trials", "2",
                        "--config", str(config)) == 0
         assert seen == [2]
+
+
+def _command(command, sim_csv, out):
+    """Quick argv of each command that reads a --config; ``out`` is its output file."""
+    return {
+        "simulate": ["simulate", "--network", "3node", "--out", str(out)],
+        "analyze": ["analyze", str(sim_csv), "--p-max", "3", "--out", str(out)],
+        "spectral": ["spectral", str(sim_csv), "--x", "node2", "--y", "node1",
+                     "--order", "2", "--sample-rate", "200", "--freqs", "1:5", "--out", str(out)],
+        "mc-bench": ["mc-bench", "--network", "3node", "--trials", "1", "--p-max", "3",
+                     "--out", str(out)],
+    }[command]
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "noise"),
+        ("analyze", "method"),
+        ("analyze", "order_criterion"),
+        ("spectral", "freqs"),
+        ("mc-bench", "noise"),
+        ("mc-bench", "methods"),
+    ])
+    @pytest.mark.parametrize("value", [5, ["mdl"], True])
+    def test_text_key_takes_only_a_string(self, command, key, value, sim_csv, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({key: value}))
+        argv = _command(command, sim_csv, tmp_path / "out")
+        if key == "freqs":  # the flag would win over the config
+            argv = [a for a in argv if a not in ("--freqs", "1:5")]
+        assert run_cli(*argv, "--config", str(config)) == 2
+        assert f"config {key!r} must be a string, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [("analyze", "method"), ("mc-bench", "noise")])
+    def test_null_text_key_exits_2(self, command, key, sim_csv, tmp_path, capsys):
+        config = tmp_path / "null.json"
+        config.write_text(json.dumps({key: None}))
+        assert run_cli(*_command(command, sim_csv, tmp_path / "out"), "--config", str(config)) == 2
+        assert f"config {key!r} must be a string, got None" in capsys.readouterr().err
+
+    def test_null_freqs_is_the_default_grid(self, sim_csv, tmp_path):
+        config = tmp_path / "null.json"
+        config.write_text('{"freqs": null}')
+        argv = [a for a in _command("spectral", sim_csv, tmp_path / "a.csv") if a not in ("--freqs", "1:5")]
+        assert run_cli(*argv, "--config", str(config)) == 0
+        argv = [a for a in _command("spectral", sim_csv, tmp_path / "b.csv") if a not in ("--freqs", "1:5")]
+        assert run_cli(*argv) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["analyze", "spectral"])
+    @pytest.mark.parametrize("value", ["no", 0, 1, None, [False]])
+    def test_demean_takes_only_a_boolean(self, command, value, sim_csv, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"demean": value}))
+        assert run_cli(*_command(command, sim_csv, tmp_path / "out"), "--config", str(config)) == 2
+        assert f"config 'demean' must be true or false, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "spectral"])
+    def test_demean_false_matches_no_demean_flag(self, command, sim_csv, tmp_path):
+        outputs = {}
+        for name, config, flags in (
+            ("false", {"demean": False}, []),
+            ("flag", {}, ["--no-demean"]),
+            ("true", {"demean": True}, []),
+            ("default", {}, []),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / f"{name}.out"
+            assert run_cli(*_command(command, sim_csv, out), *flags, "--config", str(path)) == 0
+            outputs[name] = out.read_bytes()
+        assert outputs["false"] == outputs["flag"]
+        assert outputs["true"] == outputs["default"]
+        assert outputs["false"] != outputs["default"]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from granger_mdl import selection
 from granger_mdl.bench import builtin_3node, builtin_5node, simulate
 from granger_mdl.errors import (
     DegenerateFitError,
@@ -22,9 +23,12 @@ from granger_mdl.timedomain import (
     log_variance_ratio,
     mdl_gc,
     similarity,
+    MethodConfig,
     _f_comparison,
+    _infer_network,
 )
-from granger_mdl.selection import select_order
+from granger_mdl.regression import LagEngine
+from granger_mdl.selection import _search_order, select_order
 from granger_mdl.timeseries import TimeSeriesMatrix, demean
 
 from oracles import f_cdf_oracle
@@ -439,3 +443,65 @@ class TestSimilarity:
     def test_node_count_mismatch(self):
         with pytest.raises(ValidationError):
             similarity(graph_from_edges(2, []), graph_from_edges(3, []))
+
+
+class TestScoredOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of family scans, code-length curves and log-likelihood curves."""
+        calls = {"scan": 0, "code_length": 0, "loglik": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(LagEngine, "_scan", counted("scan", LagEngine._scan))
+        monkeypatch.setattr(selection, "_code_length_curve",
+                            counted("code_length", selection._code_length_curve))
+        monkeypatch.setattr(selection, "gaussian_loglik", counted("loglik", selection.gaussian_loglik))
+        return calls
+
+    def test_mdl_scores_each_visited_family_once(self, calls):
+        ts = demean(simulate(builtin_5node(), 11))
+        engines = {}
+        first = _infer_network(ts, MethodConfig("mdl"), engines)
+        assert calls["scan"] > 20  # pairwise and conditional families
+        assert calls["code_length"] == calls["scan"]
+        again = _infer_network(ts, MethodConfig("mdl"), engines)
+        assert calls["code_length"] == calls["scan"]
+        assert calls["scan"] == len(engines[10]._memo)
+        np.testing.assert_array_equal(again.weight, first.weight)
+
+    def test_second_f_config_reads_stored_scans_and_curves(self, calls):
+        ts = demean(simulate(builtin_5node(), 12))
+        engines = {}
+        _infer_network(ts, MethodConfig("ftest", alpha=0.05), engines)
+        seen = dict(calls)
+        assert seen["scan"] > 0 and seen["loglik"] > 0 and seen["code_length"] == 0
+        shared = _infer_network(ts, MethodConfig("ftest", alpha=0.01), engines)
+        assert calls == seen
+        fresh = _infer_network(ts, MethodConfig("ftest", alpha=0.01), {})
+        np.testing.assert_array_equal(shared.adjacency, fresh.adjacency)
+        np.testing.assert_array_equal(shared.weight, fresh.weight)
+
+    @pytest.mark.parametrize("criterion", ["MDL", "AIC"])
+    def test_rank_error_raised_again_and_never_stored(self, criterion):
+        x = np.random.default_rng(3).standard_normal(120)
+        ts = TimeSeriesMatrix(np.column_stack([x, np.roll(x, 1)]), ["x", "y"])
+        engine = LagEngine(ts, 4)
+        for _ in range(2):
+            with pytest.raises(RankDeficiencyError, match=r"x\.lag2"):
+                _search_order(engine, [(0, [0, 1])], criterion)
+        assert engine.scan(0, [0, 1]).curves == {}
+
+    def test_noiseless_order_raised_again_before_rank_error(self):
+        # x_t = 0.9 x_(t-1): order 1 leaves no residual, and x.lag2 is x.lag1 / 0.9
+        ts = TimeSeriesMatrix((0.9 ** np.arange(80.0))[:, None], ["x"])
+        engine = LagEngine(ts, 3)
+        assert engine.scan(0, [0]).rank_error is not None
+        for _ in range(2):
+            with pytest.raises(DegenerateFitError):
+                _search_order(engine, [(0, [0])], "MDL")
+        assert engine.scan(0, [0]).curves == {}
