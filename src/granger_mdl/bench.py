@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DivergenceError, ValidationError
 from .timedomain import MethodConfig, _infer_network
-from .timeseries import TimeSeriesMatrix, demean as demean_ts
+from .timeseries import TimeSeriesMatrix, checked_value, demean as demean_ts
 
 __all__ = [
     "NetworkSpec",
@@ -55,6 +55,18 @@ NOISE_PRESETS = {
 }
 
 
+def _entries(values, name: str, length: Optional[int] = None) -> list:
+    """A spec list field's entries (``length`` of them if given), else a ValidationError naming it."""
+    try:
+        entries = list(values)
+    except TypeError:
+        entries = None
+    if entries is None or length not in (None, len(entries)):
+        wanted = "a list" if length is None else f"a list of {length}"
+        raise ValidationError(f"{name} must be {wanted}, got {values!r}")
+    return entries
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Linear stochastic network definition.
@@ -63,6 +75,10 @@ class NetworkSpec:
     indices. noise_variances: per node, either a fixed positive number
     or a (low, high) range sampled uniformly once per trial.
     initial_values: per-node constants filling the pre-sample rows.
+
+    Every field is read by :func:`~granger_mdl.timeseries.checked_value`:
+    counts, node indices and lags as integers, the rest as numbers, so
+    nothing is truncated and a bad field raises ValidationError naming it.
     """
 
     n_nodes: int
@@ -74,13 +90,15 @@ class NetworkSpec:
 
     def __init__(self, n_nodes, coefficients, noise_variances, total_len,
                  burn_in, initial_values):
-        n_nodes = int(n_nodes)
+        n_nodes = checked_value(n_nodes, int, "n_nodes")
         if n_nodes < 1:
             raise ValidationError("n_nodes must be >= 1")
-        coefficients = tuple(
-            (int(t), int(s), int(lag), float(v)) for t, s, lag, v in coefficients
-        )
-        for t, s, lag, v in coefficients:
+        rows = []
+        for k, row in enumerate(_entries(coefficients, "coefficients")):
+            t, s, lag, v = _entries(row, f"coefficient {k}", 4)
+            t, s, lag = (checked_value(x, int, f"coefficient {k} {field}")
+                         for x, field in ((t, "target"), (s, "source"), (lag, "lag")))
+            v = checked_value(v, float, f"coefficient {k} value")
             if not (0 <= t < n_nodes and 0 <= s < n_nodes):
                 raise ValidationError(
                     f"coefficient ({t},{s},{lag},{v}): node index out of range"
@@ -89,9 +107,12 @@ class NetworkSpec:
                 raise ValidationError(
                     f"coefficient ({t},{s},{lag},{v}): lag must be >= 1"
                 )
+            rows.append((t, s, lag, v))
+        coefficients = tuple(rows)
         noise_variances = tuple(
-            tuple(float(x) for x in v) if isinstance(v, (tuple, list)) else float(v)
-            for v in noise_variances
+            tuple(checked_value(x, float, f"noise variance {k}") for x in v)
+            if isinstance(v, (tuple, list)) else checked_value(v, float, f"noise variance {k}")
+            for k, v in enumerate(_entries(noise_variances, "noise_variances"))
         )
         if len(noise_variances) != n_nodes:
             raise ValidationError(
@@ -104,15 +125,18 @@ class NetworkSpec:
             elif v < 0:
                 # zero is allowed for the deterministic limit
                 raise ValidationError(f"noise variance must be nonnegative, got {v}")
-        total_len = int(total_len)
-        burn_in = int(burn_in)
+        total_len = checked_value(total_len, int, "total_len")
+        burn_in = checked_value(burn_in, int, "burn_in")
         if total_len < 1:
             raise ValidationError("total_len must be >= 1")
         if not 0 <= burn_in < total_len:
             raise ValidationError(
                 f"burn_in {burn_in} must satisfy 0 <= burn_in < total_len {total_len}"
             )
-        initial_values = tuple(float(x) for x in initial_values)
+        initial_values = tuple(
+            checked_value(x, float, f"initial value {k}")
+            for k, x in enumerate(_entries(initial_values, "initial_values"))
+        )
         if len(initial_values) != n_nodes:
             raise ValidationError(
                 f"{len(initial_values)} initial values for {n_nodes} nodes"
@@ -142,6 +166,8 @@ class NetworkSpec:
 
     @staticmethod
     def from_dict(payload: dict) -> "NetworkSpec":
+        if not isinstance(payload, dict):
+            raise ValidationError("network spec: expected a JSON object")
         required = (
             "n_nodes", "coefficients", "noise_variances",
             "total_len", "burn_in", "initial_values",
@@ -299,6 +325,7 @@ def worker_count(requested: Optional[int] = None) -> int:
             raise ValidationError(
                 f"GRANGER_MDL_THREADS must be an integer, got {env!r}"
             ) from None
+    requested = checked_value(requested, int, "worker count")
     if requested < 0:
         raise ValidationError("worker count must be >= 0")
     if requested == 0:
@@ -423,6 +450,8 @@ def run_bench_multi(
     Trials that raise are recorded in the report's failures and count
     against every accuracy; they are never silently dropped.
     """
+    n_trials = checked_value(n_trials, int, "n_trials")
+    master_seed = checked_value(master_seed, int, "master_seed")
     if n_trials < 1:
         raise ValidationError("n_trials must be >= 1")
     if not configs:

@@ -96,24 +96,17 @@ def fit_bivariate_var(ts: TimeSeriesMatrix, x, y, order: int) -> BivariateVar:
 
     Both equations regress on lags 1..order of (x, y) over the window
     that starts at row ``order``, so one :class:`LagEngine` factor serves
-    both, and the residual covariance is read off its trailing block. A
-    window of at most 2*order rows would interpolate the data and is an
-    input error. The fitted coefficient matrices are negated into the
-    lag-polynomial sign convention, and a stationarity warning is emitted
-    when the companion spectral radius reaches 1.
+    both, and the residual covariance is read off its trailing block. The
+    engine's scan rejects a window of at most 2*order rows, which would
+    interpolate the data. The fitted coefficient matrices are negated into
+    the lag-polynomial sign convention, and a stationarity warning is
+    emitted when the companion spectral radius reaches 1.
     """
     xi, yi = ts.column(x), ts.column(y)
     if xi == yi:
         raise ValidationError("x and y must be distinct variables")
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
-    m = ts.n_samples - order
-    if m <= 2 * order:
-        raise ValidationError(
-            f"VAR({order}) fit needs more rows than its {2 * order} columns per "
-            f"equation, got {max(m, 0)} rows"
-        )
-
     engine = LagEngine(ts, order, variables=[xi, yi])
     coefficients = []
     for target in (xi, yi):

@@ -27,7 +27,7 @@ from scipy.special import betainc
 from .errors import ValidationError
 from .regression import LagEngine
 from .selection import CRITERIA, CodeLength, _search_order
-from .timeseries import TimeSeriesMatrix
+from .timeseries import TimeSeriesMatrix, checked_value
 
 __all__ = [
     "FTestResult",
@@ -57,7 +57,8 @@ class MethodConfig:
     """One analysis method and its parameters, validated when built.
 
     ``method`` is normalised through ``_METHOD_ALIASES`` to ``"mdl"`` or
-    ``"ftest"`` and ``order_criterion`` to upper case; a bad method, an
+    ``"ftest"`` and ``order_criterion`` to upper case; ``alpha`` and ``p_max``
+    are read by :func:`~granger_mdl.timeseries.checked_value`. A bad method, an
     ``alpha`` outside (0, 1), ``p_max < 1`` or a criterion outside
     :data:`~granger_mdl.selection.CRITERIA` raises ValidationError.
     ``alpha`` and ``order_criterion`` only affect the F-test method.
@@ -74,23 +75,27 @@ class MethodConfig:
             raise ValidationError(
                 f"unknown method {self.method!r}; use one of {sorted(_METHOD_ALIASES)} (any case)"
             )
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.p_max < 1:
-            raise ValidationError(f"p_max must be >= 1, got {self.p_max}")
+        alpha = checked_value(self.alpha, float, "alpha")
+        if not 0.0 < alpha < 1.0:
+            raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+        p_max = checked_value(self.p_max, int, "p_max")
+        if p_max < 1:
+            raise ValidationError(f"p_max must be >= 1, got {p_max}")
         criterion = str(self.order_criterion).upper()
         if criterion not in CRITERIA:
             raise ValidationError(
                 f"unknown order criterion {self.order_criterion!r}; pick one of {CRITERIA}"
             )
         object.__setattr__(self, "method", method)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "p_max", p_max)
         object.__setattr__(self, "order_criterion", criterion)
 
     @property
     def label(self) -> str:
         """``mdl`` or ``ftest:<alpha>`` with alpha's shortest exact repr; :meth:`parse` reads it back."""
         if self.method == "ftest":
-            return f"ftest:{float(self.alpha)}"
+            return f"ftest:{self.alpha}"
         return self.method
 
     @property
@@ -194,9 +199,15 @@ class CausalGraph:
 
     @staticmethod
     def from_json(text: str) -> "CausalGraph":
+        """Read :meth:`to_json` output: ``nodes`` distinct strings, each edge naming two, and
+        each ``weight`` (default 0.0) a number by :func:`~granger_mdl.timeseries.checked_value`."""
         try:
             payload = json.loads(text)
-            labels = tuple(payload["nodes"])
+            labels = payload["nodes"]
+            if not (isinstance(labels, list) and all(isinstance(name, str) for name in labels)
+                    and len(set(labels)) == len(labels)):
+                raise ValidationError(f"nodes must be distinct strings, got {labels!r}")
+            labels = tuple(labels)
             method = payload.get("method", "")
             params = payload.get("params", {})
             n = len(labels)
@@ -206,7 +217,9 @@ class CausalGraph:
             for edge in payload["edges"]:
                 j, i = index[edge["from"]], index[edge["to"]]
                 adjacency[j, i] = True
-                weight[j, i] = float(edge.get("weight", 0.0))
+                weight[j, i] = checked_value(
+                    edge.get("weight", 0.0), float, f"edge {edge['from']}->{edge['to']} weight"
+                )
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise ValidationError(f"malformed graph JSON: {exc}") from exc
         return CausalGraph(
@@ -253,7 +266,8 @@ def _f_comparison(rss_r, rss_u, q, d2, alpha):
         f_value, p_value = math.inf, 0.0
     else:
         f_value = ((rss_r - rss_u) / q) / (rss_u / d2)
-        p_value = 1.0 - f_cdf(f_value, q, d2)
+        # the upper tail itself: 1 - f_cdf cancels to 0.0 for small p
+        p_value = betainc(d2 / 2.0, q / 2.0, d2 / (d2 + q * f_value))
     return FTestResult(
         f_value=float(f_value),
         dof=(q, d2),

@@ -6,6 +6,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -88,7 +89,7 @@ class TimeSeriesMatrix:
                 raise ValidationError(
                     f"unknown variable {name_or_index!r}; have {list(self.labels)}"
                 ) from None
-        idx = int(name_or_index)
+        idx = checked_value(name_or_index, int, "variable index")
         if not 0 <= idx < self.n_variables:
             raise ValidationError(
                 f"variable index {idx} out of range [0, {self.n_variables - 1}]"
@@ -96,12 +97,35 @@ class TimeSeriesMatrix:
         return idx
 
 
+def checked_value(value, kind, name: str, nullable: bool = False):
+    """``value`` as ``kind`` (int, float, str or bool), or a ValidationError naming ``name``.
+
+    The one rule for a value from a file or a caller: None passes only if
+    ``nullable``; a bool or a string is never a number; an int takes a
+    float only when it is whole; overflow is an error. Nothing is truncated.
+    """
+    if type(value) is kind or (value is None and nullable):
+        return value
+    if kind in (str, bool):
+        if isinstance(value, kind):
+            return value
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if kind is float:
+                return float(value)
+            if isinstance(value, numbers.Integral) or float(value).is_integer():
+                return int(value)
+        except OverflowError:
+            pass
+    wanted = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}[kind]
+    raise ValidationError(f"{name} must be {wanted}, got {value!r}")
+
+
 def checked_sample_rate(sample_rate_hz) -> Optional[float]:
     """A sample rate as a positive finite float; None means no rate."""
-    if sample_rate_hz is not None:
-        sample_rate_hz = float(sample_rate_hz)
-        if not (sample_rate_hz > 0 and np.isfinite(sample_rate_hz)):
-            raise ValidationError("sample_rate_hz must be positive and finite")
+    sample_rate_hz = checked_value(sample_rate_hz, float, "sample_rate_hz", nullable=True)
+    if sample_rate_hz is not None and not (sample_rate_hz > 0 and np.isfinite(sample_rate_hz)):
+        raise ValidationError("sample_rate_hz must be positive and finite")
     return sample_rate_hz
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -77,6 +78,39 @@ class TestBuiltinSpecs:
         with pytest.raises(ValidationError, match="out of range"):
             NetworkSpec(1, [(0, 1, 1, 0.5)], [1.0], total_len=10, burn_in=2,
                         initial_values=[0.0])
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("n_nodes",), 2.9, "n_nodes must be an integer, got 2.9"),
+        (("total_len",), 200.5, "total_len must be an integer, got 200.5"),
+        (("burn_in",), "0", "burn_in must be an integer, got '0'"),
+        (("coefficients", 1, 2), 1.7, "coefficient 1 lag must be an integer, got 1.7"),
+        (("coefficients", 1, 3), True, "coefficient 1 value must be a number, got True"),
+        (("coefficients", 0), [0, 0, 1], "coefficient 0 must be a list of 4, got [0, 0, 1]"),
+        (("noise_variances", 2, 0), True, "noise variance 2 must be a number, got True"),
+        (("initial_values", 2), True, "initial value 2 must be a number, got True"),
+        (("noise_variances",), 0.5, "noise_variances must be a list, got 0.5"),
+        (("coefficients",), None, "coefficients must be a list, got None"),
+    ])
+    def test_spec_fields_are_not_truncated(self, path, value, message):
+        payload = json.loads(JSON_SPEC)
+        *outer, last = path
+        target = payload
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            NetworkSpec.from_dict(payload)
+
+    def test_spec_takes_whole_floats_and_numpy_numbers(self):
+        spec = NetworkSpec.from_dict(json.loads(JSON_SPEC))
+        payload = json.loads(JSON_SPEC)
+        payload["n_nodes"], payload["total_len"] = 3.0, np.int64(120)
+        payload["coefficients"][0] = [np.int64(0), 0.0, 1.0, np.float64(0.5)]
+        again = NetworkSpec.from_dict(payload)
+        assert again == spec
+        assert type(again.n_nodes) is int and type(again.coefficients[0][2]) is int
+        with pytest.raises(ValidationError, match="expected a JSON object"):
+            NetworkSpec.from_dict([spec.to_dict()])
 
     def test_spec_dict_round_trip(self):
         spec = builtin_5node()
@@ -408,6 +442,17 @@ class TestPoolWorkers:
     def test_zero_workers_means_cpus_this_process_may_use(self):
         assert bench.worker_count(0) == len(os.sched_getaffinity(0))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_workers": 2.5}, "worker count must be an integer, got 2.5"),
+        ({"n_workers": True}, "worker count must be an integer, got True"),
+        ({"n_trials": 2.5}, "n_trials must be an integer, got 2.5"),
+        ({"master_seed": 2.5}, "master_seed must be an integer, got 2.5"),
+    ])
+    def test_counts_are_not_truncated(self, kwargs, message):
+        args = {"n_trials": 2, "master_seed": 0, "n_workers": 1, **kwargs}
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            run_bench(builtin_3node(), MethodConfig("mdl", p_max=4), **args)
+
 
 class TestMethodConfig:
     def test_one_class(self):
@@ -424,6 +469,20 @@ class TestMethodConfig:
     def test_invalid_config_rejected_at_construction(self, kwargs):
         with pytest.raises(ValidationError):
             MethodConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"alpha": "0.05"}, "alpha must be a number, got '0.05'"),
+        ({"p_max": 2.5}, "p_max must be an integer, got 2.5"),
+        ({"p_max": True}, "p_max must be an integer, got True"),
+    ])
+    def test_parameters_are_typed(self, kwargs, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            MethodConfig("ftest", **kwargs)
+
+    def test_numpy_parameters_become_python_numbers(self):
+        cfg = MethodConfig("ftest", alpha=np.float64(0.01), p_max=np.int64(4))
+        assert cfg == MethodConfig("ftest", alpha=0.01, p_max=4)
+        assert type(cfg.p_max) is int and type(cfg.alpha) is float
 
     def test_aliases_normalise(self):
         cfg = MethodConfig("FTEST", alpha=0.01, order_criterion="bic")

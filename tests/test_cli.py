@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -47,6 +48,32 @@ class TestSimulate:
         assert run_cli("simulate", "--network", str(spec_path), "--seed", "1",
                        "--out", str(out)) == 0
         assert len(out.read_text().strip().split("\n")) == 101
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_nodes", 2.9, "n_nodes must be an integer, got 2.9"),
+        ("total_len", 200.5, "total_len must be an integer, got 200.5"),
+        ("coefficients", [[0, 0, 1.7, 0.5], [1, 0, 1, 0.4], [1, 1, 1, 0.3]],
+         "coefficient 0 lag must be an integer, got 1.7"),
+        ("coefficients", [[0, 0, 1, True], [1, 0, 1, 0.4], [1, 1, 1, 0.3]],
+         "coefficient 0 value must be a number, got True"),
+        ("initial_values", [0.0, True], "initial value 1 must be a number, got True"),
+    ])
+    def test_spec_file_value_not_truncated_exits_2(self, field, value, message, tmp_path, capsys):
+        spec = {
+            "n_nodes": 2,
+            "coefficients": [[0, 0, 1, 0.5], [1, 0, 1, 0.4], [1, 1, 1, 0.3]],
+            "noise_variances": [0.5, [0.2, 0.4]],
+            "total_len": 120,
+            "burn_in": 20,
+            "initial_values": [0.0, 0.0],
+            field: value,
+        }
+        spec_path = tmp_path / "net.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "sim.csv"
+        assert run_cli("simulate", "--network", str(spec_path), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_spec_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"
@@ -173,7 +200,7 @@ class TestSpectral:
             short.write_text("\n".join(rows[: n_rows + 1]) + "\n")
             assert run_cli("spectral", str(short), "--x", "node2", "--y", "node1",
                            "--order", "7", "--out", str(tmp_path / "x.csv")) == code
-        assert "14 columns per equation, got 14 rows" in capsys.readouterr().err
+        assert "14 rows ≤ 14 columns" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:fitted VAR is not stationary")
     def test_interpolating_order_search_exits_2(self, tmp_path, capsys):
@@ -210,6 +237,13 @@ class TestSimilarity:
         self.graph_json(b, [("a", "b"), ("b", "c"), ("c", "a")])
         assert run_cli("similarity", str(a), str(b)) == 0
         assert capsys.readouterr().out.strip() == "0.5"
+
+    def test_duplicate_node_labels_exit_2(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self.graph_json(a, [("a", "b")], nodes=("a", "b"))
+        self.graph_json(b, [("a", "a")], nodes=("a", "a"))
+        assert run_cli("similarity", str(a), str(b)) == 2
+        assert "nodes must be distinct strings" in capsys.readouterr().err
 
     def test_node_count_mismatch_exits_2(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -378,3 +412,58 @@ class TestConfigTypes:
         assert outputs["false"] == outputs["flag"]
         assert outputs["true"] == outputs["default"]
         assert outputs["false"] != outputs["default"]
+
+
+# Every other option names a file or a variable and is no config key.
+NOT_SETTINGS = {"help", "config", "out", "network", "x", "y", "no_header"}
+# A non-default flag value for every setting, by dest.
+FLAG_TEXT = {
+    "seed": "5", "noise": "high", "method": "ftest", "alpha": "0.01", "p_max": "4",
+    "order_criterion": "BIC", "order": "3", "freqs": "1:5", "sample_rate": "200",
+    "trials": "7", "methods": "mdl,ftest:0.01", "workers": "2",
+}
+REQUIRED = {
+    "simulate": ["simulate", "--network", "3node", "--out", "sim.csv"],
+    "analyze": ["analyze", "in.csv"],
+    "spectral": ["spectral", "in.csv", "--x", "a", "--y", "b", "--out", "freq.csv"],
+    "mc-bench": ["mc-bench", "--network", "3node"],
+}
+
+
+def _options():
+    """(subcommand, option action) for every option of every subcommand."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(command, action) for command, sp in sub.choices.items()
+            for action in sp._actions if action.option_strings]
+
+
+def _parsed(argv):
+    """The args ``main`` hands a command, without the --config path."""
+    args = cli.build_parser().parse_args(argv)
+    cli._apply_config(args)
+    return {k: v for k, v in vars(args).items() if k != "config"}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command, action", [
+        pytest.param(c, a, id=f"{c} {a.option_strings[0]}")
+        for c, a in _options() if a.dest not in NOT_SETTINGS
+    ])
+    def test_config_value_parses_as_the_flag(self, command, action, tmp_path):
+        if action.nargs == 0:  # a switch: --no-demean is {"demean": false}
+            flag, value = [action.option_strings[0]], action.const
+        else:
+            text = FLAG_TEXT[action.dest]
+            flag, value = [action.option_strings[0], text], action.type(text)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({action.dest: value}))
+        by_flag = _parsed(REQUIRED[command] + flag)
+        assert _parsed(REQUIRED[command] + ["--config", str(config)]) == by_flag
+        assert _parsed(REQUIRED[command])[action.dest] != by_flag[action.dest]
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_other_options_are_no_config_keys(self, command, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: "elsewhere" for key in NOT_SETTINGS | {"input"}}))
+        assert _parsed(REQUIRED[command] + ["--config", str(config)]) == _parsed(REQUIRED[command])

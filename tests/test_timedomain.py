@@ -1,8 +1,10 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from granger_mdl import selection
@@ -113,6 +115,16 @@ class TestFTest:
         assert se <= 0.002
         assert size <= 0.05
         assert abs(size - 0.0416) <= 3.0 * se
+
+    def test_p_value_is_the_upper_tail(self):
+        # 1 - f_cdf cancels: on this grid it read 0.0 at 168 points with a positive tail
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            f_value = 10 ** rng.uniform(-3, 3)
+            d1, d2 = int(rng.integers(1, 11)), int(round(10 ** rng.uniform(0, 4)))
+            result = _f_comparison(1.0 + f_value * d1 / d2, 1.0, d1, d2, 0.05)
+            expected = scipy.stats.f.sf(result.f_value, d1, d2)
+            assert result.p_value == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_log_variance_ratio(self):
         result = _f_comparison(rss_r=8.0, rss_u=4.0, q=1, d2=20, alpha=0.05)
@@ -237,6 +249,10 @@ class TestConditionalMdl:
 
 
 class TestInferNetwork:
+    def test_fractional_p_max_rejected(self):
+        with pytest.raises(ValidationError, match=re.escape("p_max must be an integer, got 2.5")):
+            infer_network(white_pair(0), p_max=2.5)
+
     def test_two_variable_input_uses_pairwise_only(self):
         rng = np.random.default_rng(3)
         n = 400
@@ -396,6 +412,18 @@ class TestGraphSerialization:
     def test_malformed_json_rejected(self):
         with pytest.raises(ValidationError):
             CausalGraph.from_json("{\"nodes\": [\"a\"]}")
+
+    @pytest.mark.parametrize("nodes, edge, message", [
+        (["a", "b"], {"from": "a", "to": "b", "weight": True}, "edge a->b weight must be a number, got True"),
+        (["a", "b"], {"from": "a", "to": "b", "weight": "2"}, "edge a->b weight must be a number, got '2'"),
+        (["a", "a"], {"from": "a", "to": "a"}, "nodes must be distinct strings, got ['a', 'a']"),
+        ([1, 2], {"from": 1, "to": 2}, "nodes must be distinct strings, got [1, 2]"),
+        ("ab", {"from": "a", "to": "b"}, "nodes must be distinct strings, got 'ab'"),
+    ])
+    def test_nodes_and_weights_are_typed(self, nodes, edge, message):
+        text = json.dumps({"nodes": nodes, "method": "MDL", "edges": [edge], "params": {}})
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            CausalGraph.from_json(text)
 
 
 def graph_from_edges(n, edges):

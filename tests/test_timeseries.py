@@ -5,6 +5,7 @@ from granger_mdl.bench import builtin_3node, simulate
 from granger_mdl.errors import ValidationError
 from granger_mdl.timeseries import (
     TimeSeriesMatrix,
+    checked_value,
     demean,
     load_csv,
     save_csv,
@@ -90,6 +91,54 @@ def test_constructor_rejects_label_count_mismatch():
 def test_constructor_rejects_bad_sample_rate():
     with pytest.raises(ValidationError):
         TimeSeriesMatrix([[1.0]], ["a"], sample_rate_hz=-5)
+    for rate in (True, "200"):
+        with pytest.raises(ValidationError, match="sample_rate_hz must be a number"):
+            TimeSeriesMatrix([[1.0]], ["a"], sample_rate_hz=rate)
+
+
+@pytest.mark.parametrize("value, kind, expected", [
+    (3, int, 3),
+    (3.0, int, 3),
+    pytest.param(1e300, int, int(1e300), id="1e300-int"),
+    (np.int64(3), int, 3),
+    (np.float64(3.0), int, 3),
+    (2, float, 2.0),
+    (np.float32(0.5), float, 0.5),
+    (np.int32(-4), float, -4.0),
+    ("low", str, "low"),
+    (False, bool, False),
+])
+def test_checked_value_keeps_every_number_whole(value, kind, expected):
+    result = checked_value(value, kind, "key")
+    assert result == expected and type(result) is kind
+
+
+@pytest.mark.parametrize("value, kind, wanted", [
+    (2.7, int, "an integer"),
+    (float("inf"), int, "an integer"),
+    (True, int, "an integer"),
+    (None, int, "an integer"),
+    ("3", int, "an integer"),
+    (True, float, "a number"),
+    (np.bool_(True), float, "a number"),
+    ("0.05", float, "a number"),
+    pytest.param(10**400, float, "a number", id="10**400-float"),
+    ([1.0], float, "a number"),
+    (5, str, "a string"),
+    (None, str, "a string"),
+    (0, bool, "true or false"),
+    ("no", bool, "true or false"),
+])
+def test_checked_value_rejects_and_names_the_key(value, kind, wanted):
+    with pytest.raises(ValidationError, match=f"^key must be {wanted}, got "):
+        checked_value(value, kind, "key")
+
+
+def test_checked_value_null_only_where_allowed():
+    assert checked_value(None, float, "key", nullable=True) is None
+    assert checked_value(2, float, "key", nullable=True) == 2.0
+    with pytest.raises(ValidationError, match="got None"):
+        checked_value(None, float, "key")
 
 
 def test_values_are_immutable():
@@ -106,6 +155,10 @@ def test_column_lookup():
         ts.column("zzz")
     with pytest.raises(ValidationError):
         ts.column(7)
+    assert ts.column(np.int64(1)) == 1 and ts.column("1") == 1
+    for ref in (0.9, True):
+        with pytest.raises(ValidationError, match="variable index must be an integer"):
+            ts.column(ref)
 
 
 def test_validate_constant_series():
