@@ -4,8 +4,12 @@ Builds the restricted/unrestricted autoregressions every causality test
 rests on. Every fit takes one route: an R-only QR of [X | y], one rank
 check on the 1-norm condition number of R's leading blocks, then R^-1.
 Every time-domain fit runs through a `LagEngine`: one QR of all lags of
-a series' variables, from which each model family takes one small QR
-that yields the residual sums and coefficients of all its orders.
+a series' variables. Two kinds of family, the full one (every variable)
+and the drop-one ones (every variable but one), come for every target
+at once from one inverse of that QR's lag block, when the engine
+certifies that this changes no rank decision. Every other family, and
+these two on an engine that does not certify, takes one small QR that
+yields the residual sums and coefficients of all its orders.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import RankDeficiencyError, ValidationError
-from .timeseries import TimeSeriesMatrix
+from .timeseries import TimeSeriesMatrix, checked_value
 
 __all__ = [
     "LagSpec",
@@ -48,7 +52,11 @@ class LagSpec:
     predictors: tuple
 
     def __init__(self, target: int, predictors: Sequence[Tuple[int, int]]):
-        predictors = tuple((int(v), int(lags)) for v, lags in predictors)
+        predictors = tuple(
+            (checked_value(v, int, "predictor variable"),
+             checked_value(lags, int, f"lag count of variable {v}"))
+            for v, lags in predictors
+        )
         if not predictors:
             raise ValidationError("LagSpec needs at least one predictor")
         seen = [v for v, _ in predictors]
@@ -59,7 +67,7 @@ class LagSpec:
                 raise ValidationError(f"negative lag count {lags} for variable {v}")
         if all(lags == 0 for _, lags in predictors):
             raise ValidationError("all lag counts are 0: design would have no columns")
-        object.__setattr__(self, "target", int(target))
+        object.__setattr__(self, "target", checked_value(target, int, "target"))
         object.__setattr__(self, "predictors", predictors)
 
     @property
@@ -244,25 +252,35 @@ def _qr_r(a: np.ndarray) -> np.ndarray:
     return np.triu(scipy.linalg.lapack.dgeqrf(a, overwrite_a=True)[0][: min(a.shape)])
 
 
+def _inverse(r: np.ndarray):
+    """R^-1 of ``r``'s columns before its first zero pivot, and kappa_1 of each leading block.
+
+    R_k^-1 is R^-1's leading block, so kappa_1(R_k) is cummax(colsum|R|)
+    * cummax(colsum|R^-1|) at k-1.
+    """
+    pivots = np.diag(r) != 0.0
+    k = r.shape[0] if pivots.all() else int(np.argmin(pivots))
+    # LAPACK's triangular inverse, not a solve against the identity (a level-3
+    # BLAS call that stalls on threads in pool workers); it rejects 0x0
+    r_inv = scipy.linalg.lapack.dtrtri(r[:k, :k])[0] if k else r[:0, :0]
+    kappa = np.maximum.accumulate(np.abs(r[:k, :k]).sum(axis=0))
+    kappa *= np.maximum.accumulate(np.abs(r_inv).sum(axis=0))
+    return r_inv, kappa
+
+
 def _fit_prefixes(factor: np.ndarray, sizes: np.ndarray, label):
     """Least squares of y on the leading ``sizes`` (ascending) columns of X: the one rank policy.
 
-    ``factor`` is R of [X | y], so its last column is Q'y. The first k
-    columns' R_k is R's leading block, and R_k^-1 that of R^-1, so
-    kappa_1(R_k) is cummax(colsum|R|) * cummax(colsum|R^-1|) at k-1. The
-    first column with a zero pivot or 1/kappa_1 below RANK_TOL breaks the
-    rank, and the sizes reaching it are dropped. Returns (sizes that fit,
-    their rss, their coefficients in columns, zero below each size, None
-    or a RankDeficiencyError naming the column by ``label(index)``).
+    ``factor`` is R of [X | y], so its last column is Q'y. The first
+    column with a zero pivot or 1/kappa_1 (see :func:`_inverse`) below
+    RANK_TOL breaks the rank, and the sizes reaching it are dropped.
+    Returns (sizes that fit, their rss, their coefficients in columns,
+    zero below each size, None or a RankDeficiencyError naming the column
+    by ``label(index)``).
     """
     width = factor.shape[1] - 1
-    pivots = np.diag(factor)[:width] != 0.0
-    k = width if pivots.all() else int(np.argmin(pivots))
-    # LAPACK's triangular inverse, not a solve against the identity (a level-3
-    # BLAS call that stalls on threads in pool workers); it rejects 0x0
-    r_inv = scipy.linalg.lapack.dtrtri(factor[:k, :k])[0] if k else factor[:0, :0]
-    kappa = np.maximum.accumulate(np.abs(factor[:k, :k]).sum(axis=0))
-    kappa *= np.maximum.accumulate(np.abs(r_inv).sum(axis=0))
+    r_inv, kappa = _inverse(factor[:width, :width])
+    k = r_inv.shape[0]
     passed = kappa * RANK_TOL <= 1.0  # NaN fails
     rank_error = None
     if k < width or not passed.all():
@@ -272,13 +290,18 @@ def _fit_prefixes(factor: np.ndarray, sizes: np.ndarray, label):
             f"rank-deficient design: column {label(k)} depends on the columns before it "
             f"(1-norm condition number {condition:.3g} > {1 / RANK_TOL:g})", columns=[k])
         sizes = sizes[sizes <= k]
+    rss, coefficients = _prefix_fits(r_inv, factor[:width, width], factor[width:, width], sizes)
+    return sizes, rss, coefficients, rank_error
+
+
+def _prefix_fits(r_inv, qty, tail, sizes):
+    """rss and coefficients of the leading ``sizes`` columns, from R^-1 and Q'y split at R's width."""
     ok = int(sizes[-1]) if sizes.size else 0
     # rss(k) = y'y - sum_{j<k} qty_j^2, summed from the far end so nothing
     # cancels: what the widest fit leaves, plus qty_j^2 for j >= k
-    tail = factor[width:, width]
-    rss = np.cumsum(np.append(factor[:width, width] ** 2, tail @ tail)[::-1])[::-1][sizes]
-    coefficients = np.cumsum(r_inv[:ok, :ok] * factor[:ok, width], axis=1)[:, sizes - 1]
-    return sizes, rss, coefficients, rank_error
+    rss = np.cumsum(np.append(qty ** 2, tail @ tail)[::-1])[::-1][sizes]
+    coefficients = np.cumsum(r_inv[:ok, :ok] * qty[:ok], axis=1)[:, sizes - 1]
+    return rss, coefficients
 
 
 class LagEngine:
@@ -291,6 +314,29 @@ class LagEngine:
     slice ``R[:, S + [target's response]]`` is a QR of its own design with
     its response appended: the top-left block is the design's R, the last
     column is Q'y over it. Columns that lead Z read R as it is.
+
+    Two kinds of family skip the slice QR and come, for every target at
+    once, from one inverse R_L^-1 of the lag block R_L = R[:V p, :V p]
+    (V variables, p = p_max): the *full* family (every variable) and the
+    *drop-one* families (every variable but one, x). At order n the full
+    design is Z's first k = nV columns, so its coefficients b are R_L^-1's
+    leading block times Q'y. The drop-one design is that prefix without
+    x's n columns D, and with Sigma = R_k^-1 R_k^-T the Schur complement
+    gives it: rss = rss_full + b_D' Sigma_DD^-1 b_D and coefficients
+    b_keep - Sigma_keep,D Sigma_DD^-1 b_D. Sigma_DD does not depend on the
+    target, so every order, source and target is one batched solve.
+
+    This route runs only if the engine certifies it: m > V p (every order
+    fits the window), no zero pivot in R_L, and kappa_1(R_L) (V p)^2 <=
+    1 / RANK_TOL. A family's design at order n is a column subset of Z's
+    order-n prefix, so by column-deletion interlacing (Golub & Van Loan,
+    4th ed., section 8.6) its kappa_2 is at most the prefix's; kappa_1 and
+    kappa_2 differ by at most a factor of the column count, and leading
+    blocks of R_L have kappa_1 at most R_L's. So every column prefix of a
+    full or drop-one family passes :func:`_fit_prefixes`' rank policy, and
+    the route changes no rank decision. An engine that does not certify
+    (a short window, near-collinear columns) scans these families by the
+    slice QR like every other family.
 
     ``variables`` (labels or indices; default all, ascending) fixes the
     engine's order. Blocks are always taken in that order, and each
@@ -320,6 +366,7 @@ class LagEngine:
         self._responses = values[start:]
         self._r = _qr_r(np.hstack([lags, self._responses[:, self.variables]]))
         self._memo = {}
+        self._lag_inverse = None  # R_L^-1 once the engine certifies it, False if it does not
 
     def scan(self, target, block_vars: Sequence, orders: int = None) -> NestedScan:
         """Orders 1..min(p_max, (m - 1) // b) of the family, as :func:`nested_scan`.
@@ -339,6 +386,8 @@ class LagEngine:
                 f"at order {orders}"
             )
         key = (target, tuple(blocks))
+        if key not in self._memo and len(blocks) + 1 >= len(self.variables):
+            self._from_inverse(drop_one=len(blocks) < len(self.variables))
         if key not in self._memo:
             self._memo[key] = self._scan(target, blocks)
         return self._memo[key]
@@ -360,8 +409,80 @@ class LagEngine:
         n_fit = min(self.p_max, (self.m - 1) // b)
         columns = [(v, ell) for ell in range(n_fit) for v in blocks]
         kk, rss, coefficients, rank_error = self._fit(target, columns, b * np.arange(1, n_fit + 1))
+        return self._nested(target, coefficients, kk, rss, rank_error)
+
+    def _nested(self, target, coefficients, k, rss, rank_error=None) -> NestedScan:
         y = self._responses[:, target]
-        return NestedScan(coefficients, kk, rss, self.m, float(y @ y), rank_error, {})
+        return NestedScan(coefficients, k, rss, self.m, float(y @ y), rank_error, {})
+
+    def _from_inverse(self, drop_one: bool):
+        """Memoise the full families, and with ``drop_one`` the drop-one ones, off R_L^-1.
+
+        The first call certifies the engine (see the class docstring); an
+        engine that does not certify memoises nothing here.
+        """
+        width = len(self.variables) * self.p_max
+        if self._lag_inverse is None:
+            self._lag_inverse = False
+            if self.m > width:
+                r_inv, kappa = _inverse(self._r[:width, :width])
+                if r_inv.shape[0] == width and kappa[-1] * width ** 2 * RANK_TOL <= 1.0:
+                    self._lag_inverse = r_inv
+                    self._full_families(r_inv)
+        if drop_one and self._lag_inverse is not False:
+            self._drop_one_families(self._lag_inverse)
+
+    def _full_families(self, r_inv):
+        """Each target's full family: :func:`_prefix_fits` on the shared R_L^-1."""
+        width = r_inv.shape[0]
+        sizes = len(self.variables) * np.arange(1, self.p_max + 1)
+        for pos, target in enumerate(self.variables):
+            # contiguous, as in the slice QR's factor: the tail's dot sums in the same order
+            qty = np.ascontiguousarray(self._r[:, width + pos])
+            rss, coefficients = _prefix_fits(r_inv, qty[:width], qty[width:], sizes)
+            self._memo[target, tuple(self.variables)] = self._nested(target, coefficients, sizes, rss)
+
+    def _drop_one_families(self, r_inv):
+        """Every (target, all but x) family, from the full ones by the Schur complement.
+
+        Order n's Sigma sums r r' over the columns r of R_L^-1 in lag blocks
+        1..n; each sum over blocks, for every n at once, is one product with
+        a triangle of ones. Sigma_DD of orders below p_max is padded to
+        p_max x p_max with an identity block against a zero right-hand side,
+        so one batched solve serves every order, source and target. The
+        columns Sigma_:,D are formed for one source at a time, so little
+        more than the output is held.
+        """
+        nv, p = len(self.variables), self.p_max
+        width = nv * p
+        full = [self._memo[target, tuple(self.variables)] for target in self.variables]
+        b = np.stack([scan.coefficients for scan in full], axis=-1)  # (row, order, target)
+        blocks = np.ascontiguousarray(r_inv.reshape(width, p, nv).transpose(1, 0, 2))  # (block, row, col)
+        d = blocks.reshape(p, p, nv, nv).transpose(0, 2, 1, 3)  # (block, x, lag of x, col)
+        through = np.tril(np.ones((p, p)))  # order n sums blocks 1..n
+
+        def summed(per_block):
+            return (through @ per_block.reshape(p, -1)).reshape(per_block.shape)
+
+        padding = np.eye(p) * (np.arange(p) > np.arange(p)[:, None])[:, None, :]
+        sigma_dd = summed(d @ d.transpose(0, 1, 3, 2)) + padding[:, None]  # (order, x, lag, lag)
+        b_d = b.reshape(p, nv, p, nv).transpose(2, 1, 0, 3)  # (order, x, lag, target)
+        g = np.linalg.solve(sigma_dd, b_d)
+        # the added rss is a quadratic form, nothing to cancel
+        added = np.maximum(np.einsum("nxit,nxit->xtn", b_d, g), 0.0)
+        rss = np.stack([scan.rss for scan in full])[None] + added  # (x, target, order)
+        b_rows = b.reshape(p, nv, p, nv)  # (lag, v, order, target)
+        sizes = (nv - 1) * np.arange(1, p + 1)
+        for x in range(nv):
+            keep = [v for v in range(nv) if v != x]
+            correction = summed(blocks @ d[:, x].transpose(0, 2, 1)) @ g[:, x]  # (order, row, target)
+            correction = correction.reshape(p, p, nv, nv)[:, :, keep].transpose(1, 2, 0, 3)
+            coefficients = b_rows[:, keep] - correction  # (lag, v != x, order, target)
+            family = tuple(self.variables[v] for v in keep)
+            for pos, target in enumerate(self.variables):
+                self._memo[target, family] = NestedScan(
+                    coefficients[..., pos].reshape(-1, p), sizes, rss[x, pos],
+                    self.m, full[pos].response_sq, None, {})
 
     def _fit(self, target: int, columns, sizes: np.ndarray):
         """:func:`_fit_prefixes` on Z's (variable, lag - 1) ``columns``: the one slice-and-QR step."""

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .regression import LagEngine, ResidualCovariance, stability_check
 from .selection import search_order
-from .timeseries import TimeSeriesMatrix, checked_sample_rate
+from .timeseries import TimeSeriesMatrix, checked_sample_rate, distinct_columns
 
 __all__ = [
     "BivariateVar",
@@ -84,10 +84,12 @@ def select_var_order(ts: TimeSeriesMatrix, x, y, p_max: int = 10) -> int:
     and the per-order code lengths are summed, so the winning order
     accommodates whichever equation needs the longer history. Both
     regress on the same lags of (x, y), so one factorisation serves both.
+    A constant x or y, or x equal to y, is a ValidationError naming them.
     """
     xi, yi = ts.column(x), ts.column(y)
     if xi == yi:
         raise ValidationError("x and y must be distinct variables")
+    distinct_columns(ts, [xi, yi])
     return search_order(ts, [(xi, [xi, yi]), (yi, [xi, yi])], "MDL", p_max)[0]
 
 
@@ -98,7 +100,8 @@ def fit_bivariate_var(ts: TimeSeriesMatrix, x, y, order: int) -> BivariateVar:
     that starts at row ``order``, so one :class:`LagEngine` factor serves
     both, and the residual covariance is read off its trailing block. The
     engine's scan rejects a window of at most 2*order rows, which would
-    interpolate the data. The fitted coefficient matrices are negated into
+    interpolate the data; a constant x or y, or x equal to y, is a
+    ValidationError naming them. The fitted coefficient matrices are negated into
     the lag-polynomial sign convention, and a stationarity warning is
     emitted when the companion spectral radius reaches 1.
     """
@@ -107,6 +110,7 @@ def fit_bivariate_var(ts: TimeSeriesMatrix, x, y, order: int) -> BivariateVar:
         raise ValidationError("x and y must be distinct variables")
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
+    distinct_columns(ts, [xi, yi])
     engine = LagEngine(ts, order, variables=[xi, yi])
     coefficients = []
     for target in (xi, yi):

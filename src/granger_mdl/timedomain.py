@@ -27,7 +27,7 @@ from scipy.special import betainc
 from .errors import ValidationError
 from .regression import LagEngine
 from .selection import CRITERIA, CodeLength, _search_order
-from .timeseries import TimeSeriesMatrix, checked_value
+from .timeseries import TimeSeriesMatrix, checked_value, distinct_columns
 
 __all__ = [
     "FTestResult",
@@ -483,7 +483,9 @@ def infer_network(
     at ``alpha``.
 
     All fits come from one :class:`LagEngine` over ``ts``: one
-    factorisation, and each model family scanned and scored once.
+    factorisation, and each model family scanned and scored once. A
+    constant column, or two identical ones, is a ValidationError naming
+    them, raised before any fit.
     """
     return _infer_network(ts, MethodConfig(method, alpha, p_max, order_criterion), {})
 
@@ -498,6 +500,7 @@ def _infer_network(ts, cfg: MethodConfig, engines) -> CausalGraph:
     if ts.n_variables < 2:
         raise ValidationError("network inference needs at least 2 variables")
     if cfg.p_max not in engines:
+        distinct_columns(ts)
         engines[cfg.p_max] = LagEngine(ts, cfg.p_max)
     engine = engines[cfg.p_max]
     nv = ts.n_variables

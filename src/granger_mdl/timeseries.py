@@ -55,7 +55,7 @@ class TimeSeriesMatrix:
                 f"non-finite entry at row {bad[0]}, column {bad[1]}"
             )
         if labels is None:
-            labels = tuple(f"v{i}" for i in range(arr.shape[1]))
+            labels = _default_labels(arr.shape[1])
         labels = tuple(str(name) for name in labels)
         if len(labels) != arr.shape[1]:
             raise ValidationError(
@@ -95,6 +95,29 @@ class TimeSeriesMatrix:
                 f"variable index {idx} out of range [0, {self.n_variables - 1}]"
             )
         return idx
+
+
+def _default_labels(n: int) -> tuple:
+    return tuple(f"v{i}" for i in range(n))
+
+
+def distinct_columns(ts: TimeSeriesMatrix, variables=None) -> None:
+    """Reject a constant column, or two equal columns, among ``variables`` (default all).
+
+    Either makes every lagged design that holds it rank-deficient, which
+    no fit can repair. Checked before any factorisation, it is an input
+    error that names the variables by label, not a numerical failure
+    that names a design column.
+    """
+    seen = {}
+    for v in range(ts.n_variables) if variables is None else variables:
+        column = ts.values[:, v]
+        if (column == column[0]).all():
+            raise ValidationError(f"variable {ts.labels[v]} is constant: every value is {float(column[0])!r}")
+        key = (column + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
+        if key in seen:
+            raise ValidationError(f"variables {ts.labels[seen[key]]} and {ts.labels[v]} are identical")
+        seen[key] = v
 
 
 def checked_value(value, kind, name: str, nullable: bool = False):
@@ -142,10 +165,12 @@ class ValidationReport:
 def load_csv(path, has_header: bool = True, sample_rate_hz: Optional[float] = None) -> TimeSeriesMatrix:
     """Read a comma-separated file into a :class:`TimeSeriesMatrix`.
 
-    Every cell must parse as a decimal real number (optional exponent);
-    rows must all have the same number of cells. LF and CRLF endings are
-    both accepted. With ``has_header`` the first row supplies labels,
-    otherwise labels are generated as ``v0, v1, ...``.
+    Every cell must parse as a finite decimal real number (optional
+    exponent; no digit-group underscores); rows must all have the same
+    number of cells. LF and CRLF endings are both accepted. With
+    ``has_header`` the first row supplies labels, otherwise labels are
+    generated as ``v0, v1, ...``. Rows in messages are file lines,
+    counted from 1.
     """
     try:
         with open(path, "r", newline="") as fh:
@@ -179,6 +204,8 @@ def load_csv(path, has_header: bool = True, sample_rate_hz: Optional[float] = No
         parsed = []
         for colno, cell in enumerate(cells):
             try:
+                if "_" in cell:  # float() reads "1_0" as 10.0
+                    raise ValueError(cell)
                 parsed.append(float(cell))
             except ValueError:
                 raise ValidationError(
@@ -189,7 +216,15 @@ def load_csv(path, has_header: bool = True, sample_rate_hz: Optional[float] = No
         raise ValidationError(
             f"{path}: header has {len(labels)} names for {n_cols} columns"
         )
-    return TimeSeriesMatrix(np.array(rows, dtype=float), labels, sample_rate_hz)
+    values = np.array(rows, dtype=float)
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        label = (labels or _default_labels(n_cols))[col]
+        raise ValidationError(
+            f"{path}: non-finite cell at row {start + 1 + row}, column {label}: "
+            f"{lines[start + row].split(',')[col].strip()!r}"
+        )
+    return TimeSeriesMatrix(values, labels, sample_rate_hz)
 
 
 def save_csv(ts: TimeSeriesMatrix, path, header: bool = True) -> None:

@@ -13,6 +13,18 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def write_columns(path, columns):
+    path.write_text(",".join(columns) + "\n" + "\n".join(
+        ",".join(f"{v:.17g}" for v in row) for row in zip(*columns.values())) + "\n")
+
+
+def degenerate_panel(c):
+    """Columns a and b of noise, and c a ``copy`` of a, a ``constant`` or all ``zero``."""
+    a, b = np.random.default_rng(0).standard_normal((2, 120))
+    return {"a": a, "b": b, "c": {"copy": a.copy(), "constant": np.full(120, 2.5),
+                                  "zero": np.zeros(120)}[c]}
+
+
 @pytest.fixture(scope="module")
 def sim_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "sim3.csv"
@@ -114,14 +126,28 @@ class TestAnalyze:
         assert run_cli("analyze", "/nonexistent.csv") == 2
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        # y is x one step back plus 1e-12 noise: no column is constant or a
+        # copy, but y.lag1 and x.lag2 are collinear far past the 1e10 limit
         rng = np.random.default_rng(0)
-        col = rng.standard_normal(60)
-        path = tmp_path / "dup.csv"
-        path.write_text(
-            "a,b\n" + "\n".join(f"{v:.17g},{v:.17g}" for v in col) + "\n"
-        )
-        assert run_cli("analyze", str(path), "--method", "mdl") == 3
-        assert "numerical error" in capsys.readouterr().err
+        x, z = rng.standard_normal((2, 200))
+        y = np.roll(x, 1) + 1e-12 * rng.standard_normal(200)
+        path = tmp_path / "near.csv"
+        write_columns(path, {"x": x, "y": y, "z": z})
+        for method in ("mdl", "ftest"):
+            assert run_cli("analyze", str(path), "--method", method) == 3
+            assert "numerical error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["mdl", "ftest"])
+    @pytest.mark.parametrize("c, message", [
+        ("copy", "variables a and c are identical"),
+        ("constant", "variable c is constant"),
+        ("zero", "variable c is constant"),
+    ])
+    def test_degenerate_column_exits_2_by_label(self, method, c, message, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        write_columns(path, degenerate_panel(c))
+        assert run_cli("analyze", str(path), "--method", method) == 2
+        assert message in capsys.readouterr().err
 
     def test_interpolating_panel_exits_2(self, tmp_path, capsys):
         # 30 variables on 300 rows: at p_max 10 a restricted conditional
@@ -190,6 +216,18 @@ class TestSpectral:
     def test_unknown_variable_exits_2(self, sim_csv, tmp_path):
         assert run_cli("spectral", str(sim_csv), "--x", "node1", "--y", "nodeZ",
                        "--out", str(tmp_path / "x.csv")) == 2
+
+    @pytest.mark.parametrize("order", [[], ["--order", "2"]])
+    @pytest.mark.parametrize("c, message", [
+        ("copy", "variables a and c are identical"),
+        ("constant", "variable c is constant"),
+    ])
+    def test_degenerate_column_exits_2_by_label(self, order, c, message, tmp_path, capsys):
+        path = tmp_path / "pair.csv"
+        write_columns(path, degenerate_panel(c))
+        assert run_cli("spectral", str(path), "--x", "a", "--y", "c", *order,
+                       "--out", str(tmp_path / "x.csv")) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:fitted VAR is not stationary")
     def test_interpolating_order_exits_2(self, sim_csv, tmp_path, capsys):

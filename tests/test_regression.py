@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, strategies as st
 
 from granger_mdl.bench import NetworkSpec, builtin_3node, builtin_5node, simulate
 from granger_mdl.errors import RankDeficiencyError, ValidationError
@@ -39,6 +40,22 @@ class TestLagSpec:
     def test_rejects_negative_lags(self):
         with pytest.raises(ValidationError, match="negative"):
             LagSpec(0, [(1, -1)])
+
+    @pytest.mark.parametrize("target, predictors, message", [
+        (0, [(1, 2.7)], "lag count of variable 1 must be an integer, got 2.7"),
+        (0, [(1, True)], "lag count of variable 1 must be an integer, got True"),
+        (0, [(1.5, 2)], "predictor variable must be an integer, got 1.5"),
+        (True, [(1, 2)], "target must be an integer, got True"),
+        (0.5, [(1, 2)], "target must be an integer, got 0.5"),
+    ])
+    def test_values_are_integers_not_truncated(self, target, predictors, message):
+        with pytest.raises(ValidationError, match=message):
+            LagSpec(target, predictors)
+
+    def test_whole_and_numpy_numbers_are_integers(self):
+        spec = LagSpec(np.int64(1), [(np.int64(0), 2.0)])
+        assert spec == LagSpec(1, [(0, 2)])
+        assert type(spec.target) is int and type(spec.predictors[0][1]) is int
 
     def test_zero_lag_predictor_contributes_no_columns(self):
         spec = LagSpec(0, [(0, 2), (1, 0)])
@@ -360,6 +377,98 @@ class TestLagEngine:
     def test_start_below_p_max_rejected(self):
         with pytest.raises(ValidationError, match="below p_max"):
             nested_scan(self.panel(60, 2, 9), 0, [0, 1], 4, start=2)
+
+
+def families_from_both_routes(ts, p_max, orders=None):
+    """Each full and drop-one family of an engine over ``ts``, with its slice-QR scan.
+
+    The second engine's ``_scan`` is the per-family slice QR, which the
+    first engine's ``scan`` replaces when it certifies its lag block.
+    """
+    engine, sliced = LagEngine(ts, p_max), LagEngine(ts, p_max)
+    nv = ts.n_variables
+    for target in range(nv):
+        for dropped in [None, *range(nv)]:
+            blocks = [v for v in range(nv) if v != dropped]
+            yield engine, engine.scan(target, blocks, orders), sliced._scan(target, blocks)
+
+
+def assert_same_scan(a, b):
+    for field in ("coefficients", "k", "rss"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+    assert str(a.rank_error) == str(b.rank_error)
+
+
+class TestInverseRoute:
+    """Full and drop-one families from one R_L^-1, when the engine certifies it."""
+
+    @given(
+        nv=st.integers(3, 6), p_max=st.integers(1, 6), extra=st.integers(1, 60),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_families_match_the_slice_qr(self, nv, p_max, extra, seed):
+        rng = np.random.default_rng(seed)
+        n = nv * p_max + p_max + extra  # m = n - p_max > nv * p_max
+        ts = TimeSeriesMatrix(
+            np.cumsum(rng.standard_normal((n, nv)), axis=0) * 0.1 + rng.standard_normal((n, nv))
+        )
+        for engine, scan, sliced in families_from_both_routes(ts, p_max):
+            assert engine._lag_inverse is not False
+            np.testing.assert_array_equal(scan.k, sliced.k)
+            assert scan.rank_error is None and sliced.rank_error is None
+            np.testing.assert_allclose(scan.rss, sliced.rss, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(scan.coefficients, sliced.coefficients, rtol=0, atol=1e-12)
+
+    def test_full_family_is_bit_identical(self):
+        panel = TestLagEngine().panel(300, 12, 5)
+        for engine, scan, sliced in families_from_both_routes(panel, 10):
+            if len(scan.k) and scan.k[0] == 12:
+                assert_same_scan(scan, sliced)
+
+    @pytest.mark.parametrize("n, orders", [(100, 7), (130, 9)])
+    def test_short_panel_takes_the_slice_qr(self, n, orders):
+        # 90 or 120 rows for 12 * 10 lag columns: the full family fits
+        # orders 1..7 or 1..9, not 10
+        panel = TestLagEngine().panel(n, 12, 7)
+        for engine, scan, sliced in families_from_both_routes(panel, 10, orders):
+            assert engine._lag_inverse is False
+            assert_same_scan(scan, sliced)
+
+    def test_near_collinear_panel_takes_the_slice_qr(self):
+        # kappa_1(R_L) is about 3e8: every family passes the 1e10 rule, but
+        # 3e8 * (3 * 3)^2 does not certify them
+        for engine, scan, sliced in families_from_both_routes(near_copy(1e-8), 3):
+            assert engine._lag_inverse is False
+            assert scan.rank_error is None
+            assert_same_scan(scan, sliced)
+        errors = []
+        for engine, scan, sliced in families_from_both_routes(near_copy(1e-10), 3):
+            assert_same_scan(scan, sliced)
+            errors.append(str(scan.rank_error))
+        # every family with both x and y breaks at x.lag2 or y.lag1
+        assert sum("depends on the columns before it" in e for e in errors) == 6
+
+    @pytest.mark.parametrize("method", ["mdl", "ftest"])
+    def test_one_inverse_and_no_slice_qr_per_engine(self, method, monkeypatch):
+        nv, p_max = 12, 10
+        fitted, inverted = [], []
+        fit, dtrtri = LagEngine._fit, scipy.linalg.lapack.dtrtri
+
+        def counted_fit(self, target, columns, sizes):
+            fitted.append(len({v for v, _ in columns}))
+            return fit(self, target, columns, sizes)
+
+        def counted_dtrtri(r, *args, **kwargs):
+            inverted.append(r.shape)
+            return dtrtri(r, *args, **kwargs)
+
+        monkeypatch.setattr(LagEngine, "_fit", counted_fit)
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", counted_dtrtri)
+        infer_network(TestLagEngine().panel(300, nv, 5), method, p_max=p_max)
+        # only own and pairwise families take a slice QR; the F path has none
+        assert max(fitted, default=0) <= 2 and (method == "mdl") == bool(fitted)
+        assert inverted.count((nv * p_max, nv * p_max)) == 1
+        assert all(shape[0] <= 2 * p_max for shape in inverted if shape != (nv * p_max,) * 2)
 
 
 def near_copy(noise):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from granger_mdl.bench import NetworkSpec, builtin_3node, simulate
-from granger_mdl.errors import NumericalError, RankDeficiencyError, ValidationError
+from granger_mdl.errors import NumericalError, ValidationError
 from granger_mdl.regression import (
     LagSpec,
     ResidualCovariance,
@@ -108,8 +108,11 @@ class TestFitBivariateVar:
         rng = np.random.default_rng(4)
         values = rng.standard_normal((100, 3))
         values[:, 2] = values[:, 1]
-        with pytest.raises(RankDeficiencyError, match=r"v2\.lag1"):
-            fit_bivariate_var(TimeSeriesMatrix(values), "v1", "v2", order=2)
+        ts = TimeSeriesMatrix(values)
+        with pytest.raises(ValidationError, match="variables v1 and v2 are identical"):
+            fit_bivariate_var(ts, "v1", "v2", order=2)
+        with pytest.raises(ValidationError, match="variables v1 and v2 are identical"):
+            select_var_order(ts, "v1", "v2", 4)
 
     def test_nonstationary_fit_warns(self):
         rng = np.random.default_rng(2)

@@ -491,25 +491,31 @@ class TestScoredOnce:
         monkeypatch.setattr(selection, "gaussian_loglik", counted("loglik", selection.gaussian_loglik))
         return calls
 
+    # The full and drop-one families of a certified engine enter the memo
+    # from its one inverse, not through _scan, so scored families are
+    # counted in the memo: one code-length curve each, stored with it.
+
     def test_mdl_scores_each_visited_family_once(self, calls):
         ts = demean(simulate(builtin_5node(), 11))
         engines = {}
         first = _infer_network(ts, MethodConfig("mdl"), engines)
-        assert calls["scan"] > 20  # pairwise and conditional families
-        assert calls["code_length"] == calls["scan"]
+        memo = engines[10]._memo
+        scored = sum(bool(scan.curves) for scan in memo.values())
+        assert scored > 20  # pairwise and conditional families
+        assert calls["code_length"] == scored
+        seen, families = dict(calls), len(memo)
         again = _infer_network(ts, MethodConfig("mdl"), engines)
-        assert calls["code_length"] == calls["scan"]
-        assert calls["scan"] == len(engines[10]._memo)
+        assert calls == seen and len(memo) == families
         np.testing.assert_array_equal(again.weight, first.weight)
 
     def test_second_f_config_reads_stored_scans_and_curves(self, calls):
         ts = demean(simulate(builtin_5node(), 12))
         engines = {}
         _infer_network(ts, MethodConfig("ftest", alpha=0.05), engines)
-        seen = dict(calls)
-        assert seen["scan"] > 0 and seen["loglik"] > 0 and seen["code_length"] == 0
+        seen, families = dict(calls), len(engines[10]._memo)
+        assert families > 0 and seen["loglik"] > 0 and seen["code_length"] == 0
         shared = _infer_network(ts, MethodConfig("ftest", alpha=0.01), engines)
-        assert calls == seen
+        assert calls == seen and len(engines[10]._memo) == families
         fresh = _infer_network(ts, MethodConfig("ftest", alpha=0.01), {})
         np.testing.assert_array_equal(shared.adjacency, fresh.adjacency)
         np.testing.assert_array_equal(shared.weight, fresh.weight)

@@ -7,6 +7,7 @@ from granger_mdl.timeseries import (
     TimeSeriesMatrix,
     checked_value,
     demean,
+    distinct_columns,
     load_csv,
     save_csv,
     validate,
@@ -43,6 +44,27 @@ def test_load_csv_non_numeric_names_row_and_column(tmp_path):
     path.write_text("a,b\n1,2\nx,4\n")
     with pytest.raises(ValidationError, match="row 3, column 0"):
         load_csv(path)
+
+
+def test_load_csv_rejects_digit_group_underscores(tmp_path):
+    # Python's float() reads "1_0" as 10.0; a CSV cell is a plain decimal
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b\n1,2\n1_0,4\n")
+    with pytest.raises(ValidationError, match="non-numeric cell at row 3, column 0: '1_0'"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("header, cell, where", [
+    (True, "nan", "row 3, column b: 'nan'"),
+    (True, " -inf", "row 3, column b: '-inf'"),
+    (False, "NaN", "row 2, column v1: 'NaN'"),
+])
+def test_load_csv_non_finite_names_file_line_and_label(tmp_path, header, cell, where):
+    # file lines count from 1, as in the other load_csv messages
+    path = tmp_path / "bad.csv"
+    path.write_text(("a,b\n" if header else "") + f"1,2\n3,{cell}\n5,6\n")
+    with pytest.raises(ValidationError, match=f"non-finite cell at {where}"):
+        load_csv(path, has_header=header)
 
 
 def test_load_csv_ragged_rows(tmp_path):
@@ -180,6 +202,18 @@ def test_validate_does_not_modify_input():
     before = ts.values.copy()
     validate(ts)
     np.testing.assert_array_equal(ts.values, before)
+
+
+@pytest.mark.parametrize("columns, message", [
+    ({"a": [1.0, 2.0, 3.0], "b": [4.0, 4.0, 4.0]}, "variable b is constant"),
+    ({"a": [1.0, -0.0, 3.0], "b": [2.0, 5.0, 1.0], "c": [1.0, 0.0, 3.0]},
+     "variables a and c are identical"),
+])
+def test_distinct_columns_names_the_labels(columns, message):
+    ts = TimeSeriesMatrix(np.column_stack(list(columns.values())), list(columns))
+    with pytest.raises(ValidationError, match=message):
+        distinct_columns(ts)
+    distinct_columns(ts, [0])  # only the variables asked for are checked
 
 
 def test_simulated_node1_variance_matches_long_run_oracle():
