@@ -4,12 +4,14 @@ Builds the restricted/unrestricted autoregressions every causality test
 rests on. Every fit takes one route: an R-only QR of [X | y], one rank
 check on the 1-norm condition number of R's leading blocks, then R^-1.
 Every time-domain fit runs through a `LagEngine`: one QR of all lags of
-a series' variables. Two kinds of family, the full one (every variable)
-and the drop-one ones (every variable but one), come for every target
-at once from one inverse of that QR's lag block, when the engine
-certifies that this changes no rank decision. Every other family, and
-these two on an engine that does not certify, takes one small QR that
-yields the residual sums and coefficients of all its orders.
+a series' variables. When the engine certifies that this changes no
+rank decision, two kinds of family, the full one (every variable) and
+the drop-one ones (every variable but one), come for every target at
+once from one inverse of that QR's lag block, and the smaller families
+asked for together (each target's own history, its pairs) are fitted in
+one batch. On an engine that does not certify, every family takes one
+small QR that yields the residual sums and coefficients of all its
+orders.
 """
 
 from __future__ import annotations
@@ -290,17 +292,29 @@ def _fit_prefixes(factor: np.ndarray, sizes: np.ndarray, label):
             f"rank-deficient design: column {label(k)} depends on the columns before it "
             f"(1-norm condition number {condition:.3g} > {1 / RANK_TOL:g})", columns=[k])
         sizes = sizes[sizes <= k]
-    rss, coefficients = _prefix_fits(r_inv, factor[:width, width], factor[width:, width], sizes)
+    tail = factor[width:, width]
+    rss, coefficients = _prefix_fits(r_inv, factor[:width, width], tail @ tail, sizes)
     return sizes, rss, coefficients, rank_error
 
 
-def _prefix_fits(r_inv, qty, tail, sizes):
-    """rss and coefficients of the leading ``sizes`` columns, from R^-1 and Q'y split at R's width."""
+def _through_blocks(per_block):
+    """Sums over lag blocks 1..n, for every order n at once: one product with a triangle of ones."""
+    p = per_block.shape[0]
+    return (np.tril(np.ones((p, p))) @ per_block.reshape(p, -1)).reshape(per_block.shape)
+
+
+def _prefix_fits(r_inv, qty, tail_sq, sizes):
+    """rss and coefficients of the leading ``sizes`` columns from R^-1, Q'y over R, and ``tail_sq``.
+
+    ``tail_sq`` is the squared norm of the part of Q'y below R. Leading
+    axes stack independent fits, each summed in the same order as alone.
+    """
     ok = int(sizes[-1]) if sizes.size else 0
     # rss(k) = y'y - sum_{j<k} qty_j^2, summed from the far end so nothing
     # cancels: what the widest fit leaves, plus qty_j^2 for j >= k
-    rss = np.cumsum(np.append(qty ** 2, tail @ tail)[::-1])[::-1][sizes]
-    coefficients = np.cumsum(r_inv[:ok, :ok] * qty[:ok], axis=1)[:, sizes - 1]
+    squares = np.concatenate([qty ** 2, np.asarray(tail_sq)[..., None]], axis=-1)
+    rss = np.cumsum(squares[..., ::-1], axis=-1)[..., ::-1][..., sizes]
+    coefficients = np.cumsum(r_inv[..., :ok, :ok] * qty[..., None, :ok], axis=-1)[..., sizes - 1]
     return rss, coefficients
 
 
@@ -324,19 +338,21 @@ class LagEngine:
     x's n columns D, and with Sigma = R_k^-1 R_k^-T the Schur complement
     gives it: rss = rss_full + b_D' Sigma_DD^-1 b_D and coefficients
     b_keep - Sigma_keep,D Sigma_DD^-1 b_D. Sigma_DD does not depend on the
-    target, so every order, source and target is one batched solve.
+    target, so every order, source and target is one batched solve. The
+    families with fewer blocks (a target's own history, a pair) that are
+    asked for together are fitted in one batch per width.
 
-    This route runs only if the engine certifies it: m > V p (every order
-    fits the window), no zero pivot in R_L, and kappa_1(R_L) (V p)^2 <=
-    1 / RANK_TOL. A family's design at order n is a column subset of Z's
-    order-n prefix, so by column-deletion interlacing (Golub & Van Loan,
-    4th ed., section 8.6) its kappa_2 is at most the prefix's; kappa_1 and
-    kappa_2 differ by at most a factor of the column count, and leading
-    blocks of R_L have kappa_1 at most R_L's. So every column prefix of a
-    full or drop-one family passes :func:`_fit_prefixes`' rank policy, and
-    the route changes no rank decision. An engine that does not certify
-    (a short window, near-collinear columns) scans these families by the
-    slice QR like every other family.
+    These routes run only if the engine certifies them: m > V p (every
+    order fits the window), no zero pivot in R_L, and kappa_1(R_L) (V p)^2
+    <= 1 / RANK_TOL. A family's design at order n is a column subset of
+    Z's order-n prefix, so by column-deletion interlacing (Golub & Van
+    Loan, 4th ed., section 8.6) its kappa_2 is at most the prefix's;
+    kappa_1 and kappa_2 differ by at most a factor of the column count,
+    and leading blocks of R_L have kappa_1 at most R_L's. So every column
+    prefix of every family passes :func:`_fit_prefixes`' rank policy, and
+    these routes skip it without changing a rank decision. An engine that
+    does not certify (a short window, near-collinear columns) scans each
+    family by its own slice QR and rank check.
 
     ``variables`` (labels or indices; default all, ascending) fixes the
     engine's order. Blocks are always taken in that order, and each
@@ -345,10 +361,10 @@ class LagEngine:
     """
 
     def __init__(self, ts: TimeSeriesMatrix, p_max: int, start: int = None, variables=None):
+        p_max = checked_value(p_max, int, "p_max")
         if p_max < 1:
             raise ValidationError("p_max must be >= 1")
-        if start is None:
-            start = p_max
+        start = p_max if start is None else checked_value(start, int, "start")
         if start < p_max:
             raise ValidationError(f"start={start} is below p_max {p_max}")
         values = ts.values
@@ -365,8 +381,10 @@ class LagEngine:
         lags = _lagged(values, start, [(v, ell) for ell in range(1, p_max + 1) for v in self.variables])
         self._responses = values[start:]
         self._r = _qr_r(np.hstack([lags, self._responses[:, self.variables]]))
+        self._response_sq = {v: float(self._responses[:, v] @ self._responses[:, v]) for v in self.variables}
         self._memo = {}
         self._lag_inverse = None  # R_L^-1 once the engine certifies it, False if it does not
+        self._schur = None  # what the drop-one coefficients are formed from
 
     def scan(self, target, block_vars: Sequence, orders: int = None) -> NestedScan:
         """Orders 1..min(p_max, (m - 1) // b) of the family, as :func:`nested_scan`.
@@ -379,18 +397,43 @@ class LagEngine:
         blocks = sorted((self.ts.column(v) for v in block_vars), key=self._position.__getitem__)
         if not blocks or len(set(blocks)) != len(blocks):
             raise ValidationError(f"predictor blocks must be distinct and non-empty, got {blocks}")
-        orders = self.p_max if orders is None else orders
-        if self.m <= len(blocks) * orders:
-            raise ValidationError(
-                f"underdetermined scan: {self.m} rows ≤ {len(blocks) * orders} columns "
-                f"at order {orders}"
+        error = self._underdetermined(len(blocks), self.p_max if orders is None else orders)
+        if error is not None:
+            raise error
+        return self._families([(target, blocks)])[0]
+
+    def _underdetermined(self, width: int, orders: int):
+        """The ValidationError of a family of ``width`` blocks read up to ``orders``, or None if it fits."""
+        if self.m <= width * orders:
+            return ValidationError(
+                f"underdetermined scan: {self.m} rows ≤ {width * orders} columns at order {orders}"
             )
-        key = (target, tuple(blocks))
-        if key not in self._memo and len(blocks) + 1 >= len(self.variables):
-            self._from_inverse(drop_one=len(blocks) < len(self.variables))
-        if key not in self._memo:
-            self._memo[key] = self._scan(target, blocks)
-        return self._memo[key]
+        return None
+
+    def _families(self, families, coefficients: bool = True) -> List[NestedScan]:
+        """The scans of (target, blocks) ``families``, blocks distinct engine variables in any order.
+
+        Each family must fit at least its first order (m > b). Scans are
+        memoised; on a certified engine the missing ones come off R_L^-1
+        or, per width, from one batch of slice QRs (see the class docstring).
+        Without ``coefficients`` a drop-one family's may be None.
+        """
+        keys = [(target, tuple(sorted(blocks, key=self._position.__getitem__))) for target, blocks in families]
+        missing = [key for key in dict.fromkeys(keys) if key not in self._memo]
+        nv = len(self.variables)
+        if missing and self._certified():
+            if any(len(blocks) == nv - 1 for _, blocks in missing):
+                self._drop_one_families(self._lag_inverse)
+            for width in sorted({len(blocks) for _, blocks in missing if len(blocks) < nv - 1}):
+                self._stacked([key for key in missing if len(key[1]) == width])
+        for key in missing:
+            if key not in self._memo:
+                self._memo[key] = self._scan(*key)
+        if coefficients:
+            lacking = {key[1] for key in keys if self._memo[key].coefficients is None}
+            for blocks in lacking:
+                self._drop_one_coefficients(next(x for x, v in enumerate(self.variables) if v not in blocks))
+        return [self._memo[key] for key in keys]
 
     def residual_covariance(self) -> np.ndarray:
         """Residual covariance (divisor m) of the responses on every lag column.
@@ -412,25 +455,22 @@ class LagEngine:
         return self._nested(target, coefficients, kk, rss, rank_error)
 
     def _nested(self, target, coefficients, k, rss, rank_error=None) -> NestedScan:
-        y = self._responses[:, target]
-        return NestedScan(coefficients, k, rss, self.m, float(y @ y), rank_error, {})
+        return NestedScan(coefficients, k, rss, self.m, self._response_sq[target], rank_error, {})
 
-    def _from_inverse(self, drop_one: bool):
-        """Memoise the full families, and with ``drop_one`` the drop-one ones, off R_L^-1.
+    def _certified(self) -> bool:
+        """Whether the engine certifies its inverse and stacked routes (see the class docstring).
 
-        The first call certifies the engine (see the class docstring); an
-        engine that does not certify memoises nothing here.
+        The first call decides it and, if so, memoises every full family.
         """
-        width = len(self.variables) * self.p_max
         if self._lag_inverse is None:
+            width = len(self.variables) * self.p_max
             self._lag_inverse = False
             if self.m > width:
                 r_inv, kappa = _inverse(self._r[:width, :width])
                 if r_inv.shape[0] == width and kappa[-1] * width ** 2 * RANK_TOL <= 1.0:
                     self._lag_inverse = r_inv
                     self._full_families(r_inv)
-        if drop_one and self._lag_inverse is not False:
-            self._drop_one_families(self._lag_inverse)
+        return self._lag_inverse is not False
 
     def _full_families(self, r_inv):
         """Each target's full family: :func:`_prefix_fits` on the shared R_L^-1."""
@@ -439,19 +479,19 @@ class LagEngine:
         for pos, target in enumerate(self.variables):
             # contiguous, as in the slice QR's factor: the tail's dot sums in the same order
             qty = np.ascontiguousarray(self._r[:, width + pos])
-            rss, coefficients = _prefix_fits(r_inv, qty[:width], qty[width:], sizes)
+            rss, coefficients = _prefix_fits(r_inv, qty[:width], qty[width:] @ qty[width:], sizes)
             self._memo[target, tuple(self.variables)] = self._nested(target, coefficients, sizes, rss)
 
     def _drop_one_families(self, r_inv):
         """Every (target, all but x) family, from the full ones by the Schur complement.
 
         Order n's Sigma sums r r' over the columns r of R_L^-1 in lag blocks
-        1..n; each sum over blocks, for every n at once, is one product with
-        a triangle of ones. Sigma_DD of orders below p_max is padded to
-        p_max x p_max with an identity block against a zero right-hand side,
-        so one batched solve serves every order, source and target. The
-        columns Sigma_:,D are formed for one source at a time, so little
-        more than the output is held.
+        1..n (see :func:`_through_blocks`). Sigma_DD of orders below p_max
+        is padded to p_max x p_max with an identity block against a zero
+        right-hand side, so one batched solve serves every order, source
+        and target and gives every rss. The coefficients, which only
+        code-length scores and :meth:`scan` read, wait for
+        :meth:`_drop_one_coefficients`, one source at a time.
         """
         nv, p = len(self.variables), self.p_max
         width = nv * p
@@ -459,30 +499,58 @@ class LagEngine:
         b = np.stack([scan.coefficients for scan in full], axis=-1)  # (row, order, target)
         blocks = np.ascontiguousarray(r_inv.reshape(width, p, nv).transpose(1, 0, 2))  # (block, row, col)
         d = blocks.reshape(p, p, nv, nv).transpose(0, 2, 1, 3)  # (block, x, lag of x, col)
-        through = np.tril(np.ones((p, p)))  # order n sums blocks 1..n
-
-        def summed(per_block):
-            return (through @ per_block.reshape(p, -1)).reshape(per_block.shape)
-
         padding = np.eye(p) * (np.arange(p) > np.arange(p)[:, None])[:, None, :]
-        sigma_dd = summed(d @ d.transpose(0, 1, 3, 2)) + padding[:, None]  # (order, x, lag, lag)
+        sigma_dd = _through_blocks(d @ d.transpose(0, 1, 3, 2)) + padding[:, None]  # (order, x, lag, lag)
         b_d = b.reshape(p, nv, p, nv).transpose(2, 1, 0, 3)  # (order, x, lag, target)
         g = np.linalg.solve(sigma_dd, b_d)
         # the added rss is a quadratic form, nothing to cancel
         added = np.maximum(np.einsum("nxit,nxit->xtn", b_d, g), 0.0)
         rss = np.stack([scan.rss for scan in full])[None] + added  # (x, target, order)
-        b_rows = b.reshape(p, nv, p, nv)  # (lag, v, order, target)
+        self._schur = blocks, d, g, b.reshape(p, nv, p, nv)
         sizes = (nv - 1) * np.arange(1, p + 1)
         for x in range(nv):
-            keep = [v for v in range(nv) if v != x]
-            correction = summed(blocks @ d[:, x].transpose(0, 2, 1)) @ g[:, x]  # (order, row, target)
-            correction = correction.reshape(p, p, nv, nv)[:, :, keep].transpose(1, 2, 0, 3)
-            coefficients = b_rows[:, keep] - correction  # (lag, v != x, order, target)
-            family = tuple(self.variables[v] for v in keep)
+            family = tuple(v for v in self.variables if v != self.variables[x])
             for pos, target in enumerate(self.variables):
-                self._memo[target, family] = NestedScan(
-                    coefficients[..., pos].reshape(-1, p), sizes, rss[x, pos],
-                    self.m, full[pos].response_sq, None, {})
+                self._memo[target, family] = self._nested(target, None, sizes, rss[x, pos])
+
+    def _drop_one_coefficients(self, x: int):
+        """Fill in every (target, all but the variable at position x) family's coefficients.
+
+        b_keep - Sigma_keep,D Sigma_DD^-1 b_D, with the columns Sigma_:,D
+        formed for this one source, so little more than its output is held.
+        """
+        blocks, d, g, b_rows = self._schur  # b_rows: (lag, v, order, target)
+        nv, p = len(self.variables), self.p_max
+        keep = [v for v in range(nv) if v != x]
+        correction = _through_blocks(blocks @ d[:, x].transpose(0, 2, 1)) @ g[:, x]  # (order, row, target)
+        correction = correction.reshape(p, p, nv, nv)[:, :, keep].transpose(1, 2, 0, 3)
+        coefficients = (b_rows[:, keep] - correction).transpose(3, 0, 1, 2)  # (target, lag, v != x, order)
+        coefficients = np.ascontiguousarray(coefficients).reshape(nv, -1, p)
+        family = tuple(self.variables[v] for v in keep)
+        for pos, target in enumerate(self.variables):
+            scan = self._memo[target, family]
+            self._memo[target, family] = scan._replace(coefficients=coefficients[pos])
+
+    def _stacked(self, keys):
+        """Memoise families of one width together, as :meth:`_scan` on a certified engine.
+
+        Each family takes the same slice of R, QR and triangular inverse,
+        with no rank check to make; the prefix sums of all of them are one
+        batched pass. The QRs stay one LAPACK call per slice: numpy's
+        stacked ``qr`` is no faster on these sizes and would page in a
+        second LAPACK.
+        """
+        nv, p = len(self.variables), self.p_max
+        k = len(keys[0][1]) * p
+        position = np.array([[self._position[v] for v in (*blocks, target)] for target, blocks in keys])
+        lagged = np.arange(p)[:, None] * nv + position[:, None, :-1]  # (family, lag, block)
+        index = np.hstack([lagged.reshape(len(keys), k), nv * p + position[:, -1:]])
+        factors = np.stack([_qr_r(self._r[:, columns]) for columns in index])
+        r_inv = np.stack([scipy.linalg.lapack.dtrtri(factor[:k, :k])[0] for factor in factors])
+        sizes = len(keys[0][1]) * np.arange(1, p + 1)
+        rss, coefficients = _prefix_fits(r_inv, factors[:, :k, k], factors[:, k, k] ** 2, sizes)
+        for key, family_rss, family_coefficients in zip(keys, rss, coefficients):
+            self._memo[key] = self._nested(key[0], family_coefficients, sizes, family_rss)
 
     def _fit(self, target: int, columns, sizes: np.ndarray):
         """:func:`_fit_prefixes` on Z's (variable, lag - 1) ``columns``: the one slice-and-QR step."""

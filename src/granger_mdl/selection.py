@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, ValidationError
 from .regression import LagEngine, OlsFit
-from .timeseries import TimeSeriesMatrix
+from .timeseries import TimeSeriesMatrix, checked_value
 
 __all__ = [
     "CodeLength",
@@ -123,9 +123,17 @@ def code_length_from_stats(
     """
     coef = np.asarray(coefficients, dtype=float).reshape(-1, 1)
     curve = _code_length_curve(
-        coef, np.array([coef.shape[0]]), np.array([rss]), m, n_total, delta, scale_floor
+        coef, np.array([coef.shape[0]]), np.array([rss]), m, n_total, delta, _checked_floor(scale_floor)
     )
     return _at(curve, 0)
+
+
+def _checked_floor(scale_floor) -> float:
+    """A scale floor: a finite number >= 0."""
+    scale_floor = checked_value(scale_floor, float, "scale_floor")
+    if not (math.isfinite(scale_floor) and scale_floor >= 0.0):
+        raise ValidationError(f"scale_floor must be finite and >= 0, got {scale_floor}")
+    return scale_floor
 
 
 def _code_length_curve(coefficients, k, rss, m, n_total, delta, scale_floor, noiseless=0.0):
@@ -214,38 +222,68 @@ def _search_order(engine, families, criterion, delta=None, scale_floor=DEFAULT_S
     criterion = str(criterion).upper()
     if criterion not in CRITERIA:
         raise ValidationError(f"unknown criterion {criterion!r}; pick one of {CRITERIA}")
+    scale_floor = _checked_floor(scale_floor)
     summed, curves = 0.0, []
     for target, blocks in families:
         scan = engine.scan(target, blocks)
-        curves.append(_scored(scan, criterion, engine.ts.n_samples, delta, scale_floor))
+        curves.append(_scored([scan], criterion, engine.ts.n_samples, delta, scale_floor)[0])
         summed = summed + curves[-1][0]
     best = int(np.argmin(summed))
     lengths = [_at(curve, best) for curve in curves] if criterion == "MDL" else []
     return best + 1, float(summed[best]), lengths
 
 
-def _scored(scan, criterion, n_total, delta, scale_floor):
-    """The criterion's rows over a family's orders, kept in ``scan.curves``.
+def _scored(scans, criterion, n_total, delta, scale_floor):
+    """The criterion's rows over each family's orders, kept in its ``scan.curves``.
 
     One row for AIC and BIC, the :func:`_code_length_curve` rows for MDL,
-    keyed by (criterion, delta, scale_floor). A noiseless order raises
-    before a rank-broken one, and nothing that raises is kept.
+    keyed by (criterion, delta, scale_floor). The families not yet scored
+    are scored together, as one array over their orders. Under MDL a
+    noiseless order raises before a rank-broken family does (:func:`_fails`
+    says whether a family raises), and nothing is kept from a call that
+    raises.
     """
     key = (criterion, delta, scale_floor)
-    if key not in scan.curves:
+    todo = [scan for scan in scans if key not in scan.curves]
+    if todo:
+        rss = np.concatenate([scan.rss for scan in todo])
+        k = np.concatenate([scan.k for scan in todo])
         if criterion == "MDL":
+            # zero rows past a family's own coefficients are never priced
+            coefficients = np.zeros((max(scan.coefficients.shape[0] for scan in todo), rss.size))
+            noiseless = np.empty(rss.size)
+            column = 0
+            for scan in todo:
+                rows, orders = scan.coefficients.shape[0], scan.rss.size
+                coefficients[:rows, column:column + orders] = scan.coefficients
+                noiseless[column:column + orders] = _noiseless(scan)
+                column += orders
             curve = _code_length_curve(
-                scan.coefficients, scan.k, scan.rss, scan.m, n_total,
-                delta, scale_floor, noiseless=1e-12 * scan.response_sq,
+                coefficients, k, rss, todo[0].m, n_total, delta, scale_floor, noiseless=noiseless
             )
-        if scan.rank_error is not None:
-            raise scan.rank_error
+        for scan in todo:
+            if scan.rank_error is not None:
+                raise scan.rank_error
         if criterion != "MDL":
-            loglik = gaussian_loglik(scan.rss, scan.m)
-            values = aic(loglik, scan.k) if criterion == "AIC" else bic(loglik, scan.k, scan.m)
-            curve = values[None]
-        scan.curves[key] = curve
-    return scan.curves[key]
+            loglik = gaussian_loglik(rss, todo[0].m)
+            curve = (aic(loglik, k) if criterion == "AIC" else bic(loglik, k, todo[0].m))[None]
+        column = 0
+        for scan in todo:
+            scan.curves[key] = curve[:, column:column + scan.rss.size]
+            column += scan.rss.size
+    return [scan.curves[key] for scan in scans]
+
+
+def _noiseless(scan) -> float:
+    """The rss at or below which a family's order leaves no Gaussian code length."""
+    return 1e-12 * scan.response_sq
+
+
+def _fails(scan, criterion) -> bool:
+    """Whether :func:`_scored` raises for ``scan``: a rank-broken order, or under MDL a noiseless one."""
+    return scan.rank_error is not None or (
+        criterion == "MDL" and bool((scan.rss <= _noiseless(scan)).any())
+    )
 
 
 def select_order(

@@ -26,7 +26,7 @@ from scipy.special import betainc
 
 from .errors import ValidationError
 from .regression import LagEngine
-from .selection import CRITERIA, CodeLength, _search_order
+from .selection import CRITERIA, DEFAULT_SCALE_FLOOR, CodeLength, _fails, _scored, _search_order
 from .timeseries import TimeSeriesMatrix, checked_value, distinct_columns
 
 __all__ = [
@@ -75,9 +75,7 @@ class MethodConfig:
             raise ValidationError(
                 f"unknown method {self.method!r}; use one of {sorted(_METHOD_ALIASES)} (any case)"
             )
-        alpha = checked_value(self.alpha, float, "alpha")
-        if not 0.0 < alpha < 1.0:
-            raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+        alpha = _checked_alpha(self.alpha)
         p_max = checked_value(self.p_max, int, "p_max")
         if p_max < 1:
             raise ValidationError(f"p_max must be >= 1, got {p_max}")
@@ -228,11 +226,26 @@ class CausalGraph:
         )
 
 
+def _checked_alpha(alpha) -> float:
+    """A significance level: a number strictly between 0 and 1."""
+    alpha = checked_value(alpha, float, "alpha")
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    return alpha
+
+
 def f_cdf(x: float, d1: int, d2: int) -> float:
-    """Cumulative F distribution via the regularized incomplete beta."""
-    if d1 < 1 or d2 < 1:
-        raise ValidationError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
-    if x < 0:
+    """Cumulative F distribution via the regularized incomplete beta.
+
+    ``x`` is a nonnegative number (+inf gives 1.0), ``d1`` and ``d2``
+    finite numbers >= 1; anything else is a ValidationError naming it.
+    """
+    x = checked_value(x, float, "x")
+    for name, dof in (("d1", d1), ("d2", d2)):
+        dof = checked_value(dof, float, name)
+        if not (math.isfinite(dof) and dof >= 1):
+            raise ValidationError(f"degrees of freedom must be finite and >= 1, got {name} = {dof}")
+    if not x >= 0:
         raise ValidationError(f"x must be nonnegative, got {x}")
     if x == 0.0:
         return 0.0
@@ -256,18 +269,26 @@ def _f_dof(m: int, k: int) -> int:
     return d2
 
 
-def _f_comparison(rss_r, rss_u, q, d2, alpha):
-    if rss_u > rss_r:
-        # nested fits on one window can differ only by rounding
-        rss_u = rss_r
-    if rss_r == rss_u:
-        f_value, p_value = 0.0, 1.0
-    elif rss_u == 0.0:
-        f_value, p_value = math.inf, 0.0
-    else:
+def _f_values(rss_r, rss_u, q, d2):
+    """F of the extra sum of squares on (q, d2) degrees of freedom and its p-value, elementwise.
+
+    Nested fits on one window can differ only by rounding, so rss_u is
+    clamped to rss_r. Equal rss give F = 0 and p = 1; otherwise a
+    vanishing rss_u gives F = inf and p = 0. Returns (F, p, clamped rss_u).
+    """
+    rss_u = np.minimum(rss_u, rss_r)
+    equal, exact = rss_r == rss_u, rss_u == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
         f_value = ((rss_r - rss_u) / q) / (rss_u / d2)
         # the upper tail itself: 1 - f_cdf cancels to 0.0 for small p
         p_value = betainc(d2 / 2.0, q / 2.0, d2 / (d2 + q * f_value))
+    f_value = np.where(equal, 0.0, np.where(exact, np.inf, f_value))
+    p_value = np.where(equal, 1.0, np.where(exact, 0.0, p_value))
+    return f_value, p_value, rss_u
+
+
+def _f_comparison(rss_r, rss_u, q, d2, alpha):
+    f_value, p_value, rss_u = _f_values(rss_r, rss_u, q, d2)
     return FTestResult(
         f_value=float(f_value),
         dof=(q, d2),
@@ -325,6 +346,8 @@ def conditional_f_test_gc(
     the unrestricted ones, so one QR off a :class:`LagEngine` gives both.
     """
     xi, yi, zi = _resolve(ts, x, y, z_set)
+    p, q, r = (checked_value(value, int, name) for name, value in (("p", p), ("q", q), ("r", r)))
+    alpha = _checked_alpha(alpha)
     if p < 1 or q < 1:
         raise ValidationError(f"orders p, q must be >= 1, got p={p}, q={q}")
     if zi and r < 1:
@@ -391,11 +414,6 @@ def conditional_mdl_gc(
     """
     xi, yi, zi = _resolve(ts, x, y, z_set)
     engine = LagEngine(ts, p_max, variables=[xi, yi, *zi])
-    return _conditional_mdl(engine, xi, yi, zi, delta, scale_floor)
-
-
-def _conditional_mdl(engine, xi, yi, zi, delta=None, scale_floor=1.0) -> MdlCausality:
-    """:func:`conditional_mdl_gc` on resolved variables, from ``engine``'s scans."""
     restricted = _best_code_length(engine, xi, [xi] + zi, delta, scale_floor)
     unrestricted = _best_code_length(engine, xi, [xi, yi] + zi, delta, scale_floor)
     f_nats = restricted.total - unrestricted.total
@@ -438,31 +456,118 @@ def joint_mdl_gc(
     )
 
 
-def _f_edge(engine, target, source, rest, alpha, order_criterion):
-    """Conventional edge decision: conditional F-test at a searched order.
+def _scores(engine, families, criterion):
+    """Each (target, blocks) family of ``engine`` and its criterion row over the orders, stacked.
 
-    The restricted rss is the searched family's at order n, the
-    unrestricted one the target's all-variable family's (only its orders
-    up to n need to fit the window); as :func:`conditional_f_test_gc` with
-    p = q = r = n on the engine's window.
+    Returns (items, failed, rows). A family that the per-family search
+    raises on (a scan that would interpolate, a rank-broken order, under
+    MDL a noiseless one) has ``failed`` set and NaN rows, and its item is
+    the scan's ValidationError or the scan; :func:`_raise_for` raises what
+    the search raises. The others are scored together.
     """
-    n = _search_order(engine, [(target, [target] + rest)], order_criterion)[0]
-    restricted = engine.scan(target, [target] + rest)
-    unrestricted = engine.scan(target, [target, source] + rest, orders=n)
-    if unrestricted.rss.size < n:
-        raise unrestricted.rank_error
-    d2 = _f_dof(engine.m, (len(rest) + 2) * n)
-    result = _f_comparison(restricted.rss[n - 1], unrestricted.rss[n - 1], n, d2, alpha)
-    return result.significant, result.f_value
+    items = [engine._underdetermined(len(blocks), engine.p_max) for _, blocks in families]
+    fitting = [family for family, error in zip(families, items) if error is None]
+    scans = iter(engine._families(fitting, coefficients=criterion == "MDL"))
+    items = [next(scans) if error is None else error for error in items]
+    failed = np.array([isinstance(item, Exception) or _fails(item, criterion) for item in items])
+    rows = np.full((len(items), engine.p_max), np.nan)
+    scored = [item for item, bad in zip(items, failed) if not bad]
+    if scored:
+        curves = _scored(scored, criterion, engine.ts.n_samples, None, DEFAULT_SCALE_FLOOR)
+        rows[~failed] = np.concatenate(curves, axis=1)[0].reshape(len(scored), -1)
+    return items, failed, rows
 
 
-def _mdl_edge(engine, target, source, rest):
-    """Code-length edge decision: pairwise gate, then conditional check."""
-    pairwise = _conditional_mdl(engine, target, source, [])
-    if not pairwise.causal or not rest:
-        return pairwise.causal, pairwise.f_nats
-    conditional = _conditional_mdl(engine, target, source, rest)
-    return conditional.causal, conditional.f_nats
+def _raise_for(item, criterion, n_total):
+    """Raise what searching the failed family ``item`` of :func:`_scores` raises."""
+    if isinstance(item, Exception):
+        raise item
+    _scored([item], criterion, n_total, None, DEFAULT_SCALE_FLOOR)
+
+
+def _mdl_edges(engine):
+    """Code-length decisions and weights of every edge, as [source, target] arrays.
+
+    For each target, the pairwise saving L(own) - L(own + source) gates
+    every edge into it; where it is positive and other variables remain,
+    the conditional saving L(all but source) - L(all) decides the edge and
+    is its weight. The own families are fitted and scored together, then
+    each target's pairwise ones, then its conditional ones where the gate
+    passes.
+    """
+    nv, n_total = len(engine.variables), engine.ts.n_samples
+    own_items, own_failed, own_rows = _scores(engine, [(t, [t]) for t in range(nv)], "MDL")
+    own_best = own_rows.min(axis=1)
+    keep, weight = np.zeros((nv, nv), dtype=bool), np.zeros((nv, nv))
+    for target in range(nv):
+        others = [j for j in range(nv) if j != target]
+        items, failed, rows = _scores(engine, [(target, [target, j]) for j in others], "MDL")
+        pairwise = own_best[target] - rows.min(axis=1)
+        gated = pairwise > 0 if nv > 2 else np.zeros(nv - 1, dtype=bool)
+        conditional = np.full(nv - 1, np.nan)
+        gate_items, gate_failed = [], []
+        if gated.any():
+            dropped = [(target, [v for v in range(nv) if v != j]) for j in np.compress(gated, others)]
+            gate_items, gate_failed, gate_rows = _scores(engine, dropped + [(target, range(nv))], "MDL")
+            gate_best = gate_rows.min(axis=1)
+            conditional[gated] = gate_best[:-1] - gate_best[-1]
+        if own_failed[target] or failed.any() or any(gate_failed):
+            # the first error of the per-edge traversal: own, pair, then
+            # where the gate passes all but the source, and all
+            drops = iter(zip(gate_items, gate_failed))
+            for index in range(nv - 1):
+                visited = [(own_items[target], own_failed[target]), (items[index], failed[index])]
+                if gated[index]:
+                    visited += [next(drops), (gate_items[-1], gate_failed[-1])]
+                for item, bad in visited:
+                    if bad:
+                        _raise_for(item, "MDL", n_total)
+        keep[others, target] = np.where(gated, conditional > 0, pairwise > 0)
+        weight[others, target] = np.where(gated, conditional, pairwise)
+    return keep, weight
+
+
+def _f_edges(engine, cfg):
+    """Conventional decisions and F values of every edge, as [source, target] arrays.
+
+    Each edge is the conditional F test at the order n that the order
+    criterion picks for the target's family without the source: its rss
+    at n against the full family's, on (n, m - V n - 1) degrees of
+    freedom, as :func:`conditional_f_test_gc` with p = q = r = n on the
+    engine's window. Only orders up to n of the full family need fit the
+    window.
+    """
+    nv, m = len(engine.variables), engine.m
+    targets, sources = np.nonzero(~np.eye(nv, dtype=bool))
+    items, failed, rows = _scores(
+        engine, [(i, [v for v in range(nv) if v != j]) for i, j in zip(targets, sources)],
+        cfg.order_criterion,
+    )
+    n = np.argmin(rows, axis=1) + 1
+    d2 = m - nv * n - 1
+    under = m <= nv * n
+    reached = ~failed & ~under
+    needed = sorted(set(targets[reached].tolist()))
+    full = dict(zip(needed, engine._families([(i, range(nv)) for i in needed])))
+    short = reached & np.array([i in full and full[i].rss.size < order for i, order in zip(targets, n)])
+    if not reached.all() or short.any() or (d2 < 1).any():
+        # the first error of the per-edge traversal: the order search, the
+        # full family's window and rank, then the degrees of freedom
+        for index, i in enumerate(targets):
+            if failed[index]:
+                _raise_for(items[index], cfg.order_criterion, engine.ts.n_samples)
+            if under[index]:
+                raise engine._underdetermined(nv, int(n[index]))
+            if short[index]:
+                raise full[i].rank_error
+            _f_dof(m, nv * int(n[index]))
+    rss_r = np.array([scan.rss[order - 1] for scan, order in zip(items, n)])
+    rss_u = np.array([full[i].rss[order - 1] for i, order in zip(targets, n)])
+    f_value, p_value, _ = _f_values(rss_r, rss_u, n, d2)
+    keep, weight = np.zeros((nv, nv), dtype=bool), np.zeros((nv, nv))
+    keep[sources, targets] = p_value < cfg.alpha
+    weight[sources, targets] = f_value
+    return keep, weight
 
 
 def infer_network(
@@ -483,9 +588,13 @@ def infer_network(
     at ``alpha``.
 
     All fits come from one :class:`LagEngine` over ``ts``: one
-    factorisation, and each model family scanned and scored once. A
-    constant column, or two identical ones, is a ValidationError naming
-    them, raised before any fit.
+    factorisation, and each model family scanned and scored once. On an
+    engine that certifies its inverse route, the own and pairwise
+    families are fitted in batches. Edges are decided as arrays; if any
+    family fails, the first error that a loop over the edges in that
+    ascending order would meet is raised. A constant column, or two
+    identical ones, is a ValidationError naming them, raised before any
+    fit.
     """
     return _infer_network(ts, MethodConfig(method, alpha, p_max, order_criterion), {})
 
@@ -503,23 +612,10 @@ def _infer_network(ts, cfg: MethodConfig, engines) -> CausalGraph:
         distinct_columns(ts)
         engines[cfg.p_max] = LagEngine(ts, cfg.p_max)
     engine = engines[cfg.p_max]
-    nv = ts.n_variables
-    adjacency = np.zeros((nv, nv), dtype=bool)
-    weight = np.zeros((nv, nv))
-    for i in range(nv):
-        for j in range(nv):
-            if i == j:
-                continue
-            rest = [k for k in range(nv) if k not in (i, j)]
-            if cfg.method == "mdl":
-                keep, evidence = _mdl_edge(engine, i, j, rest)
-            else:
-                keep, evidence = _f_edge(engine, i, j, rest, cfg.alpha, cfg.order_criterion)
-            adjacency[j, i] = keep
-            weight[j, i] = evidence
+    adjacency, weight = _mdl_edges(engine) if cfg.method == "mdl" else _f_edges(engine, cfg)
 
     return CausalGraph(
-        n_nodes=nv,
+        n_nodes=ts.n_variables,
         adjacency=adjacency,
         weight=weight,
         method=cfg.tag,

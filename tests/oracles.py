@@ -180,3 +180,25 @@ def simulate_by_loop(spec, seed):
                 )
             values[t, node] = acc
     return values[spec.burn_in:]
+
+
+def lagged_rss_longdouble(values, target, variables, order, start):
+    """rss of ``target`` on lags 1..order of ``variables``, rows start.., in np.longdouble.
+
+    A Householder QR of [X | y] carried out in extended precision (where
+    np.longdouble is wider than a double), column by column with plain
+    array arithmetic: no LAPACK, and no shared code with the package.
+    """
+    data = np.asarray(values, dtype=np.longdouble)
+    n = data.shape[0]
+    columns = [data[start - lag:n - lag, v] for lag in range(1, order + 1) for v in variables]
+    a = np.column_stack(columns + [data[start:, target]])
+    k = len(columns)
+    for j in range(k):
+        x = a[j:, j].copy()
+        norm = np.sqrt((x * x).sum())
+        x[0] += norm if x[0] >= 0 else -norm
+        scale = (x * x).sum()
+        a[j:, j:] -= np.outer(x, 2 * (x @ a[j:, j:]) / scale)
+    tail = a[k:, k]
+    return (tail * tail).sum()

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from granger_mdl.regression import (
     stability_check,
 )
 from granger_mdl.spectral import fit_bivariate_var
-from granger_mdl.timedomain import conditional_f_test_gc, f_test_gc, infer_network
+from granger_mdl.timedomain import _f_values, conditional_f_test_gc, f_test_gc, infer_network
 from granger_mdl.timeseries import TimeSeriesMatrix, demean
 
-from oracles import normal_equations_fit
+from oracles import lagged_rss_longdouble, normal_equations_fit
 
 
 def series(*cols, labels=None):
@@ -425,6 +426,16 @@ class TestInverseRoute:
             if len(scan.k) and scan.k[0] == 12:
                 assert_same_scan(scan, sliced)
 
+    def test_batched_families_are_bit_identical(self):
+        # a target's own and pairwise families are fitted in one batch per width
+        panel = TestLagEngine().panel(300, 12, 5)
+        engine, sliced = LagEngine(panel, 10), LagEngine(panel, 10)
+        for target in range(12):
+            families = [[target]] + [sorted([target, j]) for j in range(12) if j != target]
+            for blocks, scan in zip(families, engine._families([(target, b) for b in families])):
+                assert_same_scan(scan, sliced._scan(target, blocks))
+        assert engine._lag_inverse is not False
+
     @pytest.mark.parametrize("n, orders", [(100, 7), (130, 9)])
     def test_short_panel_takes_the_slice_qr(self, n, orders):
         # 90 or 120 rows for 12 * 10 lag columns: the full family fits
@@ -465,10 +476,15 @@ class TestInverseRoute:
         monkeypatch.setattr(LagEngine, "_fit", counted_fit)
         monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", counted_dtrtri)
         infer_network(TestLagEngine().panel(300, nv, 5), method, p_max=p_max)
-        # only own and pairwise families take a slice QR; the F path has none
-        assert max(fitted, default=0) <= 2 and (method == "mdl") == bool(fitted)
+        # no family takes the rank-checked slice route; the MDL path fits
+        # the own and pairwise families in batches, the F path needs neither
+        assert fitted == []
         assert inverted.count((nv * p_max, nv * p_max)) == 1
         assert all(shape[0] <= 2 * p_max for shape in inverted if shape != (nv * p_max,) * 2)
+        expected = {(nv * p_max,) * 2: 1}
+        if method == "mdl":
+            expected.update({(p_max, p_max): nv, (2 * p_max, 2 * p_max): nv * (nv - 1)})
+        assert Counter(inverted) == expected
 
 
 def near_copy(noise):
@@ -540,3 +556,38 @@ class TestOneRoute:
         infer_network(ts, "mdl", p_max=6)
         infer_network(ts, "ftest", p_max=6)
         fit_bivariate_var(ts, 0, 1, order=3)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="np.longdouble is no wider than a double")
+def test_near_threshold_drop_one_against_longdouble():
+    # x's lags carry almost nothing about y beyond y's and w's: adding them
+    # at order 2 lowers the rss by about 1e-7 of it (F about 1e-5), where
+    # the drop-one rss minus the full one keeps about 7 significant digits
+    rng = np.random.default_rng(11)
+    n, p, start = 240, 2, 2
+    y, w, z = rng.standard_normal((3, n))
+    for t in range(2, n):
+        y[t] += 0.5 * y[t - 1] - 0.2 * y[t - 2] + 0.3 * w[t - 1]
+    lags = np.column_stack([np.roll(v, lag)[start:] for lag in (1, 2) for v in (y, w)])
+    e = y[start:] - lags @ np.linalg.lstsq(lags, y[start:], rcond=None)[0]
+    # x's two lag columns orthogonal to e, then a share of e in its lag 1
+    a = np.zeros((2, n))
+    a[0, start - 1:n - 1] = e
+    a[1, start - 2:n - 2] = e
+    x = z - a.T @ np.linalg.solve(a @ a.T, a @ z)
+    x += math.sqrt(1e-7) * np.linalg.norm(x[start - 1:n - 1]) * a[0] / np.linalg.norm(e)
+    values = np.column_stack([y, w, x])
+    engine = LagEngine(TimeSeriesMatrix(values, ["y", "w", "x"]), p)
+    dropped, full = engine.scan("y", ["y", "w"]), engine.scan("y", ["y", "w", "x"])
+    assert engine._lag_inverse is not False  # the Schur route
+    for order in (1, 2):
+        rss_r = lagged_rss_longdouble(values, 0, [0, 1], order, start)
+        rss_u = lagged_rss_longdouble(values, 0, [0, 1, 2], order, start)
+        assert abs(dropped.rss[order - 1] - rss_r) <= 1e-15 * rss_r
+        assert abs(full.rss[order - 1] - rss_u) <= 1e-15 * rss_u
+        d2 = engine.m - 3 * order - 1
+        f_value = _f_values(dropped.rss[order - 1], full.rss[order - 1], order, d2)[0]
+        f_exact = (rss_r - rss_u) / order / (rss_u / d2)
+        # rounding of 1e-16 of the rss, over a difference of 1e-7 of it
+        assert abs(f_value - f_exact) <= 1e-8 * f_exact
+    assert 3e-8 < (rss_r - rss_u) / rss_u < 3e-7

@@ -30,8 +30,9 @@ from granger_mdl.timedomain import (
     _infer_network,
 )
 from granger_mdl.regression import LagEngine
-from granger_mdl.selection import _search_order, select_order
-from granger_mdl.timeseries import TimeSeriesMatrix, demean
+from granger_mdl.cli import main
+from granger_mdl.selection import _search_order, code_length_from_stats, select_order
+from granger_mdl.timeseries import TimeSeriesMatrix, demean, save_csv
 
 from oracles import f_cdf_oracle
 
@@ -476,33 +477,36 @@ class TestSimilarity:
 class TestScoredOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counts of family scans, code-length curves and log-likelihood curves."""
-        calls = {"scan": 0, "code_length": 0, "loglik": 0}
+        """Counts of family scans, and of calls and orders scored by the curve functions."""
+        calls = {"scan": 0, "code_length": 0, "code_length_orders": 0, "loglik": 0, "loglik_orders": 0}
 
-        def counted(name, fn):
+        def counted(name, fn, rss_at):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if rss_at is not None:
+                    calls[name + "_orders"] += np.size(args[rss_at])
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(LagEngine, "_scan", counted("scan", LagEngine._scan))
+        monkeypatch.setattr(LagEngine, "_scan", counted("scan", LagEngine._scan, None))
         monkeypatch.setattr(selection, "_code_length_curve",
-                            counted("code_length", selection._code_length_curve))
-        monkeypatch.setattr(selection, "gaussian_loglik", counted("loglik", selection.gaussian_loglik))
+                            counted("code_length", selection._code_length_curve, 2))
+        monkeypatch.setattr(selection, "gaussian_loglik", counted("loglik", selection.gaussian_loglik, 0))
         return calls
 
-    # The full and drop-one families of a certified engine enter the memo
-    # from its one inverse, not through _scan, so scored families are
-    # counted in the memo: one code-length curve each, stored with it.
+    # A network's families are scored together, several to a curve call, so
+    # each is counted by its orders: every order of every scored family in
+    # the memo is scored once, and nothing is scored again.
 
     def test_mdl_scores_each_visited_family_once(self, calls):
         ts = demean(simulate(builtin_5node(), 11))
         engines = {}
         first = _infer_network(ts, MethodConfig("mdl"), engines)
         memo = engines[10]._memo
-        scored = sum(bool(scan.curves) for scan in memo.values())
-        assert scored > 20  # pairwise and conditional families
-        assert calls["code_length"] == scored
+        scored = [scan for scan in memo.values() if scan.curves]
+        assert len(scored) > 20  # pairwise and conditional families
+        assert calls["code_length_orders"] == sum(scan.rss.size for scan in scored)
+        assert calls["code_length"] < len(scored)
         seen, families = dict(calls), len(memo)
         again = _infer_network(ts, MethodConfig("mdl"), engines)
         assert calls == seen and len(memo) == families
@@ -512,10 +516,13 @@ class TestScoredOnce:
         ts = demean(simulate(builtin_5node(), 12))
         engines = {}
         _infer_network(ts, MethodConfig("ftest", alpha=0.05), engines)
-        seen, families = dict(calls), len(engines[10]._memo)
-        assert families > 0 and seen["loglik"] > 0 and seen["code_length"] == 0
+        memo = engines[10]._memo
+        seen, families = dict(calls), len(memo)
+        scored = [scan for scan in memo.values() if scan.curves]
+        assert len(scored) == 20 and seen["code_length"] == 0  # every (target, all but source)
+        assert seen["loglik_orders"] == sum(scan.rss.size for scan in scored)
         shared = _infer_network(ts, MethodConfig("ftest", alpha=0.01), engines)
-        assert calls == seen and len(engines[10]._memo) == families
+        assert calls == seen and len(memo) == families
         fresh = _infer_network(ts, MethodConfig("ftest", alpha=0.01), {})
         np.testing.assert_array_equal(shared.adjacency, fresh.adjacency)
         np.testing.assert_array_equal(shared.weight, fresh.weight)
@@ -539,3 +546,192 @@ class TestScoredOnce:
             with pytest.raises(DegenerateFitError):
                 _search_order(engine, [(0, [0])], "MDL")
         assert engine.scan(0, [0]).curves == {}
+
+
+class TestCheckedParameters:
+    """Public numeric parameters go through checked_value: a bad one names itself."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda ts: f_test_gc(ts, 0, 1, 2.5, 2), "p"),
+        (lambda ts: f_test_gc(ts, 0, 1, True, 2), "p"),
+        (lambda ts: f_test_gc(ts, 0, 1, 2, "2"), "q"),
+        (lambda ts: conditional_f_test_gc(ts, 0, 1, [2], 2, 2, 1.5), "r"),
+        (lambda ts: f_test_gc(ts, 0, 1, 2, 2, alpha=2.0), "alpha"),
+        (lambda ts: f_test_gc(ts, 0, 1, 2, 2, alpha=math.nan), "alpha"),
+        (lambda ts: f_test_gc(ts, 0, 1, 2, 2, alpha=True), "alpha"),
+        (lambda ts: f_test_gc(ts, 0, 1, 2, 2, start=3.5), "start"),
+        (lambda ts: mdl_gc(ts, 0, 1, p_max=2.5), "p_max"),
+        (lambda ts: select_order(ts, 0, [0], "AIC", p_max=2.5), "p_max"),
+        (lambda ts: LagEngine(ts, 2, start=3.5), "start"),
+        (lambda ts: LagEngine(ts, None), "p_max"),
+        (lambda ts: mdl_gc(ts, 0, 1, p_max=3, scale_floor=math.nan), "scale_floor"),
+        (lambda ts: mdl_gc(ts, 0, 1, p_max=3, scale_floor=-1), "scale_floor"),
+        (lambda ts: joint_mdl_gc(ts, 0, 1, 2, p_max=3, scale_floor=math.inf), "scale_floor"),
+        (lambda ts: code_length_from_stats([0.5], 1.0, 10, 20, scale_floor="1"), "scale_floor"),
+        (lambda ts: f_cdf(math.nan, 2, 3), "x"),
+        (lambda ts: f_cdf(1.0, True, 3), "d1"),
+        (lambda ts: f_cdf(1.0, 2, math.inf), "d2"),
+        (lambda ts: f_cdf(1.0, 2, math.nan), "d2"),
+    ])
+    def test_bad_value_names_the_parameter(self, call, name):
+        ts = TimeSeriesMatrix(np.random.default_rng(4).standard_normal((80, 3)), ["x", "y", "z"])
+        with pytest.raises(ValidationError, match=rf"\b{name}\b"):
+            call(ts)
+
+    def test_whole_floats_and_infinite_x_still_read(self):
+        ts = white_pair(3)
+        assert select_order(ts, 0, [0], "AIC", p_max=2.0) == select_order(ts, 0, [0], "AIC", p_max=2)
+        assert f_cdf(math.inf, 2, 3) == 1.0
+        # F(2, d2) at 1 tends to 1 - e^-1 as d2 grows
+        assert f_cdf(1.0, 2, 1e12) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-9)
+
+
+def edge_by_edge(ts, method, p_max, alpha=0.05):
+    """The graph of the per-edge public route, or the class of the first error it raises."""
+    nv = ts.n_variables
+    adjacency, weight, scale = np.zeros((3, nv, nv))
+    try:
+        for i in range(nv):
+            for j in range(nv):
+                if i == j:
+                    continue
+                rest = [k for k in range(nv) if k not in (i, j)]
+                if method == "mdl":
+                    result = mdl_gc(ts, i, j, p_max)
+                    if result.causal and rest:
+                        result = conditional_mdl_gc(ts, i, j, rest, p_max)
+                    adjacency[j, i], weight[j, i] = result.causal, result.f_nats
+                    # the two code lengths the weight is the difference of
+                    scale[j, i] = abs(result.restricted_len.total) + abs(result.unrestricted_len.total)
+                else:
+                    n = select_order(ts, i, [i] + rest, "AIC", p_max).order
+                    result = conditional_f_test_gc(ts, i, j, rest, n, n, n, alpha, start=p_max)
+                    adjacency[j, i], weight[j, i] = result.significant, result.f_value
+                    # a relative change e in both rss moves F by about e times this
+                    scale[j, i] = result.f_value + result.dof[1] / n
+    except (ValidationError, RankDeficiencyError, DegenerateFitError) as exc:
+        return type(exc)
+    return adjacency.astype(bool), weight, scale
+
+
+class TestArrayDecision:
+    """The array decision of infer_network against the per-edge public functions."""
+
+    @pytest.mark.parametrize("method", ["mdl", "ftest"])
+    @pytest.mark.parametrize("kind", ["certified", "short", "near-collinear"])
+    @settings(max_examples=15)
+    @given(nv=st.integers(2, 8), p_max=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_per_edge_route(self, kind, method, nv, p_max, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "near-collinear":
+            # the copy's lag 1 is the original's lag 2; V p >= 9 keeps the
+            # engine from certifying a kappa_1 of about 1e8
+            nv, p_max = max(nv, 3), max(p_max, 3)
+        # a short window has no more rows than lag columns: m <= V p
+        m = int(rng.integers((nv - 1) * p_max + 1, nv * p_max + 1)) if kind == "short" \
+            else nv * p_max + int(rng.integers(20, 150))
+        values = rng.standard_normal((m + p_max, nv))
+        # white noise on a short window, so that some of its graphs need no
+        # family that would interpolate
+        links, strength = rng.permutation(nv), 0.0 if kind == "short" else 0.45
+        for t in range(1, m + p_max):
+            values[t] += strength * values[t - 1, links]
+        if kind == "near-collinear":
+            # every family passes the rank rule, but the copy as a target
+            # leaves no code length (DegenerateFitError under MDL)
+            values[:, -1] = np.roll(values[:, 0], 1) + 1e-8 * rng.standard_normal(m + p_max)
+        ts = demean(TimeSeriesMatrix(values))
+        assert LagEngine(ts, p_max)._certified() == (kind == "certified")
+        expected = edge_by_edge(ts, method, p_max)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                infer_network(ts, method, p_max=p_max)
+            return
+        adjacency, weight, scale = expected
+        graph = infer_network(ts, method, p_max=p_max)
+        np.testing.assert_array_equal(graph.adjacency, adjacency)
+        if kind != "near-collinear":
+            np.testing.assert_allclose(graph.weight, weight, rtol=1e-12, atol=0)
+            return
+        # the two routes order their columns differently, and near-collinear
+        # columns magnify the rounding of either by kappa_1, about 1e8, in the
+        # quantities a weight is the difference of; the copy as a target is
+        # all but noiseless, so its F values are rounding noise
+        scale[:, -1] = np.inf
+        assert (np.abs(graph.weight - weight) <= 1e-8 * scale).all()
+
+
+def replay_panel(name):
+    """Panels whose errors arise inside model families, as (series, description)."""
+    rng = np.random.default_rng(7)
+    x, z = rng.standard_normal((2, 120))
+    if name == "lagged copy":  # y is x one step back, so x.lag2 repeats y.lag1
+        return TimeSeriesMatrix(np.column_stack([x, np.roll(x, 1), z]), ["x", "y", "z"])
+    w, z, u = rng.standard_normal((3, 150))
+    t = np.zeros(150)
+    if name == "noiseless target":  # t is exactly 0.6 w - 0.3 z at lag 1
+        t[1:] = 0.6 * w[:-1] - 0.3 * z[:-1]
+        return TimeSeriesMatrix(np.column_stack([w, z, t]), ["w", "z", "t"])
+    if name == "noiseless target of four":
+        t[1:] = 0.6 * w[:-1] - 0.3 * z[:-1]
+        return TimeSeriesMatrix(np.column_stack([w, z, u, t]), ["w", "z", "u", "t"])
+    t[1:] = 0.7 * w[:-1]  # "noiseless single source": t.lag1 repeats w.lag2
+    return TimeSeriesMatrix(np.column_stack([w, z, t]), ["w", "z", "t"])
+
+
+RANK = r"rank-deficient design: column {} depends on the columns before it " \
+       r"\(1-norm condition number [0-9.]+e\+[0-9]+ > 1e\+10\)"
+NOISELESS = r"degenerate noiseless fit: residual variance vanishes, the Gaussian code length is undefined"
+
+
+class TestErrorReplay:
+    """The first error of the per-edge traversal, as the loop over edges raised it.
+
+    The outcomes were recorded from the per-edge loop that the array
+    decision replaced: class, message (the condition number's digits
+    aside) and the exit code of ``analyze``.
+    """
+
+    @pytest.mark.parametrize("p_max", [3, 10])
+    @pytest.mark.parametrize("name, method, error, message", [
+        ("lagged copy", "mdl", RankDeficiencyError, RANK.format(r"x\.lag2")),
+        ("lagged copy", "ftest", RankDeficiencyError, RANK.format(r"x\.lag2")),
+        ("noiseless target", "mdl", DegenerateFitError, NOISELESS),
+        ("noiseless target of four", "mdl", DegenerateFitError, NOISELESS),
+        ("noiseless target of four", "ftest", RankDeficiencyError, RANK.format(r"z\.lag2")),
+        ("noiseless single source", "mdl", RankDeficiencyError, RANK.format(r"w\.lag2")),
+        ("noiseless single source", "ftest", RankDeficiencyError, RANK.format(r"w\.lag2")),
+    ])
+    def test_infer_network_and_analyze_raise_the_first_error(
+            self, name, method, error, message, p_max, tmp_path, capsys):
+        ts = replay_panel(name)
+        with pytest.raises(error) as info:
+            infer_network(ts, method, p_max=p_max)
+        assert re.fullmatch(message, str(info.value))
+        path = tmp_path / "panel.csv"
+        save_csv(ts, path)
+        capsys.readouterr()
+        code = main(["analyze", str(path), "--method", method, "--p-max", str(p_max), "--no-demean"])
+        assert code == 3
+        assert capsys.readouterr().err == f"numerical error: {info.value}\n"
+
+    def test_noiseless_target_passes_the_f_test(self):
+        # the F path meets no noiseless code length: both sources are kept
+        graph = infer_network(replay_panel("noiseless target"), "ftest", p_max=10)
+        assert graph.edges() == [(0, 2), (1, 2)]
+
+    @pytest.mark.parametrize("nv, n, method, message", [
+        (12, 125, "mdl", "underdetermined scan: 115 rows ≤ 120 columns at order 10"),
+        (4, 40, "ftest", "underdetermined scan: 30 rows ≤ 30 columns at order 10"),
+        (6, 70, "ftest", "underdetermined scan: 60 rows ≤ 60 columns at order 10"),
+        (3, 38, "ftest", "not enough samples: denominator degrees of freedom 0 < 1"),
+        (2, 21, "mdl", "underdetermined scan: 11 rows ≤ 20 columns at order 10"),
+        # the own family fails before the pairwise one
+        (3, 18, "mdl", "underdetermined scan: 8 rows ≤ 10 columns at order 10"),
+        (3, 18, "ftest", "underdetermined scan: 8 rows ≤ 20 columns at order 10"),
+    ])
+    def test_short_window_messages(self, nv, n, method, message):
+        ts = TimeSeriesMatrix(np.random.default_rng(2).standard_normal((n, nv)))
+        with pytest.raises(ValidationError) as info:
+            infer_network(ts, method, p_max=10)
+        assert str(info.value) == message
