@@ -246,6 +246,8 @@ class OrderScanEntry:
 # Orders 1..n of one family as arrays over the order axis; see nested_scan.
 # ``curves`` holds the family's criterion rows once scored (selection fills
 # it), so an engine's memo entry keeps a family's scan and scores together.
+# ``coefficients`` is None only for a drop-one family asked for its residual
+# sums alone (see LagEngine._families).
 NestedScan = namedtuple("NestedScan", "coefficients k rss m response_sq rank_error curves")
 
 
@@ -384,7 +386,6 @@ class LagEngine:
         self._response_sq = {v: float(self._responses[:, v] @ self._responses[:, v]) for v in self.variables}
         self._memo = {}
         self._lag_inverse = None  # R_L^-1 once the engine certifies it, False if it does not
-        self._schur = None  # what the drop-one coefficients are formed from
 
     def scan(self, target, block_vars: Sequence, orders: int = None) -> NestedScan:
         """Orders 1..min(p_max, (m - 1) // b) of the family, as :func:`nested_scan`.
@@ -416,23 +417,21 @@ class LagEngine:
         Each family must fit at least its first order (m > b). Scans are
         memoised; on a certified engine the missing ones come off R_L^-1
         or, per width, from one batch of slice QRs (see the class docstring).
-        Without ``coefficients`` a drop-one family's may be None.
+        Without ``coefficients`` the drop-one families may come without
+        them (None), as residual sums only.
         """
         keys = [(target, tuple(sorted(blocks, key=self._position.__getitem__))) for target, blocks in families]
-        missing = [key for key in dict.fromkeys(keys) if key not in self._memo]
+        missing = [key for key in dict.fromkeys(keys)
+                   if key not in self._memo or coefficients and self._memo[key].coefficients is None]
         nv = len(self.variables)
         if missing and self._certified():
             if any(len(blocks) == nv - 1 for _, blocks in missing):
-                self._drop_one_families(self._lag_inverse)
+                self._drop_one_families(self._lag_inverse, coefficients)
             for width in sorted({len(blocks) for _, blocks in missing if len(blocks) < nv - 1}):
                 self._stacked([key for key in missing if len(key[1]) == width])
         for key in missing:
             if key not in self._memo:
                 self._memo[key] = self._scan(*key)
-        if coefficients:
-            lacking = {key[1] for key in keys if self._memo[key].coefficients is None}
-            for blocks in lacking:
-                self._drop_one_coefficients(next(x for x, v in enumerate(self.variables) if v not in blocks))
         return [self._memo[key] for key in keys]
 
     def residual_covariance(self) -> np.ndarray:
@@ -482,16 +481,18 @@ class LagEngine:
             rss, coefficients = _prefix_fits(r_inv, qty[:width], qty[width:] @ qty[width:], sizes)
             self._memo[target, tuple(self.variables)] = self._nested(target, coefficients, sizes, rss)
 
-    def _drop_one_families(self, r_inv):
+    def _drop_one_families(self, r_inv, coefficients: bool):
         """Every (target, all but x) family, from the full ones by the Schur complement.
 
         Order n's Sigma sums r r' over the columns r of R_L^-1 in lag blocks
         1..n (see :func:`_through_blocks`). Sigma_DD of orders below p_max
         is padded to p_max x p_max with an identity block against a zero
         right-hand side, so one batched solve serves every order, source
-        and target and gives every rss. The coefficients, which only
-        code-length scores and :meth:`scan` read, wait for
-        :meth:`_drop_one_coefficients`, one source at a time.
+        and target and gives every rss. Only with ``coefficients`` (which
+        code-length scores and :meth:`scan` read, and the F test does not)
+        are they formed, with the columns Sigma_:,D of one source at a
+        time, so little more than the output is held; a family already
+        memoised keeps its scores.
         """
         nv, p = len(self.variables), self.p_max
         width = nv * p
@@ -506,30 +507,22 @@ class LagEngine:
         # the added rss is a quadratic form, nothing to cancel
         added = np.maximum(np.einsum("nxit,nxit->xtn", b_d, g), 0.0)
         rss = np.stack([scan.rss for scan in full])[None] + added  # (x, target, order)
-        self._schur = blocks, d, g, b.reshape(p, nv, p, nv)
+        b_rows = b.reshape(p, nv, p, nv)  # (lag, v, order, target)
         sizes = (nv - 1) * np.arange(1, p + 1)
         for x in range(nv):
-            family = tuple(v for v in self.variables if v != self.variables[x])
+            keep = [v for v in range(nv) if v != x]
+            formed = [None] * nv
+            if coefficients:
+                correction = _through_blocks(blocks @ d[:, x].transpose(0, 2, 1)) @ g[:, x]  # (order, row, target)
+                correction = correction.reshape(p, p, nv, nv)[:, :, keep].transpose(1, 2, 0, 3)
+                formed = (b_rows[:, keep] - correction).transpose(3, 0, 1, 2)  # (target, lag, v != x, order)
+                formed = np.ascontiguousarray(formed).reshape(nv, -1, p)
+            family = tuple(self.variables[v] for v in keep)
             for pos, target in enumerate(self.variables):
-                self._memo[target, family] = self._nested(target, None, sizes, rss[x, pos])
-
-    def _drop_one_coefficients(self, x: int):
-        """Fill in every (target, all but the variable at position x) family's coefficients.
-
-        b_keep - Sigma_keep,D Sigma_DD^-1 b_D, with the columns Sigma_:,D
-        formed for this one source, so little more than its output is held.
-        """
-        blocks, d, g, b_rows = self._schur  # b_rows: (lag, v, order, target)
-        nv, p = len(self.variables), self.p_max
-        keep = [v for v in range(nv) if v != x]
-        correction = _through_blocks(blocks @ d[:, x].transpose(0, 2, 1)) @ g[:, x]  # (order, row, target)
-        correction = correction.reshape(p, p, nv, nv)[:, :, keep].transpose(1, 2, 0, 3)
-        coefficients = (b_rows[:, keep] - correction).transpose(3, 0, 1, 2)  # (target, lag, v != x, order)
-        coefficients = np.ascontiguousarray(coefficients).reshape(nv, -1, p)
-        family = tuple(self.variables[v] for v in keep)
-        for pos, target in enumerate(self.variables):
-            scan = self._memo[target, family]
-            self._memo[target, family] = scan._replace(coefficients=coefficients[pos])
+                known = self._memo.get((target, family))
+                self._memo[target, family] = NestedScan(
+                    formed[pos], sizes, rss[x, pos], self.m, self._response_sq[target], None,
+                    {} if known is None else known.curves)
 
     def _stacked(self, keys):
         """Memoise families of one width together, as :meth:`_scan` on a certified engine.

@@ -19,7 +19,14 @@ from granger_mdl.regression import (
     stability_check,
 )
 from granger_mdl.spectral import fit_bivariate_var
-from granger_mdl.timedomain import _f_values, conditional_f_test_gc, f_test_gc, infer_network
+from granger_mdl.timedomain import (
+    MethodConfig,
+    _f_values,
+    _infer_network,
+    conditional_f_test_gc,
+    f_test_gc,
+    infer_network,
+)
 from granger_mdl.timeseries import TimeSeriesMatrix, demean
 
 from oracles import lagged_rss_longdouble, normal_equations_fit
@@ -425,6 +432,26 @@ class TestInverseRoute:
         for engine, scan, sliced in families_from_both_routes(panel, 10):
             if len(scan.k) and scan.k[0] == 12:
                 assert_same_scan(scan, sliced)
+
+    def test_drop_one_coefficients_only_when_read(self):
+        # the F test reads the drop-one rss alone; a code-length score on the
+        # same engines then forms the coefficients and keeps the F scores
+        panel = demean(simulate(builtin_5node(), 4))
+        engines = {}
+        _infer_network(panel, MethodConfig("ftest", p_max=5), engines)
+        memo = engines[5]._memo
+        dropped = [key for key in memo if len(key[1]) == 4]
+        assert len(dropped) == 25 and all(memo[key].coefficients is None for key in dropped)
+        f_scores = {key: memo[key].curves for key in dropped}
+        graph = _infer_network(panel, MethodConfig("mdl", p_max=5), engines)
+        assert all(memo[key].curves is f_scores[key] for key in dropped)
+        assert all(memo[key].coefficients.shape == (20, 5) for key in dropped)
+        fresh = infer_network(panel, "mdl", p_max=5)
+        np.testing.assert_array_equal(graph.weight, fresh.weight)
+        sliced = LagEngine(panel, 5)
+        for target, blocks in dropped:
+            np.testing.assert_allclose(memo[target, blocks].coefficients,
+                                       sliced._scan(target, list(blocks)).coefficients, rtol=0, atol=1e-12)
 
     def test_batched_families_are_bit_identical(self):
         # a target's own and pairwise families are fitted in one batch per width

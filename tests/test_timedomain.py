@@ -26,7 +26,9 @@ from granger_mdl.timedomain import (
     mdl_gc,
     similarity,
     MethodConfig,
+    _best_code_length,
     _f_comparison,
+    _f_dof,
     _infer_network,
 )
 from granger_mdl.regression import LagEngine
@@ -614,6 +616,43 @@ def edge_by_edge(ts, method, p_max, alpha=0.05):
     return adjacency.astype(bool), weight, scale
 
 
+def one_engine_loop(ts, method, p_max, alpha=0.05):
+    """The per-edge loop that the array decision replaced, on one ``LagEngine(ts, p_max)``.
+
+    Its families are the engine's, with the columns in the same order as
+    infer_network's. Returns the graph, or the (class, message) of the
+    first error it raises.
+    """
+    engine, nv = LagEngine(ts, p_max), ts.n_variables
+    adjacency, weight = np.zeros((2, nv, nv))
+    try:
+        for i in range(nv):
+            for j in range(nv):
+                if i == j:
+                    continue
+                rest = [k for k in range(nv) if k not in (i, j)]
+                if method == "mdl":
+                    # the pairwise saving, then where it is positive the conditional one
+                    for given_ in ([], rest):
+                        saving = (_best_code_length(engine, i, [i, *given_], None, 1.0).total
+                                  - _best_code_length(engine, i, [i, j, *given_], None, 1.0).total)
+                        if saving <= 0.0 or not rest:
+                            break
+                    adjacency[j, i], weight[j, i] = saving > 0.0, saving
+                else:
+                    n = _search_order(engine, [(i, [i] + rest)], "AIC")[0]
+                    restricted = engine.scan(i, [i] + rest)
+                    unrestricted = engine.scan(i, [i, j] + rest, orders=n)
+                    if unrestricted.rss.size < n:
+                        raise unrestricted.rank_error
+                    result = _f_comparison(restricted.rss[n - 1], unrestricted.rss[n - 1], n,
+                                           _f_dof(engine.m, nv * n), alpha)
+                    adjacency[j, i], weight[j, i] = result.significant, result.f_value
+    except (ValidationError, RankDeficiencyError, DegenerateFitError) as exc:
+        return type(exc), str(exc)
+    return adjacency.astype(bool), weight
+
+
 class TestArrayDecision:
     """The array decision of infer_network against the per-edge public functions."""
 
@@ -642,23 +681,25 @@ class TestArrayDecision:
             values[:, -1] = np.roll(values[:, 0], 1) + 1e-8 * rng.standard_normal(m + p_max)
         ts = demean(TimeSeriesMatrix(values))
         assert LagEngine(ts, p_max)._certified() == (kind == "certified")
-        expected = edge_by_edge(ts, method, p_max)
-        if isinstance(expected, type):
-            with pytest.raises(expected):
+        looped = one_engine_loop(ts, method, p_max)
+        if isinstance(looped[0], type):
+            with pytest.raises(looped[0]) as info:
                 infer_network(ts, method, p_max=p_max)
+            assert str(info.value) == looped[1]
+            assert edge_by_edge(ts, method, p_max) is looped[0]
             return
-        adjacency, weight, scale = expected
         graph = infer_network(ts, method, p_max=p_max)
-        np.testing.assert_array_equal(graph.adjacency, adjacency)
-        if kind != "near-collinear":
-            np.testing.assert_allclose(graph.weight, weight, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(graph.adjacency, looped[0])
+        np.testing.assert_allclose(graph.weight, looped[1], rtol=1e-12, atol=0)
+        if kind == "near-collinear":
             return
-        # the two routes order their columns differently, and near-collinear
-        # columns magnify the rounding of either by kappa_1, about 1e8, in the
-        # quantities a weight is the difference of; the copy as a target is
-        # all but noiseless, so its F values are rounding noise
-        scale[:, -1] = np.inf
-        assert (np.abs(graph.weight - weight) <= 1e-8 * scale).all()
+        # the public functions build an engine per call, with the columns in
+        # another order, so a weight moves by the rounding of the quantities
+        # it is the difference of (near-collinear columns magnify that by
+        # kappa_1, about 1e8, past any useful bound)
+        adjacency, weight, scale = edge_by_edge(ts, method, p_max)
+        np.testing.assert_array_equal(graph.adjacency, adjacency)
+        assert (np.abs(graph.weight - weight) <= 1e-12 * scale).all()
 
 
 def replay_panel(name):
