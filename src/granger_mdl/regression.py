@@ -394,14 +394,19 @@ class LagEngine:
         a window with no more rows than its b*orders columns would
         interpolate the data and is a ValidationError.
         """
-        target = self.ts.column(target)
-        blocks = sorted((self.ts.column(v) for v in block_vars), key=self._position.__getitem__)
-        if not blocks or len(set(blocks)) != len(blocks):
-            raise ValidationError(f"predictor blocks must be distinct and non-empty, got {blocks}")
+        target, blocks = self._family(target, block_vars)
         error = self._underdetermined(len(blocks), self.p_max if orders is None else orders)
         if error is not None:
             raise error
         return self._families([(target, blocks)])[0]
+
+    def _family(self, target, block_vars):
+        """(target, blocks) as engine columns, blocks in the engine's order; repeated or no blocks: ValidationError."""
+        target = self.ts.column(target)
+        blocks = sorted((self.ts.column(v) for v in block_vars), key=self._position.__getitem__)
+        if not blocks or len(set(blocks)) != len(blocks):
+            raise ValidationError(f"predictor blocks must be distinct and non-empty, got {blocks}")
+        return target, blocks
 
     def _underdetermined(self, width: int, orders: int):
         """The ValidationError of a family of ``width`` blocks read up to ``orders``, or None if it fits."""

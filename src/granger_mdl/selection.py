@@ -45,6 +45,8 @@ CRITERIA = ("AIC", "BIC", "MDL")
 # crude value-priced form in which sub-precision parameters cost 0.
 DEFAULT_SCALE_FLOOR = 1.0
 
+_NOISELESS = "degenerate noiseless fit: residual variance vanishes, the Gaussian code length is undefined"
+
 
 @dataclass(frozen=True)
 class CodeLength:
@@ -121,10 +123,9 @@ def code_length_from_stats(
     priced max(0, ln(max(|value|, scale_floor) / delta)).
     order term: ln(k + 1) for k regression coefficients.
     """
+    scale_floor, delta = _checked_floor(scale_floor), _checked_delta(delta)
     coef = np.asarray(coefficients, dtype=float).reshape(-1, 1)
-    curve = _code_length_curve(
-        coef, np.array([coef.shape[0]]), np.array([rss]), m, n_total, delta, _checked_floor(scale_floor)
-    )
+    curve = _code_length_curve(coef, np.array([coef.shape[0]]), np.array([rss]), m, n_total, delta, scale_floor)
     return _at(curve, 0)
 
 
@@ -136,12 +137,20 @@ def _checked_floor(scale_floor) -> float:
     return scale_floor
 
 
-def _code_length_curve(coefficients, k, rss, m, n_total, delta, scale_floor, noiseless=0.0):
-    """:func:`code_length_from_stats` for every column of ``coefficients``.
+def _checked_delta(delta) -> Optional[float]:
+    """A precision step: None (1/sqrt(N)) or a finite number > 0."""
+    delta = checked_value(delta, float, "delta", nullable=True)
+    if delta is not None and not (math.isfinite(delta) and delta > 0.0):
+        raise ValidationError(f"delta must be finite and > 0, got {delta}")
+    return delta
+
+
+def _code_length_curve(coefficients, k, rss, m, n_total, delta, scale_floor):
+    """:func:`code_length_from_stats` for every column of ``coefficients``, on checked ``delta``.
 
     Model j is the first k[j] entries of column j. Row i of the result
-    is field i of :class:`CodeLength`. An rss at or below ``noiseless``
-    leaves no Gaussian code length: DegenerateFitError.
+    is field i of :class:`CodeLength`. A vanishing rss leaves no Gaussian
+    code length: DegenerateFitError.
     """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
@@ -149,15 +158,10 @@ def _code_length_curve(coefficients, k, rss, m, n_total, delta, scale_floor, noi
         raise ValidationError(f"total length {n_total} below effective sample {m}")
     if (rss < 0).any():
         raise ValidationError(f"rss must be nonnegative, got {rss}")
-    if (rss <= noiseless).any():
-        raise DegenerateFitError(
-            "degenerate noiseless fit: residual variance vanishes, "
-            "the Gaussian code length is undefined"
-        )
+    if (rss <= 0.0).any():
+        raise DegenerateFitError(_NOISELESS)
     if delta is None:
         delta = 1.0 / math.sqrt(n_total)
-    elif not delta > 0:
-        raise ValidationError(f"delta must be positive, got {delta}")
 
     sigma2 = rss / m
     data_term = m * np.log(np.sqrt(2.0 * np.pi * sigma2)) + m / 2.0
@@ -203,9 +207,9 @@ def search_order(
 
     Each (target, blocks) family is scanned once, all of them from one
     :class:`LagEngine` over their variables, and scored at every order as
-    an array; ties go to the smaller order. Walking orders upward, the
-    first rank-broken order raises RankDeficiencyError, unless under MDL
-    an earlier order has rss <= 1e-12 y'y: that raises DegenerateFitError.
+    an array; ties go to the smaller order. Every family is resolved, and
+    ``delta`` and ``scale_floor`` read, before any is scanned; then the
+    first family that fails raises its error (see :func:`_failure`).
     Returns (order, value, per-family CodeLength at the order, an empty
     list unless MDL).
     """
@@ -222,15 +226,49 @@ def _search_order(engine, families, criterion, delta=None, scale_floor=DEFAULT_S
     criterion = str(criterion).upper()
     if criterion not in CRITERIA:
         raise ValidationError(f"unknown criterion {criterion!r}; pick one of {CRITERIA}")
-    scale_floor = _checked_floor(scale_floor)
-    summed, curves = 0.0, []
-    for target, blocks in families:
-        scan = engine.scan(target, blocks)
-        curves.append(_scored([scan], criterion, engine.ts.n_samples, delta, scale_floor)[0])
-        summed = summed + curves[-1][0]
+    scale_floor, delta = _checked_floor(scale_floor), _checked_delta(delta)
+    families = [engine._family(target, blocks) for target, blocks in families]
+    scans, errors, rows = _scores(engine, families, criterion, delta, scale_floor)
+    for error in errors:
+        if error is not None:
+            raise error
+    summed = rows.sum(axis=0)  # row by row, as a running sum
     best = int(np.argmin(summed))
-    lengths = [_at(curve, best) for curve in curves] if criterion == "MDL" else []
+    key = (criterion, delta, scale_floor)  # _scored's memo: the MDL curves at the best order
+    lengths = [_at(scan.curves[key], best) for scan in scans] if criterion == "MDL" else []
     return best + 1, float(summed[best]), lengths
+
+
+def _scores(engine, families, criterion, delta=None, scale_floor=DEFAULT_SCALE_FLOOR):
+    """(scans, errors, rows) of the (target, blocks) ``families`` of ``engine``, in engine columns.
+
+    A family's error is a value: the engine's ValidationError if it would
+    interpolate the window at p_max (it then has no scan), else
+    :func:`_failure` of its scan. Its row is the criterion over orders
+    1..p_max, NaN if it has an error; the others are scored together.
+    """
+    errors = [engine._underdetermined(len(blocks), engine.p_max) for _, blocks in families]
+    fitting = [family for family, error in zip(families, errors) if error is None]
+    fitted = iter(engine._families(fitting, coefficients=criterion == "MDL"))
+    scans = [next(fitted) if error is None else None for error in errors]
+    errors = [_failure(scan, criterion) if error is None else error for scan, error in zip(scans, errors)]
+    scored = [j for j, error in enumerate(errors) if error is None]
+    rows = np.full((len(families), engine.p_max), np.nan)
+    if scored:
+        curves = _scored([scans[j] for j in scored], criterion, engine.ts.n_samples, delta, scale_floor)
+        rows[scored] = np.concatenate(curves, axis=1)[0].reshape(len(scored), -1)
+    return scans, errors, rows
+
+
+def _failure(scan, criterion):
+    """The error of a scanned family, or None: the one failure rule of scoring.
+
+    Under MDL an order with rss <= 1e-12 y'y leaves no Gaussian code
+    length, a DegenerateFitError; otherwise it is the scan's rank error.
+    """
+    if criterion == "MDL" and (scan.rss <= 1e-12 * scan.response_sq).any():
+        return DegenerateFitError(_NOISELESS)
+    return scan.rank_error
 
 
 def _scored(scans, criterion, n_total, delta, scale_floor):
@@ -238,10 +276,8 @@ def _scored(scans, criterion, n_total, delta, scale_floor):
 
     One row for AIC and BIC, the :func:`_code_length_curve` rows for MDL,
     keyed by (criterion, delta, scale_floor). The families not yet scored
-    are scored together, as one array over their orders. Under MDL a
-    noiseless order raises before a rank-broken family does (:func:`_fails`
-    says whether a family raises), and nothing is kept from a call that
-    raises.
+    are scored together, as one array over their orders. Every scan must
+    pass :func:`_failure`.
     """
     key = (criterion, delta, scale_floor)
     todo = [scan for scan in scans if key not in scan.curves]
@@ -251,20 +287,13 @@ def _scored(scans, criterion, n_total, delta, scale_floor):
         if criterion == "MDL":
             # zero rows past a family's own coefficients are never priced
             coefficients = np.zeros((max(scan.coefficients.shape[0] for scan in todo), rss.size))
-            noiseless = np.empty(rss.size)
             column = 0
             for scan in todo:
                 rows, orders = scan.coefficients.shape[0], scan.rss.size
                 coefficients[:rows, column:column + orders] = scan.coefficients
-                noiseless[column:column + orders] = _noiseless(scan)
                 column += orders
-            curve = _code_length_curve(
-                coefficients, k, rss, todo[0].m, n_total, delta, scale_floor, noiseless=noiseless
-            )
-        for scan in todo:
-            if scan.rank_error is not None:
-                raise scan.rank_error
-        if criterion != "MDL":
+            curve = _code_length_curve(coefficients, k, rss, todo[0].m, n_total, delta, scale_floor)
+        else:
             loglik = gaussian_loglik(rss, todo[0].m)
             curve = (aic(loglik, k) if criterion == "AIC" else bic(loglik, k, todo[0].m))[None]
         column = 0
@@ -272,18 +301,6 @@ def _scored(scans, criterion, n_total, delta, scale_floor):
             scan.curves[key] = curve[:, column:column + scan.rss.size]
             column += scan.rss.size
     return [scan.curves[key] for scan in scans]
-
-
-def _noiseless(scan) -> float:
-    """The rss at or below which a family's order leaves no Gaussian code length."""
-    return 1e-12 * scan.response_sq
-
-
-def _fails(scan, criterion) -> bool:
-    """Whether :func:`_scored` raises for ``scan``: a rank-broken order, or under MDL a noiseless one."""
-    return scan.rank_error is not None or (
-        criterion == "MDL" and bool((scan.rss <= _noiseless(scan)).any())
-    )
 
 
 def select_order(

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .regression import LagEngine, ResidualCovariance, stability_check
 from .selection import search_order
-from .timeseries import TimeSeriesMatrix, checked_sample_rate, distinct_columns
+from .timeseries import TimeSeriesMatrix, checked_sample_rate, checked_value, distinct_columns
 
 __all__ = [
     "BivariateVar",
@@ -108,6 +108,7 @@ def fit_bivariate_var(ts: TimeSeriesMatrix, x, y, order: int) -> BivariateVar:
     xi, yi = ts.column(x), ts.column(y)
     if xi == yi:
         raise ValidationError("x and y must be distinct variables")
+    order = checked_value(order, int, "order")
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
     distinct_columns(ts, [xi, yi])

@@ -26,7 +26,7 @@ from scipy.special import betainc
 
 from .errors import ValidationError
 from .regression import LagEngine
-from .selection import CRITERIA, DEFAULT_SCALE_FLOOR, CodeLength, _fails, _scored, _search_order
+from .selection import CRITERIA, CodeLength, _scores, _search_order
 from .timeseries import TimeSeriesMatrix, checked_value, distinct_columns
 
 __all__ = [
@@ -456,35 +456,6 @@ def joint_mdl_gc(
     )
 
 
-def _scores(engine, families, criterion):
-    """Each (target, blocks) family of ``engine`` and its criterion row over the orders, stacked.
-
-    Returns (items, failed, rows). A family that the per-family search
-    raises on (a scan that would interpolate, a rank-broken order, under
-    MDL a noiseless one) has ``failed`` set and NaN rows, and its item is
-    the scan's ValidationError or the scan; :func:`_raise_for` raises what
-    the search raises. The others are scored together.
-    """
-    items = [engine._underdetermined(len(blocks), engine.p_max) for _, blocks in families]
-    fitting = [family for family, error in zip(families, items) if error is None]
-    scans = iter(engine._families(fitting, coefficients=criterion == "MDL"))
-    items = [next(scans) if error is None else error for error in items]
-    failed = np.array([isinstance(item, Exception) or _fails(item, criterion) for item in items])
-    rows = np.full((len(items), engine.p_max), np.nan)
-    scored = [item for item, bad in zip(items, failed) if not bad]
-    if scored:
-        curves = _scored(scored, criterion, engine.ts.n_samples, None, DEFAULT_SCALE_FLOOR)
-        rows[~failed] = np.concatenate(curves, axis=1)[0].reshape(len(scored), -1)
-    return items, failed, rows
-
-
-def _raise_for(item, criterion, n_total):
-    """Raise what searching the failed family ``item`` of :func:`_scores` raises."""
-    if isinstance(item, Exception):
-        raise item
-    _scored([item], criterion, n_total, None, DEFAULT_SCALE_FLOOR)
-
-
 def _mdl_edges(engine):
     """Code-length decisions and weights of every edge, as [source, target] arrays.
 
@@ -495,33 +466,33 @@ def _mdl_edges(engine):
     each target's pairwise ones, then its conditional ones where the gate
     passes.
     """
-    nv, n_total = len(engine.variables), engine.ts.n_samples
-    own_items, own_failed, own_rows = _scores(engine, [(t, [t]) for t in range(nv)], "MDL")
+    nv = len(engine.variables)
+    _, own_errors, own_rows = _scores(engine, [(t, [t]) for t in range(nv)], "MDL")
     own_best = own_rows.min(axis=1)
     keep, weight = np.zeros((nv, nv), dtype=bool), np.zeros((nv, nv))
     for target in range(nv):
         others = [j for j in range(nv) if j != target]
-        items, failed, rows = _scores(engine, [(target, [target, j]) for j in others], "MDL")
+        _, errors, rows = _scores(engine, [(target, [target, j]) for j in others], "MDL")
         pairwise = own_best[target] - rows.min(axis=1)
         gated = pairwise > 0 if nv > 2 else np.zeros(nv - 1, dtype=bool)
         conditional = np.full(nv - 1, np.nan)
-        gate_items, gate_failed = [], []
+        gate_errors = []
         if gated.any():
             dropped = [(target, [v for v in range(nv) if v != j]) for j in np.compress(gated, others)]
-            gate_items, gate_failed, gate_rows = _scores(engine, dropped + [(target, range(nv))], "MDL")
+            _, gate_errors, gate_rows = _scores(engine, dropped + [(target, range(nv))], "MDL")
             gate_best = gate_rows.min(axis=1)
             conditional[gated] = gate_best[:-1] - gate_best[-1]
-        if own_failed[target] or failed.any() or any(gate_failed):
+        if any(error is not None for error in [own_errors[target], *errors, *gate_errors]):
             # the first error of the per-edge traversal: own, pair, then
             # where the gate passes all but the source, and all
-            drops = iter(zip(gate_items, gate_failed))
+            drops = iter(gate_errors)
             for index in range(nv - 1):
-                visited = [(own_items[target], own_failed[target]), (items[index], failed[index])]
+                visited = [own_errors[target], errors[index]]
                 if gated[index]:
-                    visited += [next(drops), (gate_items[-1], gate_failed[-1])]
-                for item, bad in visited:
-                    if bad:
-                        _raise_for(item, "MDL", n_total)
+                    visited += [next(drops), gate_errors[-1]]
+                for error in visited:
+                    if error is not None:
+                        raise error
         keep[others, target] = np.where(gated, conditional > 0, pairwise > 0)
         weight[others, target] = np.where(gated, conditional, pairwise)
     return keep, weight
@@ -539,10 +510,11 @@ def _f_edges(engine, cfg):
     """
     nv, m = len(engine.variables), engine.m
     targets, sources = np.nonzero(~np.eye(nv, dtype=bool))
-    items, failed, rows = _scores(
+    scans, errors, rows = _scores(
         engine, [(i, [v for v in range(nv) if v != j]) for i, j in zip(targets, sources)],
         cfg.order_criterion,
     )
+    failed = np.array([error is not None for error in errors])
     n = np.argmin(rows, axis=1) + 1
     d2 = m - nv * n - 1
     under = m <= nv * n
@@ -555,13 +527,13 @@ def _f_edges(engine, cfg):
         # full family's window and rank, then the degrees of freedom
         for index, i in enumerate(targets):
             if failed[index]:
-                _raise_for(items[index], cfg.order_criterion, engine.ts.n_samples)
+                raise errors[index]
             if under[index]:
                 raise engine._underdetermined(nv, int(n[index]))
             if short[index]:
                 raise full[i].rank_error
             _f_dof(m, nv * int(n[index]))
-    rss_r = np.array([scan.rss[order - 1] for scan, order in zip(items, n)])
+    rss_r = np.array([scan.rss[order - 1] for scan, order in zip(scans, n)])
     rss_u = np.array([full[i].rss[order - 1] for i, order in zip(targets, n)])
     f_value, p_value, _ = _f_values(rss_r, rss_u, n, d2)
     keep, weight = np.zeros((nv, nv), dtype=bool), np.zeros((nv, nv))
@@ -590,11 +562,11 @@ def infer_network(
     All fits come from one :class:`LagEngine` over ``ts``: one
     factorisation, and each model family scanned and scored once. On an
     engine that certifies its inverse route, the own and pairwise
-    families are fitted in batches. Edges are decided as arrays; if any
-    family fails, the first error that a loop over the edges in that
-    ascending order would meet is raised. A constant column, or two
-    identical ones, is a ValidationError naming them, raised before any
-    fit.
+    families are fitted in batches. Edges are decided as arrays, each
+    family's error kept as a value by one rule; the first error that a
+    loop over the edges in that ascending order would meet is raised.
+    A constant column, or two identical ones, is a ValidationError
+    naming them, raised before any fit.
     """
     return _infer_network(ts, MethodConfig(method, alpha, p_max, order_criterion), {})
 

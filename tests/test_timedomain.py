@@ -33,10 +33,12 @@ from granger_mdl.timedomain import (
 )
 from granger_mdl.regression import LagEngine
 from granger_mdl.cli import main
-from granger_mdl.selection import _search_order, code_length_from_stats, select_order
+from granger_mdl.selection import CRITERIA, _search_order, code_length_from_stats, search_order, select_order
+from granger_mdl.spectral import fit_bivariate_var
 from granger_mdl.timeseries import TimeSeriesMatrix, demean, save_csv
 
 from oracles import f_cdf_oracle
+from test_regression import near_copy
 
 
 def sim3(seed, **kwargs):
@@ -570,6 +572,15 @@ class TestCheckedParameters:
         (lambda ts: mdl_gc(ts, 0, 1, p_max=3, scale_floor=-1), "scale_floor"),
         (lambda ts: joint_mdl_gc(ts, 0, 1, 2, p_max=3, scale_floor=math.inf), "scale_floor"),
         (lambda ts: code_length_from_stats([0.5], 1.0, 10, 20, scale_floor="1"), "scale_floor"),
+        (lambda ts: mdl_gc(ts, 0, 1, p_max=3, delta="x"), "delta"),
+        (lambda ts: mdl_gc(ts, 0, 1, p_max=3, delta=math.inf), "delta"),
+        (lambda ts: mdl_gc(ts, 0, 1, p_max=3, delta=True), "delta"),
+        (lambda ts: mdl_gc(ts, 0, 1, p_max=3, delta=math.nan), "delta"),
+        (lambda ts: mdl_gc(ts, 0, 1, p_max=3, delta=0), "delta"),
+        (lambda ts: code_length_from_stats([0.5], 1.0, 10, 20, delta=math.inf), "delta"),
+        (lambda ts: fit_bivariate_var(ts, 0, 1, 2.5), "order"),
+        (lambda ts: fit_bivariate_var(ts, 0, 1, True), "order"),
+        (lambda ts: fit_bivariate_var(ts, 0, 1, "2"), "order"),
         (lambda ts: f_cdf(math.nan, 2, 3), "x"),
         (lambda ts: f_cdf(1.0, True, 3), "d1"),
         (lambda ts: f_cdf(1.0, 2, math.inf), "d2"),
@@ -776,3 +787,46 @@ class TestErrorReplay:
         with pytest.raises(ValidationError) as info:
             infer_network(ts, method, p_max=10)
         assert str(info.value) == message
+
+
+class TestOneFailureRule:
+    """A family's error is a value, stored by one rule and raised as the search raises it."""
+
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    @pytest.mark.parametrize("p_max", [3, 10])
+    @pytest.mark.parametrize("name", ["lagged copy", "noiseless target", "noiseless target of four",
+                                      "noiseless single source", "near copy"])
+    def test_stored_error_is_the_search_error_alone(self, name, p_max, criterion):
+        ts = near_copy(1e-10) if name == "near copy" else replay_panel(name)
+        nv = ts.n_variables
+        families = [(target, [v for v in range(nv) if mask >> v & 1])
+                    for target in range(nv) for mask in range(1, 2 ** nv)]
+        _, errors, rows = selection._scores(LagEngine(ts, p_max), families, criterion)
+        assert any(error is not None for error in errors)
+        for family, error, row in zip(families, errors, rows):
+            alone = LagEngine(ts, p_max)
+            if error is None:
+                _search_order(alone, [family], criterion)
+                assert not np.isnan(row).any()
+                continue
+            assert np.isnan(row).all()
+            with pytest.raises(type(error)) as info:
+                _search_order(alone, [family], criterion)
+            assert str(info.value) == str(error)
+
+    def test_malformed_family_raises_before_an_earlier_family_fails(self):
+        # the first family alone raises "column x.lag2" RankDeficiencyError
+        ts = near_copy(1e-10)
+        with pytest.raises(RankDeficiencyError, match=r"x\.lag2"):
+            search_order(ts, [("x", ["x", "y"])], "MDL", 2)
+        with pytest.raises(ValidationError, match="distinct and non-empty"):
+            search_order(ts, [("x", ["x", "y"]), ("x", ["x", "x"])], "MDL", 2)
+
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    def test_bad_delta_raises_before_any_family_fails(self, criterion):
+        # order 1 leaves no residual and x.lag2 is x.lag1 / 0.9
+        ts = TimeSeriesMatrix((0.9 ** np.arange(80.0))[:, None], ["x"])
+        with pytest.raises(DegenerateFitError if criterion == "MDL" else RankDeficiencyError):
+            search_order(ts, [("x", ["x"])], criterion, 3)
+        with pytest.raises(ValidationError, match=r"\bdelta\b"):
+            search_order(ts, [("x", ["x"])], criterion, 3, delta=-1.0)
