@@ -10,6 +10,7 @@ many seeded trials, optionally in parallel worker processes.
 from __future__ import annotations
 
 import ctypes
+import gc
 import json
 import multiprocessing
 import os
@@ -470,8 +471,12 @@ def run_bench_multi(
     if pool_size <= 1:
         chunks = list(map(_run_chunk, tasks))
     else:
+        # Each worker freezes the heap it inherits before its first task, so
+        # its collections never walk, and so never copy, the parent's pages.
+        # A freeze in the parent would zero the parent's generation counts on
+        # every call, and with them the trigger of its full collections.
         with _one_blas_thread(), ProcessPoolExecutor(
-            max_workers=pool_size, mp_context=_pool_context()
+            max_workers=pool_size, mp_context=_pool_context(), initializer=gc.freeze
         ) as pool:
             chunks = list(pool.map(_run_chunk, tasks))
     results = [trial for chunk in chunks for trial in chunk]

@@ -9,6 +9,7 @@ validation problem, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -101,7 +102,11 @@ def _network_spec(name: str, noise: str) -> NetworkSpec:
 
 
 def _parse_freqs(text: str) -> np.ndarray:
-    """Parse '1:30,50,100' into a sorted frequency array."""
+    """Parse '1:30,50,100' into a frequency array, in the order given.
+
+    As in :func:`load_csv`, digit-group underscores are rejected: Python
+    reads ``1_0`` as 10.
+    """
     values: List[float] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -110,6 +115,8 @@ def _parse_freqs(text: str) -> np.ndarray:
         if ":" in chunk:
             lo_s, hi_s = chunk.split(":", 1)
             try:
+                if "_" in chunk:
+                    raise ValueError(chunk)
                 lo, hi = int(lo_s), int(hi_s)
             except ValueError:
                 raise ValidationError(f"bad frequency range {chunk!r}") from None
@@ -118,6 +125,8 @@ def _parse_freqs(text: str) -> np.ndarray:
             values.extend(float(v) for v in range(lo, hi + 1))
         else:
             try:
+                if "_" in chunk:
+                    raise ValueError(chunk)
                 values.append(float(chunk))
             except ValueError:
                 raise ValidationError(f"bad frequency {chunk!r}") from None
@@ -265,8 +274,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    Parsing reads the tree and never changes it, and no default is a
+    mutable object, so calls share no state through it.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _apply_config(args)
         return args.func(args)

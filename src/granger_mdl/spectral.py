@@ -185,6 +185,9 @@ def geweke_spectrum(
     freqs = np.asarray(list(frequencies_hz), dtype=float)
     if freqs.size == 0:
         raise ValidationError("empty frequency grid")
+    if not np.isfinite(freqs).all():
+        bad = freqs[~np.isfinite(freqs)][0]
+        raise ValidationError(f"frequency {float(bad)!r} is not finite")
     nyquist = fs / 2.0
     if (freqs <= 0).any() or (freqs > nyquist + 1e-12).any():
         raise ValidationError(

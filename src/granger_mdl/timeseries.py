@@ -191,32 +191,40 @@ def load_csv(path, has_header: bool = True, sample_rate_hz: Optional[float] = No
         if not lines[start:]:
             raise ValidationError(f"{path}: header but no data rows")
 
-    n_cols = None
-    rows = []
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        cells = line.split(",")
-        if n_cols is None:
-            n_cols = len(cells)
-        elif len(cells) != n_cols:
-            raise ValidationError(
-                f"{path}: row {lineno} has {len(cells)} cells, expected {n_cols}"
-            )
-        parsed = []
-        for colno, cell in enumerate(cells):
-            try:
-                if "_" in cell:  # float() reads "1_0" as 10.0
-                    raise ValueError(cell)
-                parsed.append(float(cell))
-            except ValueError:
+    body = lines[start:]
+    n_cols = body[0].count(",") + 1
+    values = None
+    # numpy's string cast reads a cell exactly as float() does, but it
+    # names no bad cell: on any failure the cell loop finds the first one.
+    if all(line.count(",") == n_cols - 1 for line in body) and "_" not in "".join(body):
+        try:
+            values = np.array([line.split(",") for line in body], dtype=float)
+        except ValueError:
+            pass
+    if values is None:
+        rows = []
+        for lineno, line in enumerate(body, start=start + 1):
+            cells = line.split(",")
+            if len(cells) != n_cols:
                 raise ValidationError(
-                    f"{path}: non-numeric cell at row {lineno}, column {colno}: {cell.strip()!r}"
-                ) from None
-        rows.append(parsed)
+                    f"{path}: row {lineno} has {len(cells)} cells, expected {n_cols}"
+                )
+            parsed = []
+            for colno, cell in enumerate(cells):
+                try:
+                    if "_" in cell:  # float() reads "1_0" as 10.0
+                        raise ValueError(cell)
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}: non-numeric cell at row {lineno}, column {colno}: {cell.strip()!r}"
+                    ) from None
+            rows.append(parsed)
+        values = np.array(rows, dtype=float)
     if labels is not None and len(labels) != n_cols:
         raise ValidationError(
             f"{path}: header has {len(labels)} names for {n_cols} columns"
         )
-    values = np.array(rows, dtype=float)
     if not np.isfinite(values).all():
         row, col = np.argwhere(~np.isfinite(values))[0]
         label = (labels or _default_labels(n_cols))[col]

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -380,6 +381,21 @@ def _fail_in_worker(args):
     raise RuntimeError("worker failed")
 
 
+def _report_freeze_count(args):
+    """Pool task stand-in: every trial fails with the objects frozen in this worker."""
+    return [(None, f"frozen {gc.get_freeze_count() > 0}")] * len(args[2])
+
+
+@pytest.fixture(params=[True, False], ids=["gc on", "gc off"])
+def collector(request):
+    """The collector switched on or off for the test, with nothing frozen."""
+    assert gc.get_freeze_count() == 0
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
 @pytest.fixture
 def parent_blas_at_two():
     """The loaded OpenBLAS libraries' (get, set) calls, held at two threads."""
@@ -422,13 +438,52 @@ class TestPoolWorkers:
             run_bench(spec, cfg, 4, master_seed=0, n_workers=2)
         assert [get() for get, _ in parent_blas_at_two] == [2] * len(parent_blas_at_two)
 
+    def test_workers_freeze_the_heap_they_inherit(self, collector, monkeypatch):
+        spec, cfg = builtin_3node(), MethodConfig("mdl", p_max=4)
+        monkeypatch.setattr(bench, "_run_chunk", _report_freeze_count)
+        rep = run_bench(spec, cfg, 4, master_seed=0, n_workers=2)
+        assert {err for _, err in rep.failures} == {"frozen True"}
+        assert gc.get_freeze_count() == 0 and gc.isenabled() == collector
+        monkeypatch.setattr(bench, "_run_chunk", _fail_in_worker)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            run_bench(spec, cfg, 4, master_seed=0, n_workers=2)
+        assert gc.get_freeze_count() == 0 and gc.isenabled() == collector
+
+    def test_parent_generation_counts_untouched(self):
+        # a freeze in the parent zeroes them, and the count of the oldest
+        # generation is what triggers the parent's full collections
+        was_enabled = gc.isenabled()
+        gc.disable()  # so that no collection moves the counts during the run
+        try:
+            gc.collect(1)
+            gc.collect(0)
+            before = gc.get_count()
+            run_bench(builtin_3node(), MethodConfig("mdl", p_max=4), 4, master_seed=0, n_workers=2)
+            assert gc.get_count()[1:] == before[1:] and min(before[1:]) > 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_callers_frozen_objects_stay_frozen(self, monkeypatch):
+        # a frozen object is in none of the collector's generations
+        monkeypatch.setattr(bench, "_run_chunk", _report_freeze_count)
+        mine = [object()]
+        gc.freeze()
+        try:
+            rep = run_bench(builtin_3node(), MethodConfig("mdl"), 4, master_seed=0, n_workers=2)
+            assert not any(obj is mine for obj in gc.get_objects())
+        finally:
+            gc.unfreeze()
+        assert any(obj is mine for obj in gc.get_objects())
+        assert {err for _, err in rep.failures} == {"frozen True"}
+
     def test_pool_starts_no_idle_workers(self, monkeypatch):
         sizes = []
 
         class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers, mp_context, **kwargs):
                 sizes.append(max_workers)
-                super().__init__(max_workers, mp_context)
+                super().__init__(max_workers, mp_context, **kwargs)
 
         monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
         run_bench(builtin_3node(), MethodConfig("mdl", p_max=4), 2, master_seed=0, n_workers=8)

@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import granger_mdl
 
 from granger_mdl import bench, cli
 from granger_mdl.cli import main
@@ -228,6 +233,27 @@ class TestSpectral:
         assert run_cli("spectral", str(path), "--x", "a", "--y", "c", *order,
                        "--out", str(tmp_path / "x.csv")) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("freqs, message", [
+        ("nan,5", "frequency nan is not finite"),
+        ("5,inf", "frequency inf is not finite"),
+        ("5,-inf", "frequency -inf is not finite"),
+        ("1_0", "bad frequency '1_0'"),
+        ("2:1_2", "bad frequency range '2:1_2'"),
+    ])
+    def test_bad_frequency_exits_2(self, freqs, message, sim_csv, tmp_path, capsys):
+        assert run_cli("spectral", str(sim_csv), "--x", "node2", "--y", "node1",
+                       "--sample-rate", "200", "--freqs", freqs,
+                       "--out", str(tmp_path / "x.csv")) == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+
+    def test_frequencies_keep_the_order_given(self, sim_csv, tmp_path):
+        out = tmp_path / "freq.csv"
+        assert run_cli("spectral", str(sim_csv), "--x", "node2", "--y", "node1",
+                       "--sample-rate", "200", "--freqs", "50,3:4,1",
+                       "--out", str(out)) == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [50.0, 3.0, 4.0, 1.0]
 
     @pytest.mark.filterwarnings("ignore:fitted VAR is not stationary")
     def test_interpolating_order_exits_2(self, sim_csv, tmp_path, capsys):
@@ -505,3 +531,53 @@ class TestOptionTable:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({key: "elsewhere" for key in NOT_SETTINGS | {"input"}}))
         assert _parsed(REQUIRED[command] + ["--config", str(config)]) == _parsed(REQUIRED[command])
+
+
+def fresh_process(argv):
+    """(exit code, stdout, stderr) of ``granger-mdl argv`` run in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(granger_mdl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "granger_mdl.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestRepeatedCalls:
+    def test_calls_in_one_process_match_fresh_processes(self, sim_csv, tmp_path, capsys,
+                                                        monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"order": 3, "freqs": "2:9", "demean": False}))
+        out = tmp_path / "out"
+        spectral = ["spectral", str(sim_csv), "--x", "node2", "--y", "node1",
+                    "--sample-rate", "200", "--out", str(out)]
+        calls = [
+            ["analyze", str(sim_csv), "--no-demean"],
+            ["analyze", str(sim_csv)],
+            spectral + ["--config", str(config)],
+            spectral,
+            ["analyze", str(sim_csv), "--method", "bogus"],  # argparse exits 2
+            ["analyze", str(sim_csv), "--method", "ftest"],
+        ]
+        seen = []
+        try:
+            for argv in calls:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                here = (code, captured.out, captured.err, out.read_bytes() if out.exists() else None)
+                out.unlink(missing_ok=True)
+                code, stdout, stderr = fresh_process(argv)
+                assert here == (code, stdout, stderr, out.read_bytes() if out.exists() else None)
+                out.unlink(missing_ok=True)
+                seen.append(here)
+        finally:
+            cli._parser.cache_clear()
+        assert [call[0] for call in seen] == [0, 0, 0, 0, 2, 0]
+        assert seen[0][1] != seen[1][1] and seen[2][3] != seen[3][3]
+        assert builds == [1]

@@ -293,6 +293,15 @@ class TestGewekeSpectrum:
         with pytest.raises(ValidationError):
             geweke_spectrum(model, [], 1.0)
 
+    @pytest.mark.parametrize("bad, shown", [
+        (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+    ])
+    def test_non_finite_frequency_named(self, bad, shown):
+        # NaN passes every comparison with the band; it used to reach the SVD
+        model = BivariateVar(order=1, a_mats=[np.zeros((2, 2))], noise_cov=diagonal_noise())
+        with pytest.raises(ValidationError, match=f"^frequency {shown} is not finite$"):
+            geweke_spectrum(model, [0.1, bad, 0.2], 1.0)
+
 
 class TestGrids:
     def test_hz_grid_with_sample_rate(self):

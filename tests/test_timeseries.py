@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from granger_mdl.bench import builtin_3node, simulate
 from granger_mdl.errors import ValidationError
@@ -72,6 +76,53 @@ def test_load_csv_ragged_rows(tmp_path):
     path.write_text("a,b\n1,2\n3\n")
     with pytest.raises(ValidationError, match="row 3"):
         load_csv(path)
+
+
+def test_load_csv_ragged_rows_with_the_right_cell_count(tmp_path):
+    # 2 + 1 + 3 cells are as many as three full rows: each row is counted
+    path = tmp_path / "ragged.csv"
+    path.write_text("a,b\n1,2\n3\n4,5,6\n")
+    with pytest.raises(ValidationError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}: row 3 has 1 cells, expected 2"
+
+
+EDGE_CELLS = [" 1.5 ", "\xa01.5\xa0", "\u0661\u0662", "+1", "-0", "1.", ".5", "1e999", "1e-400",
+              "infinity", "NaN", "1_0", "1__0", "0x1p3", "1.5j", ""]
+
+
+@pytest.mark.parametrize("cell", EDGE_CELLS)
+def test_load_csv_reads_a_cell_as_float_does(cell, tmp_path):
+    # the cell as float() reads it, bit for bit, except that a digit-group
+    # underscore is no number and a non-finite value is named by line and label
+    path = tmp_path / "edge.csv"
+    path.write_text(f"a,b\n1,2\n3,{cell}\n5,6\n", encoding="utf-8")
+    try:
+        value = float(cell) if "_" not in cell else None
+    except ValueError:
+        value = None
+    if value is None:
+        expected = f"{path}: non-numeric cell at row 3, column 1: {cell.strip()!r}"
+    elif not math.isfinite(value):
+        expected = f"{path}: non-finite cell at row 3, column b: {cell.strip()!r}"
+    else:
+        ts = load_csv(path)
+        assert ts.values[1, 1].tobytes() == np.float64(value).tobytes()
+        np.testing.assert_array_equal(np.delete(ts.values.ravel(), 3), [1, 2, 3, 5, 6])
+        return
+    with pytest.raises(ValidationError) as err:
+        load_csv(path)
+    assert str(err.value) == expected
+
+
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.array([[-0.0, 5e-324, -2.2250738585072014e-308],
+                   [1.7976931348623157e308, -1.7976931348623157e308, 0.0]]))
+def test_csv_round_trip_is_bit_exact_for_any_finite_doubles(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("round_trip") / "values.csv"
+    save_csv(TimeSeriesMatrix(values), path)
+    assert load_csv(path).values.tobytes() == values.tobytes()
 
 
 def test_load_csv_missing_file(tmp_path):
