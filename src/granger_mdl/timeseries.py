@@ -162,6 +162,25 @@ class ValidationReport:
     length: int
 
 
+def _raise_first_bad_cell(path, rows, first_lineno: int) -> None:
+    """Raise on the first row of the wrong width or cell float() rejects, in file order."""
+    n_cols = len(rows[0])
+    for lineno, cells in enumerate(rows, start=first_lineno):
+        if len(cells) != n_cols:
+            raise ValidationError(
+                f"{path}: row {lineno} has {len(cells)} cells, expected {n_cols}"
+            )
+        for colno, cell in enumerate(cells):
+            try:
+                if "_" in cell:  # float() reads "1_0" as 10.0
+                    raise ValueError(cell)
+                float(cell)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: non-numeric cell at row {lineno}, column {colno}: {cell.strip()!r}"
+                ) from None
+
+
 def load_csv(path, has_header: bool = True, sample_rate_hz: Optional[float] = None) -> TimeSeriesMatrix:
     """Read a comma-separated file into a :class:`TimeSeriesMatrix`.
 
@@ -191,36 +210,17 @@ def load_csv(path, has_header: bool = True, sample_rate_hz: Optional[float] = No
         if not lines[start:]:
             raise ValidationError(f"{path}: header but no data rows")
 
-    body = lines[start:]
-    n_cols = body[0].count(",") + 1
-    values = None
-    # numpy's string cast reads a cell exactly as float() does, but it
-    # names no bad cell: on any failure the cell loop finds the first one.
-    if all(line.count(",") == n_cols - 1 for line in body) and "_" not in "".join(body):
-        try:
-            values = np.array([line.split(",") for line in body], dtype=float)
-        except ValueError:
-            pass
-    if values is None:
-        rows = []
-        for lineno, line in enumerate(body, start=start + 1):
-            cells = line.split(",")
-            if len(cells) != n_cols:
-                raise ValidationError(
-                    f"{path}: row {lineno} has {len(cells)} cells, expected {n_cols}"
-                )
-            parsed = []
-            for colno, cell in enumerate(cells):
-                try:
-                    if "_" in cell:  # float() reads "1_0" as 10.0
-                        raise ValueError(cell)
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: non-numeric cell at row {lineno}, column {colno}: {cell.strip()!r}"
-                    ) from None
-            rows.append(parsed)
+    rows = [line.split(",") for line in lines[start:]]
+    n_cols = len(rows[0])
+    # numpy's string cast reads a cell exactly as float() does, but it names
+    # no bad cell: when it cannot run or fails, the rows are walked to raise.
+    try:
+        if any(len(cells) != n_cols for cells in rows) or "_" in "".join(lines[start:]):
+            raise ValueError("ragged rows or a digit-group underscore")
         values = np.array(rows, dtype=float)
+    except ValueError:
+        _raise_first_bad_cell(path, rows, start + 1)
+        raise
     if labels is not None and len(labels) != n_cols:
         raise ValidationError(
             f"{path}: header has {len(labels)} names for {n_cols} columns"
@@ -230,7 +230,7 @@ def load_csv(path, has_header: bool = True, sample_rate_hz: Optional[float] = No
         label = (labels or _default_labels(n_cols))[col]
         raise ValidationError(
             f"{path}: non-finite cell at row {start + 1 + row}, column {label}: "
-            f"{lines[start + row].split(',')[col].strip()!r}"
+            f"{rows[row][col].strip()!r}"
         )
     return TimeSeriesMatrix(values, labels, sample_rate_hz)
 

@@ -450,8 +450,9 @@ class TestPoolWorkers:
         assert gc.get_freeze_count() == 0 and gc.isenabled() == collector
 
     def test_parent_generation_counts_untouched(self):
-        # a freeze in the parent zeroes them, and the count of the oldest
-        # generation is what triggers the parent's full collections
+        # gc.freeze() sets all three counts to 0 (CPython 3.11), so a freeze
+        # in the parent fails this; the oldest generation's count is what
+        # triggers the parent's full collections
         was_enabled = gc.isenabled()
         gc.disable()  # so that no collection moves the counts during the run
         try:
