@@ -46,7 +46,7 @@ def _read_json(path: str, what: str, load=json.loads):
     try:
         with open(path) as fh:
             return load(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{what} {path}: invalid JSON: {exc}") from exc

@@ -1,10 +1,16 @@
 """Frequency-domain (Geweke) causality from a fitted bivariate VAR.
 
-The fitted lag polynomial is inverted on the unit circle to obtain the
-transfer matrix, after a normalisation that diagonalises the innovation
-covariance. The target's spectrum then splits into an intrinsic part
-and a part driven by the other variable, and the causal influence at a
-frequency is the log ratio of total to intrinsic spectrum.
+The lag polynomial A(z) = I + A_1 z + ... + A_n z^n is inverted once on
+the unit circle, as the 2x2 adjugate over the determinant, to give the
+transfer matrix H = A(e^{-i omega})^{-1} and the spectrum S = H Sigma H*.
+With the innovations decorrelated, S_xx splits into an intrinsic part
+and a part routed from y, and the influence is the log of their ratio:
+
+    f_{y->x} = ln(1 + |H_xy|^2 (Sigma_yy - Sigma_xy^2/Sigma_xx)
+                      / (|H_xx + (Sigma_xy/Sigma_xx) H_xy|^2 Sigma_xx)),
+
+f_{x->y} being the same with the variables exchanged. A frequency at
+which kappa_2(A) reaches CONDITION_LIMIT is a NaN row in both.
 """
 
 from __future__ import annotations
@@ -133,37 +139,50 @@ def fit_bivariate_var(ts: TimeSeriesMatrix, x, y, order: int) -> BivariateVar:
 
 
 def _transfer(model: BivariateVar, omegas: np.ndarray):
-    """D = [P A(e^{-i omega})]^{-1} at every omega, and where P A is singular.
+    """H = A(e^{-i omega})^{-1} at every omega (NaN rows where A is singular), and those rows.
 
-    Singular rows (condition number above CONDITION_LIMIT) are inverted
-    as the identity, so one of them cannot fail the whole grid.
+    kappa + 1/kappa = ||A||_F^2 / |det A| (s1 s2 = |det A|, s1^2 + s2^2 =
+    ||A||_F^2) and 1/kappa is below the limit's rounding, so kappa_2(A)
+    reaches CONDITION_LIMIT where ||A||_F^2 >= CONDITION_LIMIT |det A|.
     """
-    sigma2 = model.noise_cov.var_x
-    if sigma2 <= 0:
-        raise NumericalError("noise variance of the first equation must be positive")
-    p = np.array([[1.0, 0.0], [-model.noise_cov.cov_xy / sigma2, 1.0]], dtype=complex)
     a = np.tile(np.eye(2, dtype=complex), (omegas.size, 1, 1))
     for ell, mat in enumerate(model.a_mats, start=1):
         a += mat * np.exp(-1j * omegas * ell)[:, None, None]
-    pa = p @ a
-    singular = np.linalg.cond(pa) > CONDITION_LIMIT
-    pa[singular] = np.eye(2)
-    return np.linalg.inv(pa), singular
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    singular = (a.real ** 2 + a.imag ** 2).sum(axis=(1, 2)) >= CONDITION_LIMIT * np.abs(det)
+    adjugate = np.stack([a[:, 1, 1], -a[:, 0, 1], -a[:, 1, 0], a[:, 0, 0]], axis=1)
+    inverse_det = np.divide(1.0, det, out=np.full_like(det, np.nan), where=~singular)
+    return (adjugate * inverse_det[:, None]).reshape(-1, 2, 2), singular
+
+
+def _influence(h: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """f_{y->x} of the module formula at every row of H; exactly 0 where H_xy
+    vanishes, NaN where the intrinsic part is not positive (everywhere if Sigma_xx is not)."""
+    var_x, cov, var_y = sigma[0, 0], sigma[0, 1], sigma[1, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        intrinsic = np.abs(h[:, 0, 0] + cov / var_x * h[:, 0, 1]) ** 2 * var_x
+        routed = np.abs(h[:, 0, 1]) ** 2 * (var_y - cov * cov / var_x)
+        return np.where(intrinsic > 0, np.log1p(routed / intrinsic), np.nan)
 
 
 def transfer_matrix(model: BivariateVar, omega: float) -> np.ndarray:
-    """Normalised transfer matrix D(omega) = [P A(e^{-i omega})]^{-1}.
+    """Normalised transfer matrix D(omega) = [P A(e^{-i omega})]^{-1} = H P^{-1}.
 
     P removes the instantaneous correlation so the transformed noise
     pair has the diagonal covariance diag(var_x, var_y - cov^2/var_x).
-    Raises when the lag polynomial is numerically singular at omega.
+    omega must be a finite number. Raises NumericalError when var_x is
+    not positive or A is singular at omega (a NaN row of geweke_spectrum).
     """
-    d, singular = _transfer(model, np.array([float(omega)]))
+    omega = checked_value(omega, float, "omega")
+    if not np.isfinite(omega):
+        raise ValidationError(f"omega {omega!r} is not finite")
+    cov = model.noise_cov
+    if cov.var_x <= 0:
+        raise NumericalError("noise variance of the first equation must be positive")
+    h, singular = _transfer(model, np.array([omega]))
     if singular[0]:
-        raise NumericalError(
-            f"transfer matrix singular at omega={omega:.6g} rad/sample"
-        )
-    return d[0]
+        raise NumericalError(f"transfer matrix singular at omega={omega:.6g} rad/sample")
+    return h[0] @ np.array([[1.0, 0.0], [cov.cov_xy / cov.var_x, 1.0]])
 
 
 def geweke_spectrum(
@@ -171,15 +190,10 @@ def geweke_spectrum(
     frequencies_hz: Sequence[float],
     sample_rate_hz: Optional[float] = None,
 ) -> SpectralCausality:
-    """Per-frequency causal influence in both directions.
+    """Per-frequency causal influence in both directions, from one H.
 
-    The spectrum of the pair is S = D diag(var_x, var_y') D* with
-    var_y' = var_y - cov^2/var_x; the first diagonal entry splits into
-    the intrinsic |D11|^2 var_x plus the part routed from the other
-    series, and the influence is ln(S11 / (|D11|^2 var_x)). The whole
-    grid is evaluated at once; the reverse direction is computed on the
-    role-swapped model. Frequencies at which either lag polynomial is
-    singular yield NaN rows rather than failing the whole grid.
+    Singular frequencies are NaN rows. A direction whose first noise
+    variance is not positive is NaN throughout; for x, so are the spectra.
     """
     fs = checked_sample_rate(sample_rate_hz) or 1.0
     freqs = np.asarray(list(frequencies_hz), dtype=float)
@@ -194,33 +208,17 @@ def geweke_spectrum(
             f"frequencies must lie in (0, {nyquist}] Hz for sample rate {fs} Hz"
         )
 
-    omegas = TWO_PI * freqs / fs
-    f_y_to_x, spectra = _one_direction(model, omegas)
-    f_x_to_y, _ = _one_direction(model.swapped(), omegas)
+    h, _ = _transfer(model, TWO_PI * freqs / fs)
+    sigma = np.asarray(model.noise_cov.matrix, dtype=float)
+    spectra = h @ sigma @ h.conj().swapaxes(1, 2)
+    if not sigma[0, 0] > 0:
+        spectra[:] = np.nan
     return SpectralCausality(
         frequencies_hz=freqs,
-        f_y_to_x=f_y_to_x,
-        f_x_to_y=f_x_to_y,
+        f_y_to_x=_influence(h, sigma),
+        f_x_to_y=_influence(h[:, ::-1, ::-1], sigma[::-1, ::-1]),
         spectra=spectra,
     )
-
-
-def _one_direction(model: BivariateVar, omegas: np.ndarray):
-    try:
-        d, singular = _transfer(model, omegas)
-    except NumericalError:
-        return np.full(omegas.size, np.nan), np.full((omegas.size, 2, 2), complex("nan"))
-    cov = model.noise_cov
-    # the normalised noise variances diag(var_x, var_y - cov^2/var_x)
-    variances = np.array([cov.var_x, cov.var_y - cov.cov_xy * cov.cov_xy / cov.var_x])
-    s = (d * variances) @ d.conj().swapaxes(1, 2)
-    # total spectrum = intrinsic + routed part; forming the ratio this
-    # way keeps f at exactly 0 when the cross transfer vanishes
-    intrinsic, routed = ((d[:, 0] * d[:, 0].conj()).real * variances).T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.where(intrinsic > 0, np.log1p(routed / intrinsic), np.nan)
-    f[singular], s[singular] = np.nan, np.nan
-    return f, s
 
 
 def default_frequency_grid(sample_rate_hz: Optional[float] = None) -> np.ndarray:

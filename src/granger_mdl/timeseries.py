@@ -194,7 +194,7 @@ def load_csv(path, has_header: bool = True, sample_rate_hz: Optional[float] = No
     try:
         with open(path, "r", newline="") as fh:
             raw_lines = fh.read().split("\n")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     lines = [ln.rstrip("\r") for ln in raw_lines]
     while lines and lines[-1] == "":

@@ -316,6 +316,25 @@ class TestSimilarity:
         assert run_cli("similarity", str(a), str(b)) == 2
 
 
+@pytest.mark.parametrize("reader", ["csv", "config", "network spec", "graph"])
+def test_non_utf8_file_exits_2_naming_it(reader, sim_csv, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    content = b"a,b\n1,2\n3,\xff4\n" if reader == "csv" else b'{"nodes": ["\xff"]}\n'
+    bad.write_bytes(content)
+    argv = {
+        "csv": ["analyze", str(bad)],
+        "config": ["analyze", str(sim_csv), "--config", str(bad)],
+        "network spec": ["simulate", "--network", str(bad), "--out", str(tmp_path / "x.csv")],
+        "graph": ["similarity", str(bad), str(bad)],
+    }[reader]
+    assert run_cli(*argv) == 2
+    what = "" if reader == "csv" else f"{reader} "
+    assert capsys.readouterr().err == (
+        f"error: cannot read {what}{bad}: 'utf-8' codec can't decode byte 0xff in position "
+        f"{content.index(0xff)}: invalid start byte\n"
+    )
+
+
 class TestMcBench:
     def test_basic_run_and_determinism(self, tmp_path, capsys):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from granger_mdl.bench import NetworkSpec, builtin_3node, simulate
+from granger_mdl.bench import NetworkSpec, builtin_3node, builtin_5node, simulate
 from granger_mdl.errors import NumericalError, ValidationError
 from granger_mdl.regression import (
     LagSpec,
@@ -51,6 +54,16 @@ def sim3_long(seed, n_keep=10_000):
 
 def diagonal_noise(var_x=1.0, var_y=1.0, cov=0.0):
     return ResidualCovariance(np.array([[var_x, cov], [cov, var_y]]))
+
+
+def stable_model(rng, order):
+    """A random stationary bivariate VAR with a positive definite noise covariance."""
+    a_mats = rng.uniform(-0.5, 0.5, (order, 2, 2)) / order
+    while stability_check(-a_mats) >= 0.95:
+        a_mats = a_mats * 0.8
+    chol = np.array([[rng.uniform(0.5, 1.5), 0.0], rng.uniform(-0.8, 0.8, 2)])
+    chol[1, 1] = abs(chol[1, 1]) + 0.3
+    return BivariateVar(order, a_mats, ResidualCovariance(chol @ chol.T))
 
 
 class TestFitBivariateVar:
@@ -160,6 +173,20 @@ class TestTransferMatrix:
             product = transfer_matrix(model, omega) @ (p @ a_poly)
             np.testing.assert_allclose(product, np.eye(2), atol=1e-10)
 
+    @pytest.mark.parametrize("omega, message", [
+        (float("nan"), "omega nan is not finite"),
+        (float("inf"), "omega inf is not finite"),
+        (float("-inf"), "omega -inf is not finite"),
+        ("0.3", "omega must be a number, got '0.3'"),
+        (True, "omega must be a number, got True"),
+        (None, "omega must be a number, got None"),
+    ])
+    def test_omega_validated(self, omega, message):
+        model = BivariateVar(order=1, a_mats=[np.zeros((2, 2))], noise_cov=diagonal_noise())
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            transfer_matrix(model, omega)
+        np.testing.assert_array_equal(transfer_matrix(model, 1), transfer_matrix(model, 1.0))
+
 
 class TestGewekeSpectrum:
     def test_decoupled_true_model_gives_exact_zero(self):
@@ -246,16 +273,11 @@ class TestGewekeSpectrum:
         freqs = np.linspace(0.01, 0.5, 23)
         for order in (1, 2, 3, 4):
             for _ in range(3):
-                a_mats = rng.uniform(-0.5, 0.5, (order, 2, 2)) / order
-                while stability_check(-a_mats) >= 0.95:
-                    a_mats = a_mats * 0.8
-                chol = np.array([[rng.uniform(0.5, 1.5), 0.0], rng.uniform(-0.8, 0.8, 2)])
-                chol[1, 1] = abs(chol[1, 1]) + 0.3
-                sigma = chol @ chol.T
-                model = BivariateVar(order, a_mats, ResidualCovariance(sigma))
+                model = stable_model(rng, order)
                 sc = geweke_spectrum(model, freqs, 1.0)
                 for idx, f_hz in enumerate(freqs):
-                    fyx, fxy, s = geweke_by_transfer(a_mats, sigma, 2.0 * np.pi * f_hz)
+                    fyx, fxy, s = geweke_by_transfer(model.a_mats, model.noise_cov.matrix,
+                                                     2.0 * np.pi * f_hz)
                     assert sc.f_y_to_x[idx] == pytest.approx(fyx, rel=1e-10, abs=1e-13)
                     assert sc.f_x_to_y[idx] == pytest.approx(fxy, rel=1e-10, abs=1e-13)
                     np.testing.assert_allclose(sc.spectra[idx], np.array(s), rtol=1e-10)
@@ -301,6 +323,47 @@ class TestGewekeSpectrum:
         model = BivariateVar(order=1, a_mats=[np.zeros((2, 2))], noise_cov=diagonal_noise())
         with pytest.raises(ValidationError, match=f"^frequency {shown} is not finite$"):
             geweke_spectrum(model, [0.1, bad, 0.2], 1.0)
+
+
+class TestInvariances:
+    @settings(max_examples=40)
+    @given(order=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           d=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)))
+    def test_rescaling_and_role_exchange(self, order, seed, d):
+        # x -> d_x x and y -> d_y y: A_l -> D A_l D^-1, Sigma -> D Sigma D, S -> D S D
+        model = stable_model(np.random.default_rng(seed), order)
+        freqs = np.linspace(0.01, 0.5, 23)
+        sc = geweke_spectrum(model, freqs, 1.0)
+        scale = np.diag(d)
+        rescaled = BivariateVar(
+            order, [scale @ a @ np.diag(1.0 / np.array(d)) for a in model.a_mats],
+            ResidualCovariance(scale @ model.noise_cov.matrix @ scale),
+        )
+        sd = geweke_spectrum(rescaled, freqs, 1.0)
+        np.testing.assert_allclose(sd.f_y_to_x, sc.f_y_to_x, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sd.f_x_to_y, sc.f_x_to_y, rtol=1e-12, atol=0)
+        expected = scale @ sc.spectra @ scale
+        np.testing.assert_allclose(sd.spectra, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+        exchanged = geweke_spectrum(model.swapped(), freqs, 1.0)
+        np.testing.assert_allclose(exchanged.f_y_to_x, sc.f_x_to_y, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(exchanged.f_x_to_y, sc.f_y_to_x, rtol=1e-14, atol=0)
+
+    def test_frequency_integral_identity(self):
+        # Kolmogorov-Szego: the band mean of f_y_to_x is ln of x's one-step
+        # prediction variance from its own past, exp(mean ln S_xx), over var_x
+        ngrid = 4096
+        freqs = (np.arange(1, ngrid + 1) - 0.5) / (2.0 * ngrid)
+        ts = demean(simulate(builtin_5node(), 0))
+        for x in ts.labels:
+            for y in ts.labels:
+                if x == y:
+                    continue
+                model = fit_bivariate_var(ts, x, y, select_var_order(ts, x, y, 10))
+                sc = geweke_spectrum(model, freqs, 1.0)
+                log_sxx = np.log(sc.spectra[:, 0, 0].real)
+                expected = np.log(np.exp(np.mean(log_sxx)) / model.noise_cov.var_x)
+                assert float(np.mean(sc.f_y_to_x)) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 class TestGrids:
