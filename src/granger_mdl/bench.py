@@ -10,6 +10,7 @@ many seeded trials, optionally in parallel worker processes.
 from __future__ import annotations
 
 import ctypes
+import functools
 import gc
 import json
 import multiprocessing
@@ -18,7 +19,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -232,7 +233,8 @@ def simulate(spec: NetworkSpec, seed: int) -> TimeSeriesMatrix:
     trial; the pre-sample rows hold the node's initial value; the first
     ``burn_in`` rows are dropped. Identical seeds give bit-identical
     output. Trajectories exceeding 1e12 in magnitude abort with a
-    divergence error naming the node and step.
+    divergence error naming the node and step. The steps run in a
+    function compiled once per spec (see :func:`_recursion`).
     """
     rng = np.random.default_rng(seed)
     variances = np.array(
@@ -247,28 +249,43 @@ def simulate(spec: NetworkSpec, seed: int) -> TimeSeriesMatrix:
     noise = rng.standard_normal((n, k)) * sds
     noise[:start] = spec.initial_values
     # the recursion runs on Python floats (IEEE doubles, so each sum is
-    # bit-identical to numpy's): row t starts as its noise, then each term
-    # is added in coefficient order
+    # bit-identical to numpy's)
     values = noise.tolist()
-    by_target: Dict[int, List[Tuple[int, int, float]]] = {}
-    for t, s, lag, v in spec.coefficients:
-        by_target.setdefault(t, []).append((s, lag, v))
-    terms = [by_target.get(node, ()) for node in range(k)]
-    for t in range(start, n):
-        row = values[t]
-        for node, node_terms in enumerate(terms):
-            acc = row[node]
-            for s, lag, v in node_terms:
-                acc += v * values[t - lag][s]
-            if abs(acc) > DIVERGENCE_LIMIT:
-                raise DivergenceError(
-                    f"trajectory diverged at node {node}, step {t}: |{acc:.3e}|",
-                    node=node,
-                    step=t,
-                )
-            row[node] = acc
+    _recursion(k, spec.coefficients)(values, start, n)
     labels = [f"node{i + 1}" for i in range(k)]
     return TimeSeriesMatrix(np.array(values[spec.burn_in:]), labels)
+
+
+@functools.lru_cache(maxsize=32)
+def _recursion(n_nodes: int, coefficients: tuple):
+    """The network's steps over rows ``start..stop - 1`` of a list of rows, as one function.
+
+    Built on first use per spec. Each step is straight-line code: node i's
+    value is row t's noise plus each of its terms in coefficient order,
+    summed left to right, then checked against DIVERGENCE_LIMIT. Lagged
+    values are locals ``x<source>_<lag>``, rotated after the step. The
+    source text holds identifiers and integer indices only; the limit and
+    the coefficient values are bound as the function's defaults.
+    """
+    depth = {s: max(lag for _, s_, lag, _ in coefficients if s_ == s) for _, s, _, _ in coefficients}
+    lines = [f"def step(values, start, stop, limit, {', '.join(f'c{j}' for j in range(len(coefficients)))}):"]
+    lines += [f"    x{s}_{lag} = values[start - {lag}][{s}]" for s in depth for lag in range(1, depth[s] + 1)]
+    lines += ["    for t in range(start, stop):", "        row = values[t]"]
+    for i in range(n_nodes):
+        terms = "".join(f" + c{j} * x{s}_{lag}" for j, (t, s, lag, _) in enumerate(coefficients) if t == i)
+        lines += [f"        a{i} = row[{i}]{terms}", f"        if abs(a{i}) > limit: raise _diverged({i}, t, a{i})"]
+    lines.append(f"        values[t] = [{', '.join(f'a{i}' for i in range(n_nodes))}]")
+    for s in depth:
+        lines += [f"        x{s}_{lag} = x{s}_{lag - 1}" for lag in range(depth[s], 1, -1)] + [f"        x{s}_1 = a{s}"]
+    namespace = {"_diverged": _diverged}
+    exec(compile("\n".join(lines), f"<recursion over {n_nodes} nodes>", "exec"), namespace)
+    step = namespace["step"]
+    step.__defaults__ = (DIVERGENCE_LIMIT, *(v for _, _, _, v in coefficients))
+    return step
+
+
+def _diverged(node: int, step: int, value: float) -> DivergenceError:
+    return DivergenceError(f"trajectory diverged at node {node}, step {step}: |{value:.3e}|", node=node, step=step)
 
 
 def true_edge_matrix(spec: NetworkSpec) -> np.ndarray:

@@ -316,7 +316,8 @@ def _prefix_fits(r_inv, qty, tail_sq, sizes):
     # cancels: what the widest fit leaves, plus qty_j^2 for j >= k
     squares = np.concatenate([qty ** 2, np.asarray(tail_sq)[..., None]], axis=-1)
     rss = np.cumsum(squares[..., ::-1], axis=-1)[..., ::-1][..., sizes]
-    coefficients = np.cumsum(r_inv[..., :ok, :ok] * qty[..., None, :ok], axis=-1)[..., sizes - 1]
+    products = r_inv[..., :ok, :ok] * qty[..., None, :ok]
+    coefficients = np.cumsum(products, axis=-1, out=products)[..., sizes - 1]
     return rss, coefficients
 
 
@@ -430,8 +431,9 @@ class LagEngine:
                    if key not in self._memo or coefficients and self._memo[key].coefficients is None]
         nv = len(self.variables)
         if missing and self._certified():
-            if any(len(blocks) == nv - 1 for _, blocks in missing):
-                self._drop_one_families(self._lag_inverse, coefficients)
+            dropped = [key for key in missing if len(key[1]) == nv - 1]
+            if dropped:
+                self._drop_one_families(self._lag_inverse, set(dropped) if coefficients else set())
             for width in sorted({len(blocks) for _, blocks in missing if len(blocks) < nv - 1}):
                 self._stacked([key for key in missing if len(key[1]) == width])
         for key in missing:
@@ -486,18 +488,18 @@ class LagEngine:
             rss, coefficients = _prefix_fits(r_inv, qty[:width], qty[width:] @ qty[width:], sizes)
             self._memo[target, tuple(self.variables)] = self._nested(target, coefficients, sizes, rss)
 
-    def _drop_one_families(self, r_inv, coefficients: bool):
+    def _drop_one_families(self, r_inv, formed):
         """Every (target, all but x) family, from the full ones by the Schur complement.
 
         Order n's Sigma sums r r' over the columns r of R_L^-1 in lag blocks
         1..n (see :func:`_through_blocks`). Sigma_DD of orders below p_max
         is padded to p_max x p_max with an identity block against a zero
         right-hand side, so one batched solve serves every order, source
-        and target and gives every rss. Only with ``coefficients`` (which
-        code-length scores and :meth:`scan` read, and the F test does not)
-        are they formed, with the columns Sigma_:,D of one source at a
-        time, so little more than the output is held; a family already
-        memoised keeps its scores.
+        and target and gives every rss. Coefficients (which code-length
+        scores and :meth:`scan` read, and the F test does not) are formed
+        only for the (target, family) keys in ``formed``, with the columns
+        Sigma_:,D of one source at a time; a family not yet memoised gets
+        its rss alone, and a memoised one keeps its scores.
         """
         nv, p = len(self.variables), self.p_max
         width = nv * p
@@ -516,18 +518,22 @@ class LagEngine:
         sizes = (nv - 1) * np.arange(1, p + 1)
         for x in range(nv):
             keep = [v for v in range(nv) if v != x]
-            formed = [None] * nv
-            if coefficients:
-                correction = _through_blocks(blocks @ d[:, x].transpose(0, 2, 1)) @ g[:, x]  # (order, row, target)
-                correction = correction.reshape(p, p, nv, nv)[:, :, keep].transpose(1, 2, 0, 3)
-                formed = (b_rows[:, keep] - correction).transpose(3, 0, 1, 2)  # (target, lag, v != x, order)
-                formed = np.ascontiguousarray(formed).reshape(nv, -1, p)
             family = tuple(self.variables[v] for v in keep)
+            wanted = [pos for pos, target in enumerate(self.variables) if (target, family) in formed]
+            coefficients = {}
+            if wanted:
+                # the product is over every target, then selected: a product of
+                # one column (a BLAS gemv) rounds differently from a wider one
+                correction = _through_blocks(blocks @ d[:, x].transpose(0, 2, 1)) @ g[:, x]  # (order, row, target)
+                correction = correction.reshape(p, p, nv, nv)[:, :, keep][..., wanted].transpose(1, 2, 0, 3)
+                shaped = (b_rows[:, keep][..., wanted] - correction).transpose(3, 0, 1, 2)  # (target, lag, v, order)
+                coefficients = dict(zip(wanted, np.ascontiguousarray(shaped).reshape(len(wanted), -1, p)))
             for pos, target in enumerate(self.variables):
                 known = self._memo.get((target, family))
-                self._memo[target, family] = NestedScan(
-                    formed[pos], sizes, rss[x, pos], self.m, self._response_sq[target], None,
-                    {} if known is None else known.curves)
+                if pos in coefficients or known is None:
+                    self._memo[target, family] = NestedScan(
+                        coefficients.get(pos), sizes, rss[x, pos], self.m, self._response_sq[target], None,
+                        {} if known is None else known.curves)
 
     def _stacked(self, keys):
         """Memoise families of one width together, as :meth:`_scan` on a certified engine.
@@ -543,10 +549,13 @@ class LagEngine:
         position = np.array([[self._position[v] for v in (*blocks, target)] for target, blocks in keys])
         lagged = np.arange(p)[:, None] * nv + position[:, None, :-1]  # (family, lag, block)
         index = np.hstack([lagged.reshape(len(keys), k), nv * p + position[:, -1:]])
-        factors = np.stack([_qr_r(self._r[:, columns]) for columns in index])
-        r_inv = np.stack([scipy.linalg.lapack.dtrtri(factor[:k, :k])[0] for factor in factors])
+        r_inv, qty = np.empty((len(keys), k, k)), np.empty((len(keys), k + 1))
+        for r_inv_j, qty_j, columns in zip(r_inv, qty, index):
+            factor = _qr_r(self._r[:, columns])
+            r_inv_j[:] = scipy.linalg.lapack.dtrtri(factor[:k, :k])[0]
+            qty_j[:] = factor[:, k]
         sizes = len(keys[0][1]) * np.arange(1, p + 1)
-        rss, coefficients = _prefix_fits(r_inv, factors[:, :k, k], factors[:, k, k] ** 2, sizes)
+        rss, coefficients = _prefix_fits(r_inv, qty[:, :k], qty[:, k] ** 2, sizes)
         for key, family_rss, family_coefficients in zip(keys, rss, coefficients):
             self._memo[key] = self._nested(key[0], family_coefficients, sizes, family_rss)
 

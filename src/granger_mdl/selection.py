@@ -168,11 +168,13 @@ def _code_length_curve(coefficients, k, rss, m, n_total, delta, scale_floor):
 
     params = np.vstack([sigma2, coefficients])
     priced_rows = np.arange(params.shape[0])[:, None] <= k
-    magnitudes = np.abs(params)
-    # max(0, ln(x / delta)) as ln(max(x, delta) / delta), so never ln 0
-    priced = np.maximum(np.maximum(magnitudes, scale_floor), delta)
-    param_term = np.where(priced_rows, np.log(priced / delta), 0.0).sum(axis=0)
+    magnitudes = np.abs(params, out=params)
     n_counted = (priced_rows & (magnitudes / delta > 1.0)).sum(axis=0)
+    # max(0, ln(x / delta)) as ln(max(x, delta) / delta), so never ln 0; in place
+    priced = np.maximum(magnitudes, max(scale_floor, delta), out=magnitudes)
+    np.log(np.divide(priced, delta, out=priced), out=priced)
+    priced[~priced_rows] = 0.0
+    param_term = priced.sum(axis=0)
 
     order_term = np.log(k + 1.0)
     total = data_term + param_term + order_term
@@ -420,24 +422,13 @@ def markov_mdl(bits: Sequence[int], gamma_max: int, d_max: int) -> MarkovMdlResu
 
 
 def _context_counts(arr: np.ndarray, gamma: int):
-    """Counts of 0/1 successors per length-gamma context (context bits MSB-first)."""
-    k = 2 ** gamma
-    n0 = np.zeros(k)
-    n1 = np.zeros(k)
-    if gamma == 0:
-        n1[0] = arr.sum()
-        n0[0] = arr.size - n1[0]
-        return n0, n1
-    ctx = 0
-    mask = k - 1
-    for i in range(arr.size):
-        if i >= gamma:
-            if arr[i]:
-                n1[ctx] += 1
-            else:
-                n0[ctx] += 1
-        ctx = ((ctx << 1) | int(arr[i])) & mask
-    return n0, n1
+    """Float counts of 0/1 successors per length-gamma context (bits i - gamma..i - 1, MSB-first)."""
+    n = max(arr.size - gamma, 0)
+    ctx = np.zeros(n, dtype=np.int64)
+    for j in range(1, gamma + 1):
+        ctx |= arr[gamma - j:gamma - j + n].astype(np.int64) << (j - 1)
+    n1 = np.bincount(ctx, weights=arr[gamma:], minlength=2 ** gamma).astype(float)
+    return np.bincount(ctx, minlength=2 ** gamma) - n1, n1
 
 
 def _as_bits(bits) -> np.ndarray:

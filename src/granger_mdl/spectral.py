@@ -10,7 +10,8 @@ and a part routed from y, and the influence is the log of their ratio:
                       / (|H_xx + (Sigma_xy/Sigma_xx) H_xy|^2 Sigma_xx)),
 
 f_{x->y} being the same with the variables exchanged. A frequency at
-which kappa_2(A) reaches CONDITION_LIMIT is a NaN row in both.
+which A is singular against the scale of its coefficients (see
+`_transfer`) is a NaN row in both.
 """
 
 from __future__ import annotations
@@ -141,15 +142,18 @@ def fit_bivariate_var(ts: TimeSeriesMatrix, x, y, order: int) -> BivariateVar:
 def _transfer(model: BivariateVar, omegas: np.ndarray):
     """H = A(e^{-i omega})^{-1} at every omega (NaN rows where A is singular), and those rows.
 
-    kappa + 1/kappa = ||A||_F^2 / |det A| (s1 s2 = |det A|, s1^2 + s2^2 =
-    ||A||_F^2) and 1/kappa is below the limit's rounding, so kappa_2(A)
-    reaches CONDITION_LIMIT where ||A||_F^2 >= CONDITION_LIMIT |det A|.
+    A is singular where (||I||_F + sum_l ||A_l||_F)^2 >= CONDITION_LIMIT
+    |det A|. That scale bounds ||A||_F, and kappa + 1/kappa = ||A||_F^2 /
+    |det A| (s1 s2 = |det A|, s1^2 + s2^2 = ||A||_F^2), so the rule flags
+    every omega where kappa_2(A) reaches the limit, and also those where
+    the polynomial vanishes as a whole, whatever kappa_2 is there.
     """
     a = np.tile(np.eye(2, dtype=complex), (omegas.size, 1, 1))
     for ell, mat in enumerate(model.a_mats, start=1):
         a += mat * np.exp(-1j * omegas * ell)[:, None, None]
     det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    singular = (a.real ** 2 + a.imag ** 2).sum(axis=(1, 2)) >= CONDITION_LIMIT * np.abs(det)
+    scale = np.sqrt(2.0) + sum(np.linalg.norm(mat) for mat in model.a_mats)
+    singular = scale ** 2 >= CONDITION_LIMIT * np.abs(det)
     adjugate = np.stack([a[:, 1, 1], -a[:, 0, 1], -a[:, 1, 0], a[:, 0, 0]], axis=1)
     inverse_det = np.divide(1.0, det, out=np.full_like(det, np.nan), where=~singular)
     return (adjugate * inverse_det[:, None]).reshape(-1, 2, 2), singular

@@ -459,42 +459,39 @@ def joint_mdl_gc(
 def _mdl_edges(engine):
     """Code-length decisions and weights of every edge, as [source, target] arrays.
 
-    For each target, the pairwise saving L(own) - L(own + source) gates
-    every edge into it; where it is positive and other variables remain,
-    the conditional saving L(all but source) - L(all) decides the edge and
-    is its weight. The own families are fitted and scored together, then
-    each target's pairwise ones, then its conditional ones where the gate
-    passes.
+    The pairwise saving L(own) - L(own + source) gates each edge; where it
+    is positive and other variables remain, the conditional saving
+    L(all but source) - L(all) decides the edge and is its weight. The
+    network is scored in three passes over all targets: the own families,
+    the pairwise ones, then every gated drop-one family with its target's
+    full family. The edges are arrays in the per-edge traversal order,
+    target by target and each target's sources ascending, which is
+    ``np.nonzero(~np.eye(V))``.
     """
     nv = len(engine.variables)
+    targets, sources = np.nonzero(~np.eye(nv, dtype=bool))
     _, own_errors, own_rows = _scores(engine, [(t, [t]) for t in range(nv)], "MDL")
-    own_best = own_rows.min(axis=1)
+    _, pair_errors, pair_rows = _scores(engine, [(t, [t, s]) for t, s in zip(targets, sources)], "MDL")
+    pairwise = own_rows.min(axis=1)[targets] - pair_rows.min(axis=1)
+    gated = pairwise > 0 if nv > 2 else np.zeros(targets.size, dtype=bool)
+    edges, full = np.flatnonzero(gated), np.unique(targets[gated])
+    dropped = [(targets[e], [v for v in range(nv) if v != sources[e]]) for e in edges]
+    _, gate_errors, gate_rows = _scores(engine, dropped + [(t, range(nv)) for t in full], "MDL")
+    gate_best = gate_rows.min(axis=1)
+    conditional = np.full(targets.size, np.nan)
+    conditional[edges] = gate_best[:edges.size] - gate_best[edges.size + np.searchsorted(full, targets[edges])]
+    if any(error is not None for error in [*own_errors, *pair_errors, *gate_errors]):
+        # the first error of the per-edge traversal: own, pair, then where
+        # the gate passes all but the source, and all
+        drops, fulls = iter(gate_errors), dict(zip(full.tolist(), gate_errors[edges.size:]))
+        for index, target in enumerate(targets.tolist()):
+            visited = [own_errors[target], pair_errors[index]]
+            for error in visited + ([next(drops), fulls[target]] if gated[index] else []):
+                if error is not None:
+                    raise error
     keep, weight = np.zeros((nv, nv), dtype=bool), np.zeros((nv, nv))
-    for target in range(nv):
-        others = [j for j in range(nv) if j != target]
-        _, errors, rows = _scores(engine, [(target, [target, j]) for j in others], "MDL")
-        pairwise = own_best[target] - rows.min(axis=1)
-        gated = pairwise > 0 if nv > 2 else np.zeros(nv - 1, dtype=bool)
-        conditional = np.full(nv - 1, np.nan)
-        gate_errors = []
-        if gated.any():
-            dropped = [(target, [v for v in range(nv) if v != j]) for j in np.compress(gated, others)]
-            _, gate_errors, gate_rows = _scores(engine, dropped + [(target, range(nv))], "MDL")
-            gate_best = gate_rows.min(axis=1)
-            conditional[gated] = gate_best[:-1] - gate_best[-1]
-        if any(error is not None for error in [own_errors[target], *errors, *gate_errors]):
-            # the first error of the per-edge traversal: own, pair, then
-            # where the gate passes all but the source, and all
-            drops = iter(gate_errors)
-            for index in range(nv - 1):
-                visited = [own_errors[target], errors[index]]
-                if gated[index]:
-                    visited += [next(drops), gate_errors[-1]]
-                for error in visited:
-                    if error is not None:
-                        raise error
-        keep[others, target] = np.where(gated, conditional > 0, pairwise > 0)
-        weight[others, target] = np.where(gated, conditional, pairwise)
+    keep[sources, targets] = np.where(gated, conditional > 0, pairwise > 0)
+    weight[sources, targets] = np.where(gated, conditional, pairwise)
     return keep, weight
 
 
@@ -560,10 +557,11 @@ def infer_network(
     at ``alpha``.
 
     All fits come from one :class:`LagEngine` over ``ts``: one
-    factorisation, and each model family scanned and scored once. On an
-    engine that certifies its inverse route, the own and pairwise
-    families are fitted in batches. Edges are decided as arrays, each
-    family's error kept as a value by one rule; the first error that a
+    factorisation, and each model family scanned and scored once. The
+    code-length method scores three stages over all targets (own, pairwise,
+    and the conditional families the gate reads); a certified engine fits
+    each stage's small families in one batch. Edges are decided as arrays,
+    each family's error kept as a value by one rule; the first error that a
     loop over the edges in that ascending order would meet is raised.
     A constant column, or two identical ones, is a ValidationError
     naming them, raised before any fit.

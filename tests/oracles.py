@@ -6,7 +6,8 @@ through the normal equations, code lengths are recomputed term by
 term with plain Python floats, and Geweke spectra come from the
 unnormalised transfer function one frequency at a time. The simulator
 oracle is the network recursion as it was first written, on numpy
-scalars one element at a time.
+scalars one element at a time. The Markov-chain context counts are a
+loop over the bits.
 """
 
 import cmath
@@ -202,3 +203,28 @@ def lagged_rss_longdouble(values, target, variables, order, start):
         a[j:, j:] -= np.outer(x, 2 * (x @ a[j:, j:]) / scale)
     tail = a[k:, k]
     return (tail * tail).sum()
+
+
+def context_counts_by_loop(arr, gamma):
+    """(n0, n1) float counts of 0/1 successors per length-gamma context, one bit at a time.
+
+    The context is the last gamma bits before the position, MSB-first,
+    carried as a running integer; the first gamma positions are not counted.
+    """
+    k = 2 ** gamma
+    n0 = np.zeros(k)
+    n1 = np.zeros(k)
+    if gamma == 0:
+        n1[0] = arr.sum()
+        n0[0] = arr.size - n1[0]
+        return n0, n1
+    ctx = 0
+    mask = k - 1
+    for i in range(arr.size):
+        if i >= gamma:
+            if arr[i]:
+                n1[ctx] += 1
+            else:
+                n0[ctx] += 1
+        ctx = ((ctx << 1) | int(arr[i])) & mask
+    return n0, n1

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from granger_mdl import bench, timedomain
 from granger_mdl.bench import (
@@ -229,6 +229,62 @@ class TestChildSeeds:
             i, j = rng.choice(100, size=2, replace=False)
             corrs.append(abs(np.corrcoef(series[i], series[j])[0, 1]))
         assert np.mean(corrs) < 0.05
+
+
+@st.composite
+def small_specs(draw, min_nodes=1, min_len=5):
+    """Networks of 1-5 nodes and lags 1-4: repeated rows, signed zeros, some explosive."""
+    n = draw(st.integers(min_nodes, 5))
+    max_lag = draw(st.integers(1, 4))
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.6, 0.6), st.floats(-3.0, 3.0))
+    rows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                   st.integers(1, max_lag), value), min_size=1, max_size=10))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))  # repeated (target, source, lag)
+    variance = st.one_of(st.sampled_from([0.0, 0.5]), st.tuples(st.just(0.1), st.floats(0.1, 2.0)))
+    total_len = draw(st.integers(min_len, min_len + 150))
+    return NetworkSpec(
+        n_nodes=n, coefficients=rows, noise_variances=draw(st.lists(variance, min_size=n, max_size=n)),
+        total_len=total_len, burn_in=draw(st.integers(0, total_len - 1)),
+        initial_values=draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)),
+    )
+
+
+class TestCompiledRecursion:
+    """simulate's compiled step function against the per-element numpy loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=small_specs(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_per_element_loop(self, spec, seed):
+        try:
+            want = simulate_by_loop(spec, seed)
+        except DivergenceError as exc:
+            with pytest.raises(DivergenceError) as got:
+                simulate(spec, seed)
+            assert (got.value.node, got.value.step) == (exc.node, exc.step)
+            assert str(got.value) == str(exc)
+            return
+        assert simulate(spec, seed).values.tobytes() == want.tobytes()
+
+    def test_built_once_per_spec(self):
+        spec = NetworkSpec.from_dict(json.loads(JSON_SPEC))
+        step = bench._recursion(spec.n_nodes, spec.coefficients)
+        simulate(spec, 1)
+        assert bench._recursion(spec.n_nodes, spec.coefficients) is step
+        # the values are bound, not written into the code
+        assert step.__defaults__[1:] == tuple(v for *_, v in spec.coefficients)
+
+    @settings(max_examples=4, deadline=None)
+    @given(spec=small_specs(min_nodes=2, min_len=40), trials=st.integers(1, 8),
+           seed=st.integers(0, 2 ** 32 - 1), built_in_parent=st.booleans())
+    def test_reports_identical_for_one_and_two_workers(self, spec, trials, seed, built_in_parent):
+        if built_in_parent:
+            # the forked workers run the parent's compiled step
+            bench._recursion(spec.n_nodes, spec.coefficients)
+        configs = [MethodConfig("mdl", p_max=2), MethodConfig("ftest", p_max=2)]
+        one = run_bench_multi(spec, configs, trials, seed, n_workers=1)
+        two = run_bench_multi(spec, configs, trials, seed, n_workers=2)
+        assert {label: r.to_json() for label, r in one.items()} == \
+            {label: r.to_json() for label, r in two.items()}
 
 
 class TestRunBench:

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from granger_mdl.bench import NetworkSpec, simulate
 from granger_mdl.errors import DegenerateFitError, ValidationError
 from granger_mdl.regression import LagSpec, OlsFit, build_design, nested_scan, ols_fit, ols_order_scan
 from granger_mdl.selection import (
+    _as_bits,
     _code_length_curve,
+    _context_counts,
     aic,
     bernoulli_code_length,
     bic,
@@ -21,7 +24,7 @@ from granger_mdl.selection import (
 )
 from granger_mdl.timeseries import TimeSeriesMatrix, demean
 
-from oracles import code_length_by_terms, gaussian_loglik_by_sum
+from oracles import code_length_by_terms, context_counts_by_loop, gaussian_loglik_by_sum
 
 
 def ar2_series(n_samples, seed, noise_var=0.25):
@@ -314,6 +317,15 @@ class TestMarkovMdl:
         assert result.theta_hat[0] == 1.0
         model_bits = 1 + universal_int_bits(1) + universal_int_bits(1)
         assert result.total_bits == pytest.approx(model_bits)
+
+    @given(size=st.integers(0, 300), p_one=st.floats(0.0, 1.0), gamma=st.integers(0, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_context_counts_match_the_bit_loop(self, size, p_one, gamma, seed):
+        bits = _as_bits(np.random.default_rng(seed).random(size) < p_one)
+        counts, looped = _context_counts(bits, gamma), context_counts_by_loop(bits, gamma)
+        for got, want in zip(counts, looped):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

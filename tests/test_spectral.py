@@ -14,7 +14,9 @@ from granger_mdl.regression import (
     residual_covariance,
     stability_check,
 )
+from granger_mdl.cli import main
 from granger_mdl.spectral import (
+    CONDITION_LIMIT,
     BivariateVar,
     default_frequency_grid,
     fit_bivariate_var,
@@ -23,7 +25,7 @@ from granger_mdl.spectral import (
     spectral_to_csv,
     transfer_matrix,
 )
-from granger_mdl.timeseries import TimeSeriesMatrix, demean
+from granger_mdl.timeseries import TimeSeriesMatrix, demean, save_csv
 
 from oracles import geweke_by_transfer
 
@@ -267,6 +269,51 @@ class TestGewekeSpectrum:
         assert np.isfinite(sc.f_y_to_x[0])
         assert np.isnan(sc.f_y_to_x[1])
         assert np.isnan(sc.spectra[1]).all()
+
+    def test_vanishing_polynomial_flags_nan(self):
+        # A(e^{-i pi/2}) = I - I rounds to about 1.2e-16 I: its kappa_2 is 1,
+        # but the polynomial vanishes against the scale of its coefficients
+        model = BivariateVar(order=2, a_mats=[np.zeros((2, 2)), np.eye(2)], noise_cov=diagonal_noise())
+        sc = geweke_spectrum(model, [0.1, 0.25], 1.0)
+        assert np.isfinite(sc.f_y_to_x[0]) and np.isfinite(sc.f_x_to_y[0])
+        assert np.isnan(sc.f_y_to_x[1]) and np.isnan(sc.f_x_to_y[1])
+        assert np.isnan(sc.spectra[1]).all() and np.isfinite(sc.spectra[0]).all()
+        with pytest.raises(NumericalError, match="singular"):
+            transfer_matrix(model, np.pi / 2)
+
+    def test_spectral_command_on_a_root_at_a_quarter_of_the_rate(self, tmp_path, capsys):
+        # x_t = -x_(t-2) + e_t in both variables, so the fitted A_2 is close to I
+        e = np.random.default_rng(5).standard_normal((400, 2))
+        values = np.zeros((400, 2))
+        for t in range(2, 400):
+            values[t] = -values[t - 2] + e[t]
+        path, out = tmp_path / "root.csv", tmp_path / "root-spectral.csv"
+        save_csv(TimeSeriesMatrix(values, ["x", "y"]), path)
+        code = main(["spectral", str(path), "--x", "x", "--y", "y", "--order", "2",
+                     "--freqs", "0.1,0.25", "--out", str(out)])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == [0.1, 0.25]
+        assert all(np.isnan(v) or v >= 0.0 for row in rows for v in map(float, row[1:]))
+
+    def test_nan_rows_where_kappa_2_reaches_the_limit_on_five_node_pairs(self):
+        # the scale rule adds only frequencies where A vanishes as a whole, so
+        # on fitted five-node pairs it flags where the kappa_2 rule does: nowhere
+        ts = demean(simulate(builtin_5node(), 1))
+        freqs = np.arange(1.0, 101.0)
+        z = np.exp(-2j * np.pi * freqs / 200.0)
+        for x in range(5):
+            for y in range(5):
+                if x == y:
+                    continue
+                model = fit_bivariate_var(ts, x, y, select_var_order(ts, x, y))
+                a = np.eye(2) + sum(mat * z[:, None, None] ** ell
+                                    for ell, mat in enumerate(model.a_mats, start=1))
+                singular = np.linalg.cond(a) >= CONDITION_LIMIT
+                sc = geweke_spectrum(model, freqs, 200.0)
+                np.testing.assert_array_equal(np.isnan(sc.f_y_to_x), singular)
+                np.testing.assert_array_equal(np.isnan(sc.f_x_to_y), singular)
 
     def test_matches_unnormalised_oracle(self):
         rng = np.random.default_rng(12)

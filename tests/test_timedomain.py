@@ -7,7 +7,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from granger_mdl import selection
+from granger_mdl import selection, timedomain
 from granger_mdl.bench import builtin_3node, builtin_5node, simulate
 from granger_mdl.errors import (
     DegenerateFitError,
@@ -766,6 +766,50 @@ class TestErrorReplay:
         code = main(["analyze", str(path), "--method", method, "--p-max", str(p_max), "--no-demean"])
         assert code == 3
         assert capsys.readouterr().err == f"numerical error: {info.value}\n"
+
+    @pytest.mark.parametrize("p_max", [3, 10])
+    def test_an_earlier_targets_gate_error_before_a_later_targets_pair_error(
+            self, p_max, tmp_path, capsys):
+        # y is exactly 0.5 x one step back and drives a. The gate passes y -> a,
+        # and a's full family (a stage-3 family) breaks its rank at x.lag2;
+        # the pairwise family of y on x, a later target's (stage 2), is noiseless
+        rng = np.random.default_rng(7)
+        x, e = rng.standard_normal((2, 150))
+        y, a = np.zeros(150), np.zeros(150)
+        y[1:] = 0.5 * x[:-1]
+        a[1:] = 0.8 * y[:-1] + 0.3 * e[1:]
+        ts = TimeSeriesMatrix(np.column_stack([a, y, x]), ["a", "y", "x"])
+        _, errors, rows = selection._scores(LagEngine(ts, p_max), [(0, [0]), (0, [0, 1]), (0, [0, 1, 2]),
+                                                                 (1, [1, 2])], "MDL")
+        assert errors[:2] == [None, None] and np.nanmin(rows[0]) > np.nanmin(rows[1])
+        assert isinstance(errors[2], RankDeficiencyError) and isinstance(errors[3], DegenerateFitError)
+        with pytest.raises(RankDeficiencyError) as info:
+            infer_network(ts, "mdl", p_max=p_max)
+        assert str(info.value) == str(errors[2])
+        assert one_engine_loop(ts, "mdl", p_max) == (RankDeficiencyError, str(errors[2]))
+        path = tmp_path / "panel.csv"
+        save_csv(ts, path)
+        capsys.readouterr()
+        code = main(["analyze", str(path), "--method", "mdl", "--p-max", str(p_max), "--no-demean"])
+        assert code == 3
+        assert capsys.readouterr().err == f"numerical error: {errors[2]}\n"
+
+    @pytest.mark.parametrize("panel", ["certified", "lagged copy", "noiseless target of four"])
+    def test_three_scoring_passes_per_network(self, panel, monkeypatch):
+        ts = demean(simulate(builtin_5node(), 3)) if panel == "certified" else replay_panel(panel)
+        calls = []
+
+        def counted(engine, families, *args):
+            calls.append(len(families))
+            return selection._scores(engine, families, *args)
+
+        monkeypatch.setattr(timedomain, "_scores", counted)
+        try:
+            infer_network(ts, "mdl", p_max=10)
+        except (RankDeficiencyError, DegenerateFitError):
+            pass
+        nv = ts.n_variables
+        assert len(calls) == 3 and calls[:2] == [nv, nv * (nv - 1)]
 
     def test_noiseless_target_passes_the_f_test(self):
         # the F path meets no noiseless code length: both sources are kept
