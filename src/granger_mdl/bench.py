@@ -234,7 +234,7 @@ def simulate(spec: NetworkSpec, seed: int) -> TimeSeriesMatrix:
     ``burn_in`` rows are dropped. Identical seeds give bit-identical
     output. Trajectories exceeding 1e12 in magnitude abort with a
     divergence error naming the node and step. The steps run in a
-    function compiled once per spec (see :func:`_recursion`).
+    function compiled once per network structure (:func:`_recursion`).
     """
     rng = np.random.default_rng(seed)
     variances = np.array(
@@ -251,37 +251,36 @@ def simulate(spec: NetworkSpec, seed: int) -> TimeSeriesMatrix:
     # the recursion runs on Python floats (IEEE doubles, so each sum is
     # bit-identical to numpy's)
     values = noise.tolist()
-    _recursion(k, spec.coefficients)(values, start, n)
+    steps = _recursion(k, tuple(row[:3] for row in spec.coefficients))
+    steps(values, start, n, DIVERGENCE_LIMIT, *(row[3] for row in spec.coefficients))
     labels = [f"node{i + 1}" for i in range(k)]
     return TimeSeriesMatrix(np.array(values[spec.burn_in:]), labels)
 
 
 @functools.lru_cache(maxsize=32)
-def _recursion(n_nodes: int, coefficients: tuple):
-    """The network's steps over rows ``start..stop - 1`` of a list of rows, as one function.
+def _recursion(n_nodes: int, terms: tuple):
+    """The steps over rows ``start..stop - 1`` of a list of rows, for (target, source, lag) ``terms``.
 
-    Built on first use per spec. Each step is straight-line code: node i's
-    value is row t's noise plus each of its terms in coefficient order,
-    summed left to right, then checked against DIVERGENCE_LIMIT. Lagged
-    values are locals ``x<source>_<lag>``, rotated after the step. The
-    source text holds identifiers and integer indices only; the limit and
-    the coefficient values are bound as the function's defaults.
+    Built on first use per network structure. Each step is straight-line
+    code: node i's value is row t's noise plus c_j times the lagged source
+    for each of its terms in order, summed left to right, then checked
+    against ``limit``. Lagged values are locals ``x<source>_<lag>``, rotated
+    after the step. The source text holds identifiers and integer indices
+    only; the limit and the c_j are arguments (as keys, 0.0 == -0.0).
     """
-    depth = {s: max(lag for _, s_, lag, _ in coefficients if s_ == s) for _, s, _, _ in coefficients}
-    lines = [f"def step(values, start, stop, limit, {', '.join(f'c{j}' for j in range(len(coefficients)))}):"]
+    depth = {s: max(lag for _, s_, lag in terms if s_ == s) for _, s, _ in terms}
+    lines = [f"def step(values, start, stop, limit, {', '.join(f'c{j}' for j in range(len(terms)))}):"]
     lines += [f"    x{s}_{lag} = values[start - {lag}][{s}]" for s in depth for lag in range(1, depth[s] + 1)]
     lines += ["    for t in range(start, stop):", "        row = values[t]"]
     for i in range(n_nodes):
-        terms = "".join(f" + c{j} * x{s}_{lag}" for j, (t, s, lag, _) in enumerate(coefficients) if t == i)
-        lines += [f"        a{i} = row[{i}]{terms}", f"        if abs(a{i}) > limit: raise _diverged({i}, t, a{i})"]
+        sum_ = "".join(f" + c{j} * x{s}_{lag}" for j, (t, s, lag) in enumerate(terms) if t == i)
+        lines += [f"        a{i} = row[{i}]{sum_}", f"        if abs(a{i}) > limit: raise _diverged({i}, t, a{i})"]
     lines.append(f"        values[t] = [{', '.join(f'a{i}' for i in range(n_nodes))}]")
     for s in depth:
         lines += [f"        x{s}_{lag} = x{s}_{lag - 1}" for lag in range(depth[s], 1, -1)] + [f"        x{s}_1 = a{s}"]
     namespace = {"_diverged": _diverged}
     exec(compile("\n".join(lines), f"<recursion over {n_nodes} nodes>", "exec"), namespace)
-    step = namespace["step"]
-    step.__defaults__ = (DIVERGENCE_LIMIT, *(v for _, _, _, v in coefficients))
-    return step
+    return namespace["step"]
 
 
 def _diverged(node: int, step: int, value: float) -> DivergenceError:
@@ -493,6 +492,7 @@ def run_bench_multi(
         # The parent freezes nothing: on CPython 3.11 gc.freeze() leaves
         # gc.get_count() at (0, 0, 0), and a parent that froze on every call
         # never reached a full collection and grew by 28 tracked objects a call.
+        _recursion(spec.n_nodes, tuple(row[:3] for row in spec.coefficients))  # before the fork: workers inherit it
         with _one_blas_thread(), ProcessPoolExecutor(
             max_workers=pool_size, mp_context=_pool_context(), initializer=gc.freeze
         ) as pool:

@@ -265,24 +265,26 @@ class TestCompiledRecursion:
             return
         assert simulate(spec, seed).values.tobytes() == want.tobytes()
 
-    def test_built_once_per_spec(self):
-        spec = NetworkSpec.from_dict(json.loads(JSON_SPEC))
-        step = bench._recursion(spec.n_nodes, spec.coefficients)
-        simulate(spec, 1)
-        assert bench._recursion(spec.n_nodes, spec.coefficients) is step
-        # the values are bound, not written into the code
-        assert step.__defaults__[1:] == tuple(v for *_, v in spec.coefficients)
+    def test_one_function_per_structure(self):
+        # 0.0 == -0.0, so a cache keyed by the values would run one spec with
+        # the other's zero; a zero-variance node keeps the sign of its sum
+        base = NetworkSpec.from_dict(json.loads(JSON_SPEC))
+        specs = [replace(base, coefficients=((0, 0, 1, zero), *base.coefficients[1:])) for zero in (0.0, -0.0)]
+        bench._recursion.cache_clear()
+        for spec in specs * 2:
+            assert simulate(spec, 4).values.tobytes() == simulate_by_loop(spec, 4).tobytes()
+        assert bench._recursion.cache_info().currsize == 1
+        assert simulate(specs[0], 4).values.tobytes() != simulate(specs[1], 4).values.tobytes()
 
     @settings(max_examples=4, deadline=None)
-    @given(spec=small_specs(min_nodes=2, min_len=40), trials=st.integers(1, 8),
-           seed=st.integers(0, 2 ** 32 - 1), built_in_parent=st.booleans())
-    def test_reports_identical_for_one_and_two_workers(self, spec, trials, seed, built_in_parent):
-        if built_in_parent:
-            # the forked workers run the parent's compiled step
-            bench._recursion(spec.n_nodes, spec.coefficients)
+    @given(spec=small_specs(min_nodes=2, min_len=40), trials=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_reports_identical_for_one_and_two_workers(self, spec, trials, seed):
         configs = [MethodConfig("mdl", p_max=2), MethodConfig("ftest", p_max=2)]
-        one = run_bench_multi(spec, configs, trials, seed, n_workers=1)
+        bench._recursion.cache_clear()
         two = run_bench_multi(spec, configs, trials, seed, n_workers=2)
+        # compiled in the parent before the fork, and run by the forked workers
+        assert bench._recursion.cache_info().currsize == 1
+        one = run_bench_multi(spec, configs, trials, seed, n_workers=1)
         assert {label: r.to_json() for label, r in one.items()} == \
             {label: r.to_json() for label, r in two.items()}
 
