@@ -152,7 +152,7 @@ def _transfer(model: BivariateVar, omegas: np.ndarray):
     for ell, mat in enumerate(model.a_mats, start=1):
         a += mat * np.exp(-1j * omegas * ell)[:, None, None]
     det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    scale = np.sqrt(2.0) + sum(np.linalg.norm(mat) for mat in model.a_mats)
+    scale = np.sqrt(2.0) + np.sqrt(np.square(model.a_mats).sum(axis=(1, 2))).sum()
     singular = scale ** 2 >= CONDITION_LIMIT * np.abs(det)
     adjugate = np.stack([a[:, 1, 1], -a[:, 0, 1], -a[:, 1, 0], a[:, 0, 0]], axis=1)
     inverse_det = np.divide(1.0, det, out=np.full_like(det, np.nan), where=~singular)
