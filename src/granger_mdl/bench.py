@@ -24,7 +24,8 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .timedomain import MethodConfig, _infer_network
+from .regression import LagEngine
+from .timedomain import MethodConfig, _checked_network, _decided
 from .timeseries import TimeSeriesMatrix, checked_value, demean as demean_ts
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
+STACK_LIMIT = 64  # trials decided as one stack, at most: bounds a chunk's memory
 
 # Noise-variance presets for the 3-node network. The plain names follow
 # the simulation protocol scale; the table-* names are the same ranges
@@ -431,24 +433,50 @@ def _one_blas_thread():
             set_(count)
 
 
-def _evaluate_trial(spec, configs, seed, apply_demean):
-    ts = simulate(spec, int(seed))
-    if apply_demean:
-        ts = demean_ts(ts)
-    engines = {}  # one factorisation of the trial's series for all its configs
-    return [_infer_network(ts, cfg, engines).adjacency for cfg in configs]
-
-
 def _run_chunk(args):
-    """(adjacencies, None) or (None, error text) for each trial of a chunk, in order."""
+    """(adjacencies, None) or (None, error text) for each trial of a chunk, in order.
+
+    Each trial is simulated, demeaned and checked on its own, and a trial
+    that fails there is recorded. The others are decided together: one
+    stacked :class:`LagEngine` per p_max serves every config, and a
+    trial's error is the first one that its configs, in order, meet (see
+    :func:`~granger_mdl.timedomain._decided`).
+    """
     spec, configs, seeds, apply_demean = args
-    out = []
+    series, out = [], []
     for seed in seeds:
         try:
-            out.append((_evaluate_trial(spec, configs, seed, apply_demean), None))
+            ts = simulate(spec, int(seed))
+            if apply_demean:
+                ts = demean_ts(ts)
+            _checked_network(ts)
+            series.append(ts)
+            out.append(None)
         except Exception as exc:  # recorded per trial, never dropped silently
-            out.append((None, f"{type(exc).__name__}: {exc}"))
+            out.append((None, _failure_text(exc)))
+    if not series:
+        return out
+    adjacency = np.zeros((len(series), len(configs), spec.n_nodes, spec.n_nodes), dtype=bool)
+    errors, engines = [None] * len(series), {}
+    for c, cfg in enumerate(configs):
+        try:
+            if cfg.p_max not in engines:
+                engines[cfg.p_max] = LagEngine(series, cfg.p_max)
+        except ValidationError as exc:  # the window is too short for p_max: every trial's error
+            config_errors = [exc] * len(series)
+        else:
+            adjacency[:, c], _, config_errors = _decided(engines[cfg.p_max], cfg)
+        errors = [error if error is not None else new for error, new in zip(errors, config_errors)]
+    decided = iter(zip(adjacency, errors))
+    for index, trial in enumerate(out):
+        if trial is None:
+            graphs, error = next(decided)
+            out[index] = (graphs, None) if error is None else (None, _failure_text(error))
     return out
+
+
+def _failure_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def run_bench_multi(
@@ -478,7 +506,8 @@ def run_bench_multi(
 
     seeds = child_seeds(master_seed, n_trials)
     workers = worker_count(n_workers)
-    chunk_size = max(1, (n_trials + workers * 4 - 1) // (workers * 4))
+    # a serial run decides every trial in one stack, a pool four chunks a worker
+    chunk_size = min(STACK_LIMIT, n_trials if workers == 1 else -(-n_trials // (workers * 4)))
     tasks = [
         (spec, tuple(configs), seeds[lo:lo + chunk_size], demean)
         for lo in range(0, n_trials, chunk_size)

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from typing import List, Optional
 
 import numpy as np
@@ -284,17 +285,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A warning as one ``warning: ...`` line on stderr, in the style of the other messages."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        _apply_config(args)
-        return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            _apply_config(args)
+            return args.func(args)
+        except ValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except NumericalError as exc:
+            print(f"numerical error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -322,7 +322,13 @@ def _prefix_fits(r_inv, qty, tail_sq, sizes):
 
 
 class LagEngine:
-    """One factorisation of a series' lagged design, shared by its model families.
+    """One factorisation of each series' lagged design, shared by its model families.
+
+    ``ts`` is one series or a stack of series with one shape and one set
+    of labels, such as the trials of a Monte Carlo chunk. The stack is the
+    engine's leading trial axis: R, R_L^-1 and every array of a memoised
+    scan have it, of length 1 for one series, and each trial is summed in
+    the same order as alone.
 
     ``Z = [lags 1..p_max of every variable, lag-major | the responses]`` on
     the window starting at row ``start`` (default p_max) is factored once
@@ -341,11 +347,11 @@ class LagEngine:
     x's n columns D, and with Sigma = R_k^-1 R_k^-T the Schur complement
     gives it: rss = rss_full + b_D' Sigma_DD^-1 b_D and coefficients
     b_keep - Sigma_keep,D Sigma_DD^-1 b_D. Sigma_DD does not depend on the
-    target, so every order, source and target is one batched solve. The
-    families with fewer blocks (a target's own history, a pair) that are
-    asked for together are fitted in one batch per width.
+    target, so every order, source, target and trial is one batched solve.
+    The families with fewer blocks (a target's own history, a pair) that
+    are asked for together are fitted in one batch per width.
 
-    These routes run only if the engine certifies them: m > V p (every
+    These routes run only if every trial certifies them: m > V p (every
     order fits the window), no zero pivot in R_L, and kappa_1(R_L) (V p)^2
     <= 1 / RANK_TOL. A family's design at order n is a column subset of
     Z's order-n prefix, so by column-deletion interlacing (Golub & Van
@@ -355,7 +361,8 @@ class LagEngine:
     prefix of every family passes :func:`_fit_prefixes`' rank policy, and
     these routes skip it without changing a rank decision. An engine that
     does not certify (a short window, near-collinear columns) scans each
-    family by its own slice QR and rank check.
+    family of one series by its own slice QR and rank check; a stack whose
+    trials do not all certify is first split by :meth:`_groups`.
 
     ``variables`` (labels or indices; default all, ascending) fixes the
     engine's order. Blocks are always taken in that order, and each
@@ -363,43 +370,58 @@ class LagEngine:
     memo entry, the scan, also keeps the family's criterion scores.
     """
 
-    def __init__(self, ts: TimeSeriesMatrix, p_max: int, start: int = None, variables=None):
+    def __init__(self, ts, p_max: int, start: int = None, variables=None):
+        series = [ts] if isinstance(ts, TimeSeriesMatrix) else list(ts)
+        ts = series[0]
+        if any(s.values.shape != ts.values.shape or s.labels != ts.labels for s in series):
+            raise ValidationError("the series of a stack must share one shape and one set of labels")
         p_max = checked_value(p_max, int, "p_max")
         if p_max < 1:
             raise ValidationError("p_max must be >= 1")
         start = p_max if start is None else checked_value(start, int, "start")
         if start < p_max:
             raise ValidationError(f"start={start} is below p_max {p_max}")
-        values = ts.values
-        n = values.shape[0]
+        n = ts.n_samples
         if n <= start:
             raise ValidationError(
                 f"series of length {n} too short for orders up to {p_max}"
             )
         if variables is None:
-            variables = range(values.shape[1])
+            variables = range(ts.n_variables)
         self.variables = list(dict.fromkeys(ts.column(v) for v in variables))
         self._position = {v: i for i, v in enumerate(self.variables)}
         self.ts, self.p_max, self.m = ts, p_max, n - start
-        lags = _lagged(values, start, [(v, ell) for ell in range(1, p_max + 1) for v in self.variables])
-        self._responses = values[start:]
-        self._r = _qr_r(np.hstack([lags, self._responses[:, self.variables]]))
-        self._response_sq = {v: float(self._responses[:, v] @ self._responses[:, v]) for v in self.variables}
-        self._memo = {}
-        self._lag_inverse = None  # R_L^-1 once the engine certifies it, False if it does not
+        self._series, self._start = series, start
+        columns = [(v, ell) for ell in range(1, p_max + 1) for v in self.variables]
+        responses = [s.values[start:] for s in series]
+        # one series at a time, so that one Z is held at once
+        self._r = np.array([_qr_r(np.hstack([_lagged(s.values, start, columns), r[:, self.variables]]))
+                            for s, r in zip(series, responses)])
+        response_sq = np.array([[r[:, v] @ r[:, v] for v in self.variables] for r in responses])
+        self._response_sq = dict(zip(self.variables, response_sq.T))
+        self._memo, self._views = {}, {}
+        self._lag_inverse = None  # R_L^-1 once every trial certifies it, False if one does not
+        self._passed = None  # per trial, whether it certifies
+        self._schur = None  # what the drop-one coefficients need (see _drop_one_families)
+        self._split = None
 
     def scan(self, target, block_vars: Sequence, orders: int = None) -> NestedScan:
-        """Orders 1..min(p_max, (m - 1) // b) of the family, as :func:`nested_scan`.
+        """Orders 1..min(p_max, (m - 1) // b) of the family, as :func:`nested_scan`, on the first series.
 
         ``orders`` (default p_max) is the highest order the caller reads;
         a window with no more rows than its b*orders columns would
-        interpolate the data and is a ValidationError.
+        interpolate the data and is a ValidationError. The scan is one
+        object per family and engine, without the trial axis.
         """
         target, blocks = self._family(target, block_vars)
         error = self._underdetermined(len(blocks), self.p_max if orders is None else orders)
         if error is not None:
             raise error
-        return self._families([(target, blocks)])[0]
+        stacked, key = self._families([(target, blocks)])[0], (target, tuple(blocks))
+        if self._views.get(key, (None,))[0] is not stacked:
+            self._views[key] = stacked, stacked._replace(
+                coefficients=stacked.coefficients[0], rss=stacked.rss[0], response_sq=float(stacked.response_sq[0]))
+        return self._views[key][1]
 
     def _family(self, target, block_vars):
         """(target, blocks) as engine columns, blocks in the engine's order; repeated or no blocks: ValidationError."""
@@ -417,6 +439,24 @@ class LagEngine:
             )
         return None
 
+    def _groups(self):
+        """(trials, engine) pairs that cover the engine's trials, each engine one the routes can serve.
+
+        The engine itself if every trial certifies or it holds one series;
+        else the certified trials as one engine and every other trial as
+        its own, since the rank-checked route reads one series. Those are
+        built once.
+        """
+        trials = np.arange(len(self._series))
+        if trials.size == 1 or self._certified():
+            return [(trials, self)]
+        if self._split is None:
+            groups = [trials[self._passed]] if self._passed.any() else []
+            groups += [trials[[t]] for t in trials[~self._passed]]
+            self._split = [(group, LagEngine([self._series[t] for t in group], self.p_max, self._start,
+                                             self.variables)) for group in groups]
+        return self._split
+
     def _families(self, families, coefficients: bool = True) -> List[NestedScan]:
         """The scans of (target, blocks) ``families``, blocks distinct engine variables in any order.
 
@@ -433,16 +473,18 @@ class LagEngine:
         if missing and self._certified():
             dropped = [key for key in missing if len(key[1]) == nv - 1]
             if dropped:
-                self._drop_one_families(self._lag_inverse, set(dropped) if coefficients else set())
+                self._drop_one_families(set(dropped) if coefficients else set())
             for width in sorted({len(blocks) for _, blocks in missing if len(blocks) < nv - 1}):
                 self._stacked([key for key in missing if len(key[1]) == width])
         for key in missing:
             if key not in self._memo:
-                self._memo[key] = self._scan(*key)
+                scan = self._scan(*key)
+                self._memo[key] = scan._replace(coefficients=scan.coefficients[None], rss=scan.rss[None],
+                                                response_sq=np.array([scan.response_sq]))
         return [self._memo[key] for key in keys]
 
     def residual_covariance(self) -> np.ndarray:
-        """Residual covariance (divisor m) of the responses on every lag column.
+        """Residual covariance (divisor m) of the first series' responses on every lag column.
 
         Each response of the engine's variables, in the engine's order, is
         regressed on lags 1..p_max of all of them. With T the trailing
@@ -450,120 +492,137 @@ class LagEngine:
         cross-products are T'T, so this is T'T / m.
         """
         width = len(self.variables) * self.p_max
-        t = self._r[width:, width:]
+        t = self._r[0, width:, width:]
         return t.T @ t / self.m
 
     def _scan(self, target: int, blocks: List[int]) -> NestedScan:
+        """The first series' family by its own slice QR and rank check, without the trial axis."""
         b = len(blocks)
         n_fit = min(self.p_max, (self.m - 1) // b)
         columns = [(v, ell) for ell in range(n_fit) for v in blocks]
         kk, rss, coefficients, rank_error = self._fit(target, columns, b * np.arange(1, n_fit + 1))
-        return self._nested(target, coefficients, kk, rss, rank_error)
+        return NestedScan(coefficients, kk, rss, self.m, float(self._response_sq[target][0]), rank_error, {})
 
-    def _nested(self, target, coefficients, k, rss, rank_error=None) -> NestedScan:
-        return NestedScan(coefficients, k, rss, self.m, self._response_sq[target], rank_error, {})
+    def _nested(self, target, coefficients, k, rss) -> NestedScan:
+        return NestedScan(coefficients, k, rss, self.m, self._response_sq[target], None, {})
 
     def _certified(self) -> bool:
-        """Whether the engine certifies its inverse and stacked routes (see the class docstring).
+        """Whether every trial certifies the inverse and stacked routes (see the class docstring).
 
-        The first call decides it and, if so, memoises every full family.
+        The first call decides it, per trial in ``_passed``, and, if all
+        pass, memoises every full family.
         """
         if self._lag_inverse is None:
             width = len(self.variables) * self.p_max
-            self._lag_inverse = False
+            self._lag_inverse, self._passed = False, np.zeros(len(self._r), dtype=bool)
             if self.m > width:
-                r_inv, kappa = _inverse(self._r[:width, :width])
-                if r_inv.shape[0] == width and kappa[-1] * width ** 2 * RANK_TOL <= 1.0:
-                    self._lag_inverse = r_inv
-                    self._full_families(r_inv)
+                inverses = [_inverse(r) for r in self._r[:, :width, :width]]
+                self._passed = np.array([r_inv.shape[0] == width and kappa[-1] * width ** 2 * RANK_TOL <= 1.0
+                                         for r_inv, kappa in inverses])
+                if self._passed.all():
+                    self._lag_inverse = np.array([r_inv for r_inv, _ in inverses])
+                    self._full_families(self._lag_inverse)
         return self._lag_inverse is not False
 
     def _full_families(self, r_inv):
-        """Each target's full family: :func:`_prefix_fits` on the shared R_L^-1."""
-        width = r_inv.shape[0]
+        """Each target's full family, for every trial: :func:`_prefix_fits` on the shared R_L^-1."""
+        width = r_inv.shape[-1]
         sizes = len(self.variables) * np.arange(1, self.p_max + 1)
+        # (target, trial, row), contiguous as in the slice QR's factor: the tail's dot sums in the same order
+        qty = np.ascontiguousarray(self._r[:, :, width:].transpose(2, 0, 1))
+        tail_sq = np.array([[q[width:] @ q[width:] for q in target_qty] for target_qty in qty])
         for pos, target in enumerate(self.variables):
-            # contiguous, as in the slice QR's factor: the tail's dot sums in the same order
-            qty = np.ascontiguousarray(self._r[:, width + pos])
-            rss, coefficients = _prefix_fits(r_inv, qty[:width], qty[width:] @ qty[width:], sizes)
+            rss, coefficients = _prefix_fits(r_inv, qty[pos, :, :width], tail_sq[pos], sizes)
             self._memo[target, tuple(self.variables)] = self._nested(target, coefficients, sizes, rss)
 
-    def _drop_one_families(self, r_inv, formed):
+    def _drop_one_families(self, formed):
         """Every (target, all but x) family, from the full ones by the Schur complement.
 
         Order n's Sigma sums r r' over the columns r of R_L^-1 in lag blocks
         1..n (see :func:`_through_blocks`). Sigma_DD of orders below p_max
         is padded to p_max x p_max with an identity block against a zero
-        right-hand side, so one batched solve serves every order, source
-        and target and gives every rss. Coefficients (which code-length
-        scores and :meth:`scan` read, and the F test does not) are formed
-        only for the (target, family) keys in ``formed``, with the columns
-        Sigma_:,D of one source at a time; a family not yet memoised gets
-        its rss alone, and a memoised one keeps its scores.
+        right-hand side, so one batched solve g serves every order, source,
+        target and trial and gives every rss. It runs once per engine: g is
+        kept with the blocks of R_L^-1, and every family is memoised with
+        its rss. Coefficients (which code-length scores and :meth:`scan`
+        read, and the F test does not) are formed only for the (target,
+        family) keys in ``formed`` that lack them, with the columns
+        Sigma_:,D of one source at a time; a memoised family keeps its scores.
         """
         nv, p = len(self.variables), self.p_max
-        width = nv * p
-        full = [self._memo[target, tuple(self.variables)] for target in self.variables]
-        b = np.stack([scan.coefficients for scan in full], axis=-1)  # (row, order, target)
-        blocks = np.ascontiguousarray(r_inv.reshape(width, p, nv).transpose(1, 0, 2))  # (block, row, col)
-        d = blocks.reshape(p, p, nv, nv).transpose(0, 2, 1, 3)  # (block, x, lag of x, col)
-        padding = np.eye(p) * (np.arange(p) > np.arange(p)[:, None])[:, None, :]
-        sigma_dd = _through_blocks(d @ d.transpose(0, 1, 3, 2)) + padding[:, None]  # (order, x, lag, lag)
-        b_d = b.reshape(p, nv, p, nv).transpose(2, 1, 0, 3)  # (order, x, lag, target)
-        g = np.linalg.solve(sigma_dd, b_d)
-        # the added rss is a quadratic form, nothing to cancel
-        added = np.maximum(np.einsum("nxit,nxit->xtn", b_d, g), 0.0)
-        rss = np.stack([scan.rss for scan in full])[None] + added  # (x, target, order)
-        b_rows = b.reshape(p, nv, p, nv)  # (lag, v, order, target)
-        sizes = (nv - 1) * np.arange(1, p + 1)
-        for x in range(nv):
+        width, trials = nv * p, len(self._r)
+        families = [tuple(v for v in self.variables if v != x) for x in self.variables]
+        if self._schur is None:
+            full = [self._memo[target, tuple(self.variables)] for target in self.variables]
+            b = np.stack([scan.coefficients for scan in full], axis=-1)  # (trial, row, order, target)
+            # the block axis leads, so that _through_blocks' product only gains columns
+            blocks = np.ascontiguousarray(
+                self._lag_inverse.reshape(trials, width, p, nv).transpose(2, 0, 1, 3))  # (block, trial, row, col)
+            d = blocks.reshape(p, trials, p, nv, nv).transpose(0, 1, 3, 2, 4)  # (block, trial, x, lag of x, col)
+            padding = np.eye(p) * (np.arange(p) > np.arange(p)[:, None])[:, None, :]
+            sigma_dd = _through_blocks(d @ d.transpose(0, 1, 2, 4, 3))
+            sigma_dd += padding[:, None, None]  # (order, trial, x, lag, lag)
+            b_d = b.reshape(trials, p, nv, p, nv).transpose(3, 0, 2, 1, 4)  # (order, trial, x, lag, target)
+            g = np.linalg.solve(sigma_dd, b_d)
+            # the added rss is a quadratic form, nothing to cancel
+            added = np.maximum(np.einsum("nsxit,nsxit->sxtn", b_d, g), 0.0)
+            rss = np.stack([scan.rss for scan in full], axis=1)[:, None] + added  # (trial, x, target, order)
+            sizes = (nv - 1) * np.arange(1, p + 1)
+            for x, family in enumerate(families):
+                for pos, target in enumerate(self.variables):
+                    self._memo[target, family] = self._nested(target, None, sizes, rss[:, x, pos])
+            self._schur = blocks, d, g, b.reshape(trials, p, nv, p, nv)  # b as (trial, lag, v, order, target)
+        blocks, d, g, b_rows = self._schur
+        for x, family in enumerate(families):
+            wanted = [pos for pos, target in enumerate(self.variables)
+                      if (target, family) in formed and self._memo[target, family].coefficients is None]
+            if not wanted:
+                continue
             keep = [v for v in range(nv) if v != x]
-            family = tuple(self.variables[v] for v in keep)
-            wanted = [pos for pos, target in enumerate(self.variables) if (target, family) in formed]
-            coefficients = {}
-            if wanted:
-                # the product is over every target, then selected: a product of
-                # one column (a BLAS gemv) rounds differently from a wider one
-                correction = _through_blocks(blocks @ d[:, x].transpose(0, 2, 1)) @ g[:, x]  # (order, row, target)
-                correction = correction.reshape(p, p, nv, nv)[:, :, keep][..., wanted].transpose(1, 2, 0, 3)
-                shaped = (b_rows[:, keep][..., wanted] - correction).transpose(3, 0, 1, 2)  # (target, lag, v, order)
-                coefficients = dict(zip(wanted, np.ascontiguousarray(shaped).reshape(len(wanted), -1, p)))
-            for pos, target in enumerate(self.variables):
-                known = self._memo.get((target, family))
-                if pos in coefficients or known is None:
-                    self._memo[target, family] = NestedScan(
-                        coefficients.get(pos), sizes, rss[x, pos], self.m, self._response_sq[target], None,
-                        {} if known is None else known.curves)
+            # the product is over every target, then selected: a product of
+            # one column (a BLAS gemv) rounds differently from a wider one
+            correction = _through_blocks(blocks @ d[:, :, x].transpose(0, 1, 3, 2)) @ g[:, :, x]
+            # (order, trial, lag, v, target)
+            correction = correction.reshape(p, trials, p, nv, nv)[:, :, :, keep][..., wanted]
+            shaped = b_rows[:, :, keep][..., wanted].transpose(4, 0, 1, 2, 3) - correction.transpose(4, 1, 2, 3, 0)
+            for pos, coefficients in zip(wanted, np.ascontiguousarray(shaped).reshape(len(wanted), trials, -1, p)):
+                key = (self.variables[pos], family)
+                self._memo[key] = self._memo[key]._replace(coefficients=coefficients)
 
     def _stacked(self, keys):
-        """Memoise families of one width together, as :meth:`_scan` on a certified engine.
+        """Memoise families of one width together, as :meth:`_scan` on a certified engine, for every trial.
 
-        Each family takes the same slice of R, QR and triangular inverse,
-        with no rank check to make; the prefix sums of all of them are one
-        batched pass. The QRs stay one LAPACK call per slice: numpy's
-        stacked ``qr`` is no faster on these sizes and would page in a
-        second LAPACK.
+        Each family and trial takes the same slice of R, QR and triangular
+        inverse, with no rank check to make; the prefix sums of all of them
+        are one batched pass. The QRs stay one LAPACK call per slice:
+        numpy's stacked ``qr`` is no faster on these sizes. The factors
+        keep LAPACK's Householder vectors below the diagonal, which
+        ``dtrtri`` leaves in place, so the inverses are made upper
+        triangular once, together.
         """
         nv, p = len(self.variables), self.p_max
         k = len(keys[0][1]) * p
         position = np.array([[self._position[v] for v in (*blocks, target)] for target, blocks in keys])
         lagged = np.arange(p)[:, None] * nv + position[:, None, :-1]  # (family, lag, block)
         index = np.hstack([lagged.reshape(len(keys), k), nv * p + position[:, -1:]])
-        r_inv, qty = np.empty((len(keys), k, k)), np.empty((len(keys), k + 1))
+        r_inv, qty = np.empty((len(keys), len(self._r), k, k)), np.empty((len(keys), len(self._r), k + 1))
         for r_inv_j, qty_j, columns in zip(r_inv, qty, index):
-            factor = _qr_r(self._r[:, columns])
-            r_inv_j[:] = scipy.linalg.lapack.dtrtri(factor[:k, :k])[0]
-            qty_j[:] = factor[:, k]
+            # each slice in Fortran order, which LAPACK factors in place
+            for t, slice_ in enumerate(self._r.transpose(0, 2, 1)[:, columns]):
+                factor = scipy.linalg.lapack.dgeqrf(slice_.T, overwrite_a=True)[0]
+                r_inv_j[t] = scipy.linalg.lapack.dtrtri(factor[:k, :k])[0]
+                qty_j[t] = factor[:k + 1, k]
         sizes = len(keys[0][1]) * np.arange(1, p + 1)
-        rss, coefficients = _prefix_fits(r_inv, qty[:, :k], qty[:, k] ** 2, sizes)
+        r_inv[..., np.tri(k, k, -1, dtype=bool)] = 0.0
+        rss, coefficients = _prefix_fits(r_inv, qty[..., :k], qty[..., k] ** 2, sizes)
         for key, family_rss, family_coefficients in zip(keys, rss, coefficients):
             self._memo[key] = self._nested(key[0], family_coefficients, sizes, family_rss)
 
     def _fit(self, target: int, columns, sizes: np.ndarray):
-        """:func:`_fit_prefixes` on Z's (variable, lag - 1) ``columns``: the one slice-and-QR step."""
+        """:func:`_fit_prefixes` on the first series' Z ``columns`` (variable, lag - 1): the one slice-and-QR step."""
         width_z = len(self.variables)
         index = [ell * width_z + self._position[v] for v, ell in columns]
-        factor = self._r[:, index + [width_z * self.p_max + self._position[target]]]
+        factor = self._r[0][:, index + [width_z * self.p_max + self._position[target]]]
         if index != list(range(len(index))):
             factor = _qr_r(factor)
         return _fit_prefixes(

@@ -166,7 +166,7 @@ def _code_length_curve(coefficients, k, rss, m, n_total, delta, scale_floor):
     sigma2 = rss / m
     data_term = m * np.log(np.sqrt(2.0 * np.pi * sigma2)) + m / 2.0
 
-    params = np.vstack([sigma2, coefficients])
+    params = np.concatenate([sigma2[None], coefficients])
     priced_rows = np.arange(params.shape[0])[:, None] <= k
     magnitudes = np.abs(params, out=params)
     n_counted = (priced_rows & (magnitudes / delta > 1.0)).sum(axis=0)
@@ -178,7 +178,7 @@ def _code_length_curve(coefficients, k, rss, m, n_total, delta, scale_floor):
 
     order_term = np.log(k + 1.0)
     total = data_term + param_term + order_term
-    return np.vstack([total, data_term, param_term, order_term, np.full_like(total, delta), n_counted])
+    return np.array([total, data_term, param_term, order_term, np.full_like(total, delta), n_counted])
 
 
 def _at(curve: np.ndarray, j: int) -> CodeLength:
@@ -211,7 +211,7 @@ def search_order(
     :class:`LagEngine` over their variables, and scored at every order as
     an array; ties go to the smaller order. Every family is resolved, and
     ``delta`` and ``scale_floor`` read, before any is scanned; then the
-    first family that fails raises its error (see :func:`_failure`).
+    first family that fails raises its error (see :func:`_failures`).
     Returns (order, value, per-family CodeLength at the order, an empty
     list unless MDL).
     """
@@ -224,84 +224,91 @@ def search_order(
 
 
 def _search_order(engine, families, criterion, delta=None, scale_floor=DEFAULT_SCALE_FLOOR):
-    """:func:`search_order` on the scans of ``engine``, each family scored once per engine."""
+    """:func:`search_order` on the scans of ``engine``'s one series, each family scored once per engine."""
     criterion = str(criterion).upper()
     if criterion not in CRITERIA:
         raise ValidationError(f"unknown criterion {criterion!r}; pick one of {CRITERIA}")
     scale_floor, delta = _checked_floor(scale_floor), _checked_delta(delta)
     families = [engine._family(target, blocks) for target, blocks in families]
     scans, errors, rows = _scores(engine, families, criterion, delta, scale_floor)
-    for error in errors:
+    for (error,) in errors:
         if error is not None:
             raise error
-    summed = rows.sum(axis=0)  # row by row, as a running sum
+    summed = rows[:, 0].sum(axis=0)  # row by row, as a running sum
     best = int(np.argmin(summed))
     key = (criterion, delta, scale_floor)  # _scored's memo: the MDL curves at the best order
-    lengths = [_at(scan.curves[key], best) for scan in scans] if criterion == "MDL" else []
+    lengths = [_at(scan.curves[key][:, 0], best) for scan in scans] if criterion == "MDL" else []
     return best + 1, float(summed[best]), lengths
 
 
 def _scores(engine, families, criterion, delta=None, scale_floor=DEFAULT_SCALE_FLOOR):
     """(scans, errors, rows) of the (target, blocks) ``families`` of ``engine``, in engine columns.
 
-    A family's error is a value: the engine's ValidationError if it would
-    interpolate the window at p_max (it then has no scan), else
-    :func:`_failure` of its scan. Its row is the criterion over orders
-    1..p_max, NaN if it has an error; the others are scored together.
+    ``errors[j]`` holds family j's error for each of the engine's trials:
+    the engine's ValidationError if it would interpolate the window at
+    p_max (it then has no scan), else :func:`_failures` of its scan. Its
+    ``rows[j]`` are the criterion over orders 1..p_max for each trial,
+    NaN where it has an error; the others are scored together.
     """
-    errors = [engine._underdetermined(len(blocks), engine.p_max) for _, blocks in families]
-    fitting = [family for family, error in zip(families, errors) if error is None]
-    fitted = iter(engine._families(fitting, coefficients=criterion == "MDL"))
-    scans = [next(fitted) if error is None else None for error in errors]
-    errors = [_failure(scan, criterion) if error is None else error for scan, error in zip(scans, errors)]
-    scored = [j for j, error in enumerate(errors) if error is None]
-    rows = np.full((len(families), engine.p_max), np.nan)
+    trials = len(engine._series)
+    scans = [None] * len(families)
+    errors = [[engine._underdetermined(len(blocks), engine.p_max)] * trials for _, blocks in families]
+    fitting = [j for j, error in enumerate(errors) if error[0] is None]
+    fitted = engine._families([families[j] for j in fitting], coefficients=criterion == "MDL")
+    for j, scan, error in zip(fitting, fitted, _failures(fitted, criterion)):
+        scans[j], errors[j] = scan, error
+    rows = np.full((len(families), trials, engine.p_max), np.nan)
+    scored = [j for j in fitting if errors[j].count(None)]
     if scored:
-        curves = _scored([scans[j] for j in scored], criterion, engine.ts.n_samples, delta, scale_floor)
-        rows[scored] = np.concatenate(curves, axis=1)[0].reshape(len(scored), -1)
+        failed = np.array([[error is not None for error in errors[j]] for j in scored])
+        curves = _scored([scans[j] for j in scored], failed, criterion, engine.ts.n_samples, delta, scale_floor)
+        rows[scored] = [curve[0] for curve in curves]
     return scans, errors, rows
 
 
-def _failure(scan, criterion):
-    """The error of a scanned family, or None: the one failure rule of scoring.
+def _failures(scans, criterion):
+    """Each scanned family's error for each trial, or None: the one failure rule of scoring.
 
     Under MDL an order with rss <= 1e-12 y'y leaves no Gaussian code
     length, a DegenerateFitError; otherwise it is the scan's rank error.
     """
-    if criterion == "MDL" and (scan.rss <= 1e-12 * scan.response_sq).any():
-        return DegenerateFitError(_NOISELESS)
-    return scan.rank_error
+    errors = [[scan.rank_error] * len(scan.rss) for scan in scans]
+    if criterion == "MDL" and scans:
+        noiseless = np.array([(scan.rss <= 1e-12 * scan.response_sq[:, None]).any(axis=1) for scan in scans])
+        for j, t in zip(*np.nonzero(noiseless)):
+            errors[j][t] = DegenerateFitError(_NOISELESS)
+    return errors
 
 
-def _scored(scans, criterion, n_total, delta, scale_floor):
-    """The criterion's rows over each family's orders, kept in its ``scan.curves``.
+def _scored(scans, failed, criterion, n_total, delta, scale_floor):
+    """The criterion's rows over each family's orders and trials, kept in its ``scan.curves``.
 
     One row for AIC and BIC, the :func:`_code_length_curve` rows for MDL,
-    keyed by (criterion, delta, scale_floor). The families not yet scored
-    are scored together, as one array over their orders. Every scan must
-    pass :func:`_failure`.
+    keyed by (criterion, delta, scale_floor), each (row, trial, order).
+    The families not yet scored are scored together, every (family,
+    trial, order) one column of one array; the trials ``failed`` marks
+    (family, trial) are NaN, since the failure rule leaves them no score.
     """
     key = (criterion, delta, scale_floor)
-    todo = [scan for scan in scans if key not in scan.curves]
+    todo = [j for j, scan in enumerate(scans) if key not in scan.curves]
     if todo:
-        rss = np.concatenate([scan.rss for scan in todo])
-        k = np.concatenate([scan.k for scan in todo])
+        rss = np.array([scans[j].rss for j in todo])  # (family, trial, order)
+        if failed.any():
+            rss[failed[todo]] = np.nan
+        k = np.repeat(np.array([scans[j].k for j in todo]), rss.shape[1], axis=0).ravel()
         if criterion == "MDL":
             # zero rows past a family's own coefficients are never priced
-            coefficients = np.zeros((max(scan.coefficients.shape[0] for scan in todo), rss.size))
-            column = 0
-            for scan in todo:
-                rows, orders = scan.coefficients.shape[0], scan.rss.size
-                coefficients[:rows, column:column + orders] = scan.coefficients
-                column += orders
-            curve = _code_length_curve(coefficients, k, rss, todo[0].m, n_total, delta, scale_floor)
+            coefficients = np.zeros((max(scans[j].coefficients.shape[1] for j in todo),) + rss.shape)
+            for column, j in enumerate(todo):
+                coefficients[:scans[j].coefficients.shape[1], column] = scans[j].coefficients.transpose(1, 0, 2)
+            curve = _code_length_curve(coefficients.reshape(coefficients.shape[0], -1), k, rss.ravel(),
+                                       scans[0].m, n_total, delta, scale_floor)
         else:
-            loglik = gaussian_loglik(rss, todo[0].m)
-            curve = (aic(loglik, k) if criterion == "AIC" else bic(loglik, k, todo[0].m))[None]
-        column = 0
-        for scan in todo:
-            scan.curves[key] = curve[:, column:column + scan.rss.size]
-            column += scan.rss.size
+            loglik = gaussian_loglik(rss.ravel(), scans[0].m)
+            curve = (aic(loglik, k) if criterion == "AIC" else bic(loglik, k, scans[0].m))[None]
+        curve = curve.reshape((-1,) + rss.shape)
+        for column, j in enumerate(todo):
+            scans[j].curves[key] = curve[:, column]
     return [scan.curves[key] for scan in scans]
 
 

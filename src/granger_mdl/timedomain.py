@@ -457,53 +457,65 @@ def joint_mdl_gc(
 
 
 def _mdl_edges(engine):
-    """Code-length decisions and weights of every edge, as [source, target] arrays.
+    """Code-length decisions and weights of every edge, as [trial, source, target] arrays, and each trial's error.
 
     The pairwise saving L(own) - L(own + source) gates each edge; where it
     is positive and other variables remain, the conditional saving
     L(all but source) - L(all) decides the edge and is its weight. The
-    network is scored in three passes over all targets: the own families,
-    the pairwise ones, then every gated drop-one family with its target's
-    full family. The edges are arrays in the per-edge traversal order,
-    target by target and each target's sources ascending, which is
-    ``np.nonzero(~np.eye(V))``.
+    network is scored in three passes over all targets and trials: the own
+    families, the pairwise ones, then every drop-one family that some
+    trial's gate passes, with its target's full family. The edges are
+    arrays in the per-edge traversal order, target by target and each
+    target's sources ascending, which is ``np.nonzero(~np.eye(V))``. A
+    trial's error is the first one that traversal meets: own, pair, then
+    where the trial's gate passes, all but the source and all.
     """
     nv = len(engine.variables)
     targets, sources = np.nonzero(~np.eye(nv, dtype=bool))
     _, own_errors, own_rows = _scores(engine, [(t, [t]) for t in range(nv)], "MDL")
     _, pair_errors, pair_rows = _scores(engine, [(t, [t, s]) for t, s in zip(targets, sources)], "MDL")
-    pairwise = own_rows.min(axis=1)[targets] - pair_rows.min(axis=1)
-    gated = pairwise > 0 if nv > 2 else np.zeros(targets.size, dtype=bool)
-    edges, full = np.flatnonzero(gated), np.unique(targets[gated])
+    pairwise = own_rows.min(axis=2)[targets] - pair_rows.min(axis=2)  # (edge, trial)
+    gated = pairwise > 0 if nv > 2 else np.zeros(pairwise.shape, dtype=bool)
+    edges = np.flatnonzero(gated.any(axis=1))
+    full = np.array(sorted(set(targets[edges].tolist())), dtype=int)
     dropped = [(targets[e], [v for v in range(nv) if v != sources[e]]) for e in edges]
     _, gate_errors, gate_rows = _scores(engine, dropped + [(t, range(nv)) for t in full], "MDL")
-    gate_best = gate_rows.min(axis=1)
-    conditional = np.full(targets.size, np.nan)
-    conditional[edges] = gate_best[:edges.size] - gate_best[edges.size + np.searchsorted(full, targets[edges])]
-    if any(error is not None for error in [*own_errors, *pair_errors, *gate_errors]):
-        # the first error of the per-edge traversal: own, pair, then where
-        # the gate passes all but the source, and all
-        drops, fulls = iter(gate_errors), dict(zip(full.tolist(), gate_errors[edges.size:]))
-        for index, target in enumerate(targets.tolist()):
-            visited = [own_errors[target], pair_errors[index]]
-            for error in visited + ([next(drops), fulls[target]] if gated[index] else []):
-                if error is not None:
-                    raise error
-    keep, weight = np.zeros((nv, nv), dtype=bool), np.zeros((nv, nv))
-    keep[sources, targets] = np.where(gated, conditional > 0, pairwise > 0)
-    weight[sources, targets] = np.where(gated, conditional, pairwise)
-    return keep, weight
+    gate_best = gate_rows.min(axis=2)
+    own_full = edges.size + np.searchsorted(full, targets[edges])
+    conditional = np.full(pairwise.shape, np.nan)
+    conditional[edges] = gate_best[:edges.size] - gate_best[own_full]
+    hit = np.isnan(own_rows[targets, :, 0]) | np.isnan(pair_rows[..., 0])
+    hit[edges] |= gated[edges] & np.isnan(gate_rows[:edges.size, :, 0] + gate_rows[own_full, :, 0])
+    errors = [None] * pairwise.shape[1]
+    for t in np.flatnonzero(hit.any(axis=0)):
+        e = int(np.argmax(hit[:, t]))
+        visited = [own_errors[targets[e]], pair_errors[e]]
+        if gated[e, t]:
+            g = int(np.searchsorted(edges, e))
+            visited += [gate_errors[g], gate_errors[own_full[g]]]
+        errors[t] = next(error[t] for error in visited if error[t] is not None)
+    return _as_matrices(nv, sources, targets, np.where(gated, conditional > 0, pairwise > 0),
+                        np.where(gated, conditional, pairwise)) + (errors,)
+
+
+def _as_matrices(nv, sources, targets, keep, weight):
+    """Per-edge (edge, trial) decisions and weights as (trial, source, target) matrices."""
+    keep_matrix, weight_matrix = np.zeros((keep.shape[1], nv, nv), dtype=bool), np.zeros((keep.shape[1], nv, nv))
+    keep_matrix[:, sources, targets], weight_matrix[:, sources, targets] = keep.T, weight.T
+    return keep_matrix, weight_matrix
 
 
 def _f_edges(engine, cfg):
-    """Conventional decisions and F values of every edge, as [source, target] arrays.
+    """Conventional decisions and F values of every edge, as [trial, source, target] arrays, and each trial's error.
 
     Each edge is the conditional F test at the order n that the order
-    criterion picks for the target's family without the source: its rss
-    at n against the full family's, on (n, m - V n - 1) degrees of
-    freedom, as :func:`conditional_f_test_gc` with p = q = r = n on the
-    engine's window. Only orders up to n of the full family need fit the
-    window.
+    criterion picks for the target's family without the source, per
+    trial: its rss at n against the full family's, on (n, m - V n - 1)
+    degrees of freedom, as :func:`conditional_f_test_gc` with p = q = r = n
+    on the engine's window. Only orders up to n of the full family need
+    fit the window. A trial's error is the first one of the per-edge
+    traversal: the order search, the full family's window and rank, then
+    the degrees of freedom.
     """
     nv, m = len(engine.variables), engine.m
     targets, sources = np.nonzero(~np.eye(nv, dtype=bool))
@@ -511,32 +523,64 @@ def _f_edges(engine, cfg):
         engine, [(i, [v for v in range(nv) if v != j]) for i, j in zip(targets, sources)],
         cfg.order_criterion,
     )
-    failed = np.array([error is not None for error in errors])
-    n = np.argmin(rows, axis=1) + 1
+    failed = np.isnan(rows[..., 0])  # (edge, trial)
+    n = np.argmin(rows, axis=2) + 1
     d2 = m - nv * n - 1
     under = m <= nv * n
     reached = ~failed & ~under
-    needed = sorted(set(targets[reached].tolist()))
+    needed = sorted(set(targets[reached.any(axis=1)].tolist()))
     full = dict(zip(needed, engine._families([(i, range(nv)) for i in needed])))
-    short = reached & np.array([i in full and full[i].rss.size < order for i, order in zip(targets, n)])
-    if not reached.all() or short.any() or (d2 < 1).any():
-        # the first error of the per-edge traversal: the order search, the
-        # full family's window and rank, then the degrees of freedom
-        for index, i in enumerate(targets):
-            if failed[index]:
-                raise errors[index]
-            if under[index]:
-                raise engine._underdetermined(nv, int(n[index]))
-            if short[index]:
-                raise full[i].rank_error
-            _f_dof(m, nv * int(n[index]))
-    rss_r = np.array([scan.rss[order - 1] for scan, order in zip(scans, n)])
-    rss_u = np.array([full[i].rss[order - 1] for i, order in zip(targets, n)])
-    f_value, p_value, _ = _f_values(rss_r, rss_u, n, d2)
-    keep, weight = np.zeros((nv, nv), dtype=bool), np.zeros((nv, nv))
-    keep[sources, targets] = p_value < cfg.alpha
-    weight[sources, targets] = f_value
-    return keep, weight
+    full_rss = np.full((nv,) + rows.shape[1:], np.nan)  # (target, trial, order), NaN past the orders that fit
+    for i, scan in full.items():
+        full_rss[i, :, :scan.rss.shape[1]] = scan.rss
+    trials = np.arange(rows.shape[1])
+    rss_u = full_rss[targets[:, None], trials, n - 1]
+    short = reached & np.isnan(rss_u)
+    bad = failed | under | short | (d2 < 1)
+    trial_errors = [None] * rows.shape[1]
+    for t in np.flatnonzero(bad.any(axis=0)):
+        e = int(np.argmax(bad[:, t]))
+        if failed[e, t]:
+            trial_errors[t] = errors[e][t]
+        elif under[e, t]:
+            trial_errors[t] = engine._underdetermined(nv, int(n[e, t]))
+        elif short[e, t]:
+            trial_errors[t] = full[targets[e]].rank_error
+        else:
+            try:
+                _f_dof(m, nv * int(n[e, t]))
+            except ValidationError as exc:
+                trial_errors[t] = exc
+    if trial_errors.count(None):
+        # a trial without an error reads every family's scan, each of all p_max orders
+        rss_r = np.array([scan.rss for scan in scans])[np.arange(targets.size)[:, None], trials, n - 1]
+        f_value, p_value, _ = _f_values(rss_r, rss_u, n, d2)
+    else:
+        f_value, p_value = np.zeros(n.shape), np.ones(n.shape)
+    return _as_matrices(nv, sources, targets, p_value < cfg.alpha, f_value) + (trial_errors,)
+
+
+def _decided(engine, cfg: MethodConfig):
+    """Decisions and weights of every edge of every trial of ``engine`` under ``cfg``, and each trial's error.
+
+    keep and weight are (trial, source, target) arrays; a trial whose
+    traversal meets an error has that error (else None), and its arrays
+    mean nothing. Each of :meth:`LagEngine._groups` is decided as one.
+    """
+    nv, trials = len(engine.variables), len(engine._series)
+    keep, weight, errors = np.zeros((trials, nv, nv), dtype=bool), np.zeros((trials, nv, nv)), [None] * trials
+    for group, part in engine._groups():
+        keep[group], weight[group], part_errors = _mdl_edges(part) if cfg.method == "mdl" else _f_edges(part, cfg)
+        for t, error in zip(group, part_errors):
+            errors[t] = error
+    return keep, weight, errors
+
+
+def _checked_network(ts):
+    """A series a network can be inferred from: two or more variables, none constant, no two equal."""
+    if ts.n_variables < 2:
+        raise ValidationError("network inference needs at least 2 variables")
+    distinct_columns(ts)
 
 
 def infer_network(
@@ -557,10 +601,12 @@ def infer_network(
     at ``alpha``.
 
     All fits come from one :class:`LagEngine` over ``ts``: one
-    factorisation, and each model family scanned and scored once. The
-    code-length method scores three stages over all targets (own, pairwise,
-    and the conditional families the gate reads); a certified engine fits
-    each stage's small families in one batch. Edges are decided as arrays,
+    factorisation, and each model family scanned and scored once. This is
+    the one-trial case of the Monte Carlo harness's stacked decision
+    (:func:`_decided`), which takes the same path. The code-length method
+    scores three stages over all targets (own, pairwise, and the
+    conditional families the gate reads); a certified engine fits each
+    stage's small families in one batch. Edges are decided as arrays,
     each family's error kept as a value by one rule; the first error that a
     loop over the edges in that ascending order would meet is raised.
     A constant column, or two identical ones, is a ValidationError
@@ -576,14 +622,12 @@ def _infer_network(ts, cfg: MethodConfig, engines) -> CausalGraph:
     calls on one series that share the dict share its factorisation and
     its scans.
     """
-    if ts.n_variables < 2:
-        raise ValidationError("network inference needs at least 2 variables")
     if cfg.p_max not in engines:
-        distinct_columns(ts)
+        _checked_network(ts)
         engines[cfg.p_max] = LagEngine(ts, cfg.p_max)
-    engine = engines[cfg.p_max]
-    adjacency, weight = _mdl_edges(engine) if cfg.method == "mdl" else _f_edges(engine, cfg)
-
+    (adjacency,), (weight,), (error,) = _decided(engines[cfg.p_max], cfg)
+    if error is not None:
+        raise error
     return CausalGraph(
         n_nodes=ts.n_variables,
         adjacency=adjacency,

@@ -27,6 +27,8 @@ from granger_mdl.bench import (
     true_edge_matrix,
 )
 from granger_mdl.errors import DivergenceError, ValidationError
+from granger_mdl.regression import LagEngine
+from granger_mdl.timeseries import demean
 from oracles import simulate_by_loop
 
 # a zero-variance node, a fixed variance, a range, a lag-3 term and no burn-in,
@@ -375,19 +377,24 @@ class TestRunBench:
         rng = np.random.default_rng(nv)
         trials = []
 
-        def fake_trial(spec_, configs, seed, apply_demean):
-            if rng.random() < 0.15:
-                trials.append(None)
-                raise DivergenceError("fake", node=0, step=0)
-            graphs = []
-            for _ in configs:
-                adj = truth ^ (rng.random((nv, nv)) < 0.5 / nv**2)
-                np.fill_diagonal(adj, False)
-                graphs.append(adj)
-            trials.append(graphs)
-            return graphs
+        def fake_chunk(args):
+            _, configs, seeds, _ = args
+            out = []
+            for _ in seeds:
+                if rng.random() < 0.15:
+                    trials.append(None)
+                    out.append((None, f"DivergenceError: {DivergenceError('fake', node=0, step=0)}"))
+                    continue
+                graphs = []
+                for _ in configs:
+                    adj = truth ^ (rng.random((nv, nv)) < 0.5 / nv**2)
+                    np.fill_diagonal(adj, False)
+                    graphs.append(adj)
+                trials.append(graphs)
+                out.append((graphs, None))
+            return out
 
-        monkeypatch.setattr(bench, "_evaluate_trial", fake_trial)
+        monkeypatch.setattr(bench, "_run_chunk", fake_chunk)
         configs = [MethodConfig("mdl"), MethodConfig("ftest")]
         n_trials = 40
         reports = run_bench_multi(spec, configs, n_trials, master_seed=0, n_workers=1)
@@ -409,6 +416,15 @@ class TestRunBench:
             assert rep.per_node_accuracy == tuple(h / n_trials for h in node_hits)
             assert rep.total_accuracy == exact / n_trials
             assert [f[0] for f in rep.failures] == [t for t, g in enumerate(trials) if g is None]
+
+    @pytest.mark.parametrize("network", [builtin_3node(), builtin_5node()])
+    def test_method_order_leaves_each_report_unchanged(self, network):
+        # the F test and the code length share each stack's engine and scans
+        configs = [MethodConfig("mdl", p_max=5), MethodConfig.parse("ftest:0.05", p_max=5)]
+        first = run_bench_multi(network, configs, 12, master_seed=3, n_workers=1)
+        second = run_bench_multi(network, configs[::-1], 12, master_seed=3, n_workers=1)
+        assert {label: rep.to_json() for label, rep in first.items()} == \
+               {label: rep.to_json() for label, rep in second.items()}
 
     def test_f_test_alphas_are_distinct_configs(self):
         reports = run_bench_multi(
@@ -615,3 +631,104 @@ class TestMethodConfig:
         if cfg.method == "ftest":
             cfg = replace(cfg, alpha=alpha)
         assert MethodConfig.parse(cfg.label, p_max=p_max) == cfg
+
+
+@st.composite
+def stack_specs(draw):
+    """Small networks whose trials may diverge, copy a node nearly or exactly, or leave a short window.
+
+    ``diverging``: node 0 is explosive, and its noise variance, drawn per
+    trial, decides whether a trial crosses the limit before it ends.
+    ``near copy``: the last node is node 0 one step back plus noise whose
+    variance, drawn per trial, decides whether the trial certifies; at
+    p_max 3 some do and some do not.
+    ``duplicate``: the last two nodes are one noiseless copy of node 0.
+    ``short``: a window with few rows for V p_max lag columns.
+    """
+    nv, p_max = draw(st.integers(2, 5)), draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["plain", "diverging", "near copy", "duplicate", "short"]))
+    coefficients = [[i, i, 1, draw(st.floats(-0.6, 0.6))] for i in range(nv)]
+    for _ in range(draw(st.integers(0, 4))):
+        coefficients.append([draw(st.integers(0, nv - 1)), draw(st.integers(0, nv - 1)),
+                             draw(st.integers(1, 2)), draw(st.floats(-0.3, 0.3))])
+    noise, rows = [[0.2, 1.0]] * nv, 120
+    if kind == "diverging":
+        coefficients[0][3], noise[0], rows = 1.15, [1e-12, 1e-6], 230
+    copies = {"near copy": 1, "duplicate": 2}.get(kind, 0) if nv >= 3 else 0
+    if copies:
+        coefficients = [row for row in coefficients if row[0] < nv - copies]
+        coefficients += [[nv - 1 - c, 0, 1, 1.0] for c in range(copies)]
+        noise = noise[:nv - copies] + ([[0.0, 2e-14]] if kind == "near copy" else [0.0, 0.0])
+        p_max = 3 if kind == "near copy" else p_max
+    if kind == "short":
+        rows = draw(st.integers((nv - 1) * p_max + p_max + 2, nv * p_max + p_max + 4))
+    initial = [0.0 if kind == "diverging" else 1.0] + [1.0] * (nv - 1)  # node 0's growth starts from its noise
+    spec = NetworkSpec(nv, coefficients, noise, rows + 20, 20, initial)
+    methods = draw(st.permutations(["mdl", "ftest:0.05", "ftest:0.01"]))[:draw(st.integers(1, 3))]
+    return spec, [MethodConfig.parse(method, p_max=p_max) for method in methods]
+
+
+class TestStackedChunk:
+    """A chunk decided as one stack gives each trial what its series alone gives."""
+
+    @staticmethod
+    def alone(spec, configs, seed):
+        """(adjacencies, weights) of the trial's series under each config, or its failure text."""
+        try:
+            ts = demean(simulate(spec, int(seed)))
+            engines = {}
+            graphs = [timedomain._infer_network(ts, cfg, engines) for cfg in configs]
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return np.array([g.adjacency for g in graphs]), np.array([g.weight for g in graphs])
+
+    def test_trials_that_fail_alone_keep_their_places(self, monkeypatch):
+        # every third trial fails before the stack is built, the others are decided in it
+        spec, simulated = builtin_3node(), simulate
+        configs = (MethodConfig("mdl", p_max=3), MethodConfig("ftest", p_max=3))
+
+        def every_third_diverges(spec_, seed):
+            if seed % 3 == 0:
+                raise DivergenceError("fake", node=0, step=seed)
+            return simulated(spec_, seed)
+
+        monkeypatch.setattr(bench, "simulate", every_third_diverges)
+        chunk = bench._run_chunk((spec, configs, list(range(9)), True))
+        for seed, (graphs, error) in enumerate(chunk):
+            if seed % 3 == 0:
+                assert graphs is None and error == f"DivergenceError: {DivergenceError('fake', node=0, step=seed)}"
+            else:
+                assert error is None and graphs.tobytes() == self.alone(spec, configs, seed)[0].tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec_configs=stack_specs(), seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=8))
+    def test_each_trial_as_alone(self, spec_configs, seeds):
+        spec, configs = spec_configs
+        chunk = bench._run_chunk((spec, tuple(configs), seeds, True))
+        alone = [self.alone(spec, configs, seed) for seed in seeds]
+        assert len(chunk) == len(seeds)
+        for (graphs, error), want in zip(chunk, alone):
+            if isinstance(want, str):
+                assert (graphs, error) == (None, want)
+            else:
+                assert error is None and graphs.tobytes() == want[0].tobytes()
+        # the weights too, on the stack of the series that pass their checks
+        series = []
+        for seed in seeds:
+            try:
+                ts = demean(simulate(spec, int(seed)))
+                timedomain._checked_network(ts)
+                series.append((ts, self.alone(spec, configs, seed)))
+            except (DivergenceError, ValidationError):
+                pass
+        if not series:
+            return
+        for c, cfg in enumerate(configs):
+            try:
+                engine = LagEngine([ts for ts, _ in series], cfg.p_max)
+            except ValidationError:
+                continue
+            _, weight, errors = timedomain._decided(engine, cfg)
+            for (_, want), w, error in zip(series, weight, errors):
+                if not isinstance(want, str):
+                    assert error is None and w.tobytes() == want[1][c].tobytes()

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -254,6 +255,19 @@ class TestSpectral:
                        "--out", str(out)) == 0
         rows = out.read_text().strip().split("\n")[1:]
         assert [float(row.split(",")[0]) for row in rows] == [50.0, 3.0, 4.0, 1.0]
+
+    def test_nonstationary_fit_is_one_warning_line(self, tmp_path, capsys):
+        # x_t = -x_(t-2) + e_t in both variables: a root on the unit circle
+        e = np.random.default_rng(5).standard_normal((400, 2))
+        values = np.zeros((400, 2))
+        for t in range(2, 400):
+            values[t] = -values[t - 2] + e[t]
+        path = tmp_path / "root.csv"
+        write_columns(path, {"x": values[:, 0], "y": values[:, 1]})
+        assert run_cli("spectral", str(path), "--x", "x", "--y", "y", "--order", "2",
+                       "--freqs", "0.1,0.25", "--out", str(tmp_path / "root-spectral.csv")) == 0
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"warning: fitted VAR is not stationary \(companion radius 1\.\d+\)\n", err), err
 
     @pytest.mark.filterwarnings("ignore:fitted VAR is not stationary")
     def test_interpolating_order_exits_2(self, sim_csv, tmp_path, capsys):

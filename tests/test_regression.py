@@ -448,13 +448,13 @@ class TestInverseRoute:
         assert all(memo[key].curves is f_scores[key] for key in dropped)
         read = [key for key in dropped if ("MDL", None, 1.0) in memo[key].curves]
         assert 0 < len(read) < 20
-        assert all(memo[key].coefficients.shape == (20, 5) for key in read)
+        assert all(memo[key].coefficients.shape == (1, 20, 5) for key in read)
         assert all(memo[key].coefficients is None for key in dropped if key not in read)
         fresh = infer_network(panel, "mdl", p_max=5)
         np.testing.assert_array_equal(graph.weight, fresh.weight)
         sliced = LagEngine(panel, 5)
         for target, blocks in read:
-            np.testing.assert_allclose(memo[target, blocks].coefficients,
+            np.testing.assert_allclose(memo[target, blocks].coefficients[0],
                                        sliced._scan(target, list(blocks)).coefficients, rtol=0, atol=1e-12)
 
     def test_batched_families_are_bit_identical(self):
@@ -463,8 +463,9 @@ class TestInverseRoute:
         engine, sliced = LagEngine(panel, 10), LagEngine(panel, 10)
         for target in range(12):
             families = [[target]] + [sorted([target, j]) for j in range(12) if j != target]
-            for blocks, scan in zip(families, engine._families([(target, b) for b in families])):
-                assert_same_scan(scan, sliced._scan(target, blocks))
+            engine._families([(target, b) for b in families])
+            for blocks in families:
+                assert_same_scan(engine.scan(target, blocks), sliced._scan(target, blocks))
         assert engine._lag_inverse is not False
 
     @pytest.mark.parametrize("n, orders", [(100, 7), (130, 9)])
@@ -516,6 +517,25 @@ class TestInverseRoute:
         if method == "mdl":
             expected.update({(p_max, p_max): nv, (2 * p_max, 2 * p_max): nv * (nv - 1)})
         assert Counter(inverted) == expected
+
+    @pytest.mark.parametrize("methods", [("ftest", "mdl"), ("mdl", "ftest")])
+    def test_one_sigma_dd_solve_per_engine(self, methods, monkeypatch):
+        # the F test reads the drop-one rss alone, the code length forms some
+        # coefficients: whichever runs first, the Schur solve runs once
+        panel = demean(simulate(builtin_5node(), 4))
+        solves, solve = [], np.linalg.solve
+
+        def counted_solve(a, b):
+            solves.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        engines = {}
+        graphs = [_infer_network(panel, MethodConfig(method, p_max=5), engines) for method in methods]
+        assert solves == [(5, 1, 5, 5, 5)]  # (order, trial, source, lag, lag)
+        monkeypatch.undo()
+        for method, graph in zip(methods, graphs):
+            assert graph.to_json() == infer_network(panel, method, p_max=5).to_json()
 
 
 def near_copy(noise):

@@ -781,6 +781,7 @@ class TestErrorReplay:
         ts = TimeSeriesMatrix(np.column_stack([a, y, x]), ["a", "y", "x"])
         _, errors, rows = selection._scores(LagEngine(ts, p_max), [(0, [0]), (0, [0, 1]), (0, [0, 1, 2]),
                                                                  (1, [1, 2])], "MDL")
+        errors = [error for error, in errors]  # the one trial's
         assert errors[:2] == [None, None] and np.nanmin(rows[0]) > np.nanmin(rows[1])
         assert isinstance(errors[2], RankDeficiencyError) and isinstance(errors[3], DegenerateFitError)
         with pytest.raises(RankDeficiencyError) as info:
@@ -846,6 +847,7 @@ class TestOneFailureRule:
         families = [(target, [v for v in range(nv) if mask >> v & 1])
                     for target in range(nv) for mask in range(1, 2 ** nv)]
         _, errors, rows = selection._scores(LagEngine(ts, p_max), families, criterion)
+        errors, rows = [error for error, in errors], rows[:, 0]  # the one trial's
         assert any(error is not None for error in errors)
         for family, error, row in zip(families, errors, rows):
             alone = LagEngine(ts, p_max)
@@ -874,3 +876,35 @@ class TestOneFailureRule:
             search_order(ts, [("x", ["x"])], criterion, 3)
         with pytest.raises(ValidationError, match=r"\bdelta\b"):
             search_order(ts, [("x", ["x"])], criterion, 3, delta=-1.0)
+
+
+class TestFScaleInvariance:
+    """Rescaling each variable changes no F test: the regressions only rescale their columns."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(nv=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1),
+           factors=st.lists(st.floats(1e-2, 1e2), min_size=5, max_size=5))
+    def test_f_and_p_values_are_scale_free(self, nv, seed, factors):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((200, nv))
+        links = rng.permutation(nv)
+        for t in range(1, 200):
+            values[t] += 0.4 * values[t - 1, links]
+        ts = demean(TimeSeriesMatrix(values))
+        scaled = TimeSeriesMatrix(ts.values * np.array(factors[:nv]), ts.labels)
+        tests, f_values = [], timedomain._f_values
+
+        def recorded(*args):
+            tests.append(f_values(*args))
+            return tests[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(timedomain, "_f_values", recorded)
+            graphs = [infer_network(x, "ftest", p_max=4) for x in (ts, scaled)]
+        (f0, p0, _), (f1, p1, _) = tests
+        np.testing.assert_allclose(f1, f0, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(p1, p0, rtol=1e-9, atol=0)
+        away = np.abs(p0 - 0.05) > 1e-6
+        assert ((p0 < 0.05) == (p1 < 0.05))[away].all()
+        if away.all():
+            np.testing.assert_array_equal(graphs[0].adjacency, graphs[1].adjacency)
