@@ -24,8 +24,10 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .regression import LagEngine
+# timedomain first, so that scipy.special is imported before scipy.linalg:
+# in the other order importing the package took 35-60 ms longer
 from .timedomain import MethodConfig, _checked_network, _decided
+from .regression import LagEngine
 from .timeseries import TimeSeriesMatrix, checked_value, demean as demean_ts
 
 __all__ = [
