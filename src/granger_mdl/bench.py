@@ -13,6 +13,7 @@ import ctypes
 import functools
 import gc
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
-STACK_LIMIT = 64  # trials decided as one stack, at most: bounds a chunk's memory
+STACK_LIMIT = 64  # trials in one chunk, decided as one stack, at most: bounds a chunk's memory
 
 # Noise-variance presets for the 3-node network. The plain names follow
 # the simulation protocol scale; the table-* names are the same ranges
@@ -73,6 +74,14 @@ def _entries(values, name: str, length: Optional[int] = None) -> list:
     return entries
 
 
+def _finite(value, name: str) -> float:
+    """``value`` as a finite float, else a ValidationError naming it."""
+    value = checked_value(value, float, name)
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Linear stochastic network definition.
@@ -83,8 +92,8 @@ class NetworkSpec:
     initial_values: per-node constants filling the pre-sample rows.
 
     Every field is read by :func:`~granger_mdl.timeseries.checked_value`:
-    counts, node indices and lags as integers, the rest as numbers, so
-    nothing is truncated and a bad field raises ValidationError naming it.
+    counts, node indices and lags as integers, the rest as finite numbers,
+    so nothing is truncated and a bad field raises ValidationError naming it.
     """
 
     n_nodes: int
@@ -104,7 +113,7 @@ class NetworkSpec:
             t, s, lag, v = _entries(row, f"coefficient {k}", 4)
             t, s, lag = (checked_value(x, int, f"coefficient {k} {field}")
                          for x, field in ((t, "target"), (s, "source"), (lag, "lag")))
-            v = checked_value(v, float, f"coefficient {k} value")
+            v = _finite(v, f"coefficient {k} value")
             if not (0 <= t < n_nodes and 0 <= s < n_nodes):
                 raise ValidationError(
                     f"coefficient ({t},{s},{lag},{v}): node index out of range"
@@ -116,8 +125,8 @@ class NetworkSpec:
             rows.append((t, s, lag, v))
         coefficients = tuple(rows)
         noise_variances = tuple(
-            tuple(checked_value(x, float, f"noise variance {k}") for x in v)
-            if isinstance(v, (tuple, list)) else checked_value(v, float, f"noise variance {k}")
+            tuple(_finite(x, f"noise variance {k}") for x in v)
+            if isinstance(v, (tuple, list)) else _finite(v, f"noise variance {k}")
             for k, v in enumerate(_entries(noise_variances, "noise_variances"))
         )
         if len(noise_variances) != n_nodes:
@@ -140,7 +149,7 @@ class NetworkSpec:
                 f"burn_in {burn_in} must satisfy 0 <= burn_in < total_len {total_len}"
             )
         initial_values = tuple(
-            checked_value(x, float, f"initial value {k}")
+            _finite(x, f"initial value {k}")
             for k, x in enumerate(_entries(initial_values, "initial_values"))
         )
         if len(initial_values) != n_nodes:
@@ -508,12 +517,11 @@ def run_bench_multi(
 
     seeds = child_seeds(master_seed, n_trials)
     workers = worker_count(n_workers)
-    # a serial run decides every trial in one stack, a pool four chunks a worker
-    chunk_size = min(STACK_LIMIT, n_trials if workers == 1 else -(-n_trials // (workers * 4)))
-    tasks = [
-        (spec, tuple(configs), seeds[lo:lo + chunk_size], demean)
-        for lo in range(0, n_trials, chunk_size)
-    ]
+    # Each chunk is one stack. The fewest stacks of at most STACK_LIMIT trials
+    # that give every worker the same number, as contiguous chunks whose sizes
+    # differ by at most one (the larger first); a serial run is one worker.
+    n_chunks = min(n_trials, workers * -(-n_trials // (workers * STACK_LIMIT)))
+    tasks = [(spec, tuple(configs), chunk, demean) for chunk in np.array_split(seeds, n_chunks)]
     pool_size = min(workers, len(tasks))
     if pool_size <= 1:
         chunks = list(map(_run_chunk, tasks))

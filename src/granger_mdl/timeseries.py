@@ -236,7 +236,16 @@ def load_csv(path, has_header: bool = True, sample_rate_hz: Optional[float] = No
 
 
 def save_csv(ts: TimeSeriesMatrix, path, header: bool = True) -> None:
-    """Write a matrix as CSV with 17 significant digits (lossless for doubles)."""
+    """Write a matrix as CSV with 17 significant digits (lossless for doubles).
+
+    A header label holding a comma, CR or LF, or leading or trailing
+    whitespace, would not read back as written (:func:`load_csv` splits
+    on commas and strips cells), so it is refused before the file opens.
+    """
+    for label in ts.labels if header else ():
+        if label != label.strip() or any(c in label for c in ",\r\n"):
+            raise ValidationError(f"label {label!r} cannot be written to CSV: it holds a comma, "
+                                  "CR or LF, or leading or trailing whitespace")
     with open(path, "w", newline="") as fh:
         if header:
             fh.write(",".join(ts.labels) + "\n")

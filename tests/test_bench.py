@@ -93,6 +93,16 @@ class TestBuiltinSpecs:
         (("initial_values", 2), True, "initial value 2 must be a number, got True"),
         (("noise_variances",), 0.5, "noise_variances must be a list, got 0.5"),
         (("coefficients",), None, "coefficients must be a list, got None"),
+    ] + [
+        (path, value, f"{name} must be finite, got {value!r}")
+        for path, name in [
+            (("coefficients", 1, 3), "coefficient 1 value"),
+            (("noise_variances", 1), "noise variance 1"),
+            (("noise_variances", 2, 0), "noise variance 2"),
+            (("noise_variances", 2, 1), "noise variance 2"),
+            (("initial_values", 2), "initial value 2"),
+        ]
+        for value in (float("nan"), float("inf"), float("-inf"))
     ])
     def test_spec_fields_are_not_truncated(self, path, value, message):
         payload = json.loads(JSON_SPEC)
@@ -460,6 +470,11 @@ def _report_freeze_count(args):
     return [(None, f"frozen {gc.get_freeze_count() > 0}")] * len(args[2])
 
 
+def _report_chunk(args):
+    """Pool task stand-in: every trial fails with its chunk's length and its own seed."""
+    return [(None, f"chunk of {len(args[2])}, seed {seed}") for seed in args[2]]
+
+
 @pytest.fixture(params=[True, False], ids=["gc on", "gc off"])
 def collector(request):
     """The collector switched on or off for the test, with nothing frozen."""
@@ -563,6 +578,25 @@ class TestPoolWorkers:
         monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
         run_bench(builtin_3node(), MethodConfig("mdl", p_max=4), 2, master_seed=0, n_workers=8)
         assert sizes == [2]
+
+    @pytest.mark.parametrize("n_trials, workers, sizes", [
+        (16, 2, [8, 8]),
+        (300, 2, [50] * 6),
+        (1000, 2, [63] * 8 + [62] * 8),
+        (13, 3, [5, 4, 4]),
+        (2, 8, [1, 1]),
+        (4, 1, [4]),
+    ])
+    def test_chunks_are_even_stacks_per_worker(self, n_trials, workers, sizes, monkeypatch):
+        monkeypatch.setattr(bench, "_run_chunk", _report_chunk)
+        rep = run_bench(builtin_3node(), MethodConfig("mdl", p_max=4), n_trials,
+                        master_seed=0, n_workers=workers)
+        # each trial in its place with its own seed and its chunk's length,
+        # which fixes the contiguous layout
+        assert [err for _, err in rep.failures] == [
+            f"chunk of {size}, seed {seed}"
+            for size, seed in zip(np.repeat(sizes, sizes), child_seeds(0, n_trials))
+        ]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="OpenBLAS is found on Linux only")
     def test_pool_forks_on_linux(self):

@@ -416,6 +416,26 @@ class TestMcBench:
         key = json.loads(text).popitem()[0]
         assert f"config {key!r} must be an integer, got {shown}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "mc-bench"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("coefficients", [[0, 0, 1, float("nan")]], "coefficient 0 value must be finite, got nan"),
+        ("coefficients", [[0, 0, 1, float("inf")]], "coefficient 0 value must be finite, got inf"),
+        ("noise_variances", [float("nan")], "noise variance 0 must be finite, got nan"),
+        ("noise_variances", [[0.1, float("inf")]], "noise variance 0 must be finite, got inf"),
+    ])
+    def test_non_finite_spec_exits_2_before_any_trial(self, command, field, value, message,
+                                                      tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "simulate", lambda *a: calls.append(a))
+        spec = {"n_nodes": 1, "coefficients": [[0, 0, 1, 0.5]], "noise_variances": [0.1],
+                "total_len": 200, "burn_in": 50, "initial_values": [1.0], field: value}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))  # NaN and Infinity, as JSON readers take them
+        out = tmp_path / "out"
+        assert run_cli(command, "--network", str(spec_path), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
     def test_whole_float_config_value_is_an_integer(self, tmp_path, monkeypatch):
         seen = []
         monkeypatch.setattr(cli, "run_bench_multi",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,14 +116,40 @@ def test_load_csv_reads_a_cell_as_float_does(cell, tmp_path):
     assert str(err.value) == expected
 
 
-@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
-              elements=st.floats(allow_nan=False, allow_infinity=False)))
-@example(np.array([[-0.0, 5e-324, -2.2250738585072014e-308],
-                   [1.7976931348623157e308, -1.7976931348623157e308, 0.0]]))
-def test_csv_round_trip_is_bit_exact_for_any_finite_doubles(tmp_path_factory, values):
+def _writable(label):
+    return label == label.strip() and not any(c in label for c in ",\r\n")
+
+
+@st.composite
+def labelled_matrices(draw):
+    values = draw(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    labels = draw(st.lists(st.text(max_size=6).filter(_writable), min_size=values.shape[1],
+                           max_size=values.shape[1], unique=True))
+    return values, labels
+
+
+@given(labelled_matrices())
+@example((np.array([[-0.0, 5e-324, -2.2250738585072014e-308],
+                    [1.7976931348623157e308, -1.7976931348623157e308, 0.0]]),
+          ["", "a b", "é\t\"x\""]))
+def test_csv_round_trip_is_bit_exact_for_any_finite_doubles(tmp_path_factory, matrix):
+    values, labels = matrix
     path = tmp_path_factory.mktemp("round_trip") / "values.csv"
-    save_csv(TimeSeriesMatrix(values), path)
-    assert load_csv(path).values.tobytes() == values.tobytes()
+    save_csv(TimeSeriesMatrix(values, labels), path)
+    back = load_csv(path)
+    assert back.values.tobytes() == values.tobytes()
+    assert back.labels == tuple(labels)
+
+
+@pytest.mark.parametrize("label", ["a,b", " a", "a ", "\ta", "a\nb", "a\rb", "b\r"])
+def test_save_csv_refuses_a_label_that_would_not_read_back(label, tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValidationError, match=re.escape(f"label {label!r} cannot be written")):
+        save_csv(TimeSeriesMatrix([[1.0, 2.0]], [label, "ok"]), path)
+    assert not path.exists()
+    save_csv(TimeSeriesMatrix([[1.0, 2.0]], [label, "ok"]), path, header=False)
+    assert load_csv(path, has_header=False).values.tolist() == [[1.0, 2.0]]
 
 
 def test_load_csv_missing_file(tmp_path):
