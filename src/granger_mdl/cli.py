@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import warnings
 from typing import List, Optional
@@ -34,7 +35,7 @@ from .spectral import (
     select_var_order,
     spectral_to_csv,
 )
-from .timedomain import CausalGraph, _infer_network, similarity
+from .timedomain import CausalGraph, infer_network, similarity
 from .timeseries import checked_value, demean as demean_ts, load_csv, save_csv
 
 EXIT_OK = 0
@@ -92,6 +93,17 @@ def _apply_config(args: argparse.Namespace) -> None:
         if key in vars(args) and getattr(args, key) is None:
             value = config.get(key, default)
             setattr(args, key, checked_value(value, kind, f"config {key!r}", default is None))
+
+
+def _checked_out(path: str) -> None:
+    """Refuse an ``--out`` path that cannot be written, before the command's work: a ValidationError naming it."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path or "."):
+        raise ValidationError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(folder):
+        raise ValidationError(f"cannot write {path}: no directory {folder}")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise ValidationError(f"cannot write {path}: permission denied")
 
 
 def _network_spec(name: str, noise: str) -> NetworkSpec:
@@ -152,7 +164,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ts = load_csv(args.input, has_header=not args.no_header)
     if args.demean:
         ts = demean_ts(ts)
-    text = _infer_network(ts, cfg, {}).to_json()
+    text = infer_network(ts, cfg.method, cfg.p_max, cfg.alpha, cfg.order_criterion).to_json()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -296,6 +308,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         warnings.showwarning = _show_warning
         try:
             _apply_config(args)
+            if getattr(args, "out", None) is not None:
+                _checked_out(args.out)
             return args.func(args)
         except ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -211,7 +211,7 @@ def search_order(
     :class:`LagEngine` over their variables, and scored at every order as
     an array; ties go to the smaller order. Every family is resolved, and
     ``delta`` and ``scale_floor`` read, before any is scanned; then the
-    first family that fails raises its error (see :func:`_failures`).
+    first family that fails raises its error (see :func:`_scores`).
     Returns (order, value, per-family CodeLength at the order, an empty
     list unless MDL).
     """
@@ -224,14 +224,14 @@ def search_order(
 
 
 def _search_order(engine, families, criterion, delta=None, scale_floor=DEFAULT_SCALE_FLOOR):
-    """:func:`search_order` on the scans of ``engine``'s one series, each family scored once per engine."""
+    """:func:`search_order` on ``engine``'s one series, each family scored once per engine; raises the first error."""
     criterion = str(criterion).upper()
     if criterion not in CRITERIA:
         raise ValidationError(f"unknown criterion {criterion!r}; pick one of {CRITERIA}")
     scale_floor, delta = _checked_floor(scale_floor), _checked_delta(delta)
     families = [engine._family(target, blocks) for target, blocks in families]
     scans, errors, rows = _scores(engine, families, criterion, delta, scale_floor)
-    for (error,) in errors:
+    for error in errors:
         if error is not None:
             raise error
     summed = rows[:, 0].sum(axis=0)  # row by row, as a running sum
@@ -244,40 +244,33 @@ def _search_order(engine, families, criterion, delta=None, scale_floor=DEFAULT_S
 def _scores(engine, families, criterion, delta=None, scale_floor=DEFAULT_SCALE_FLOOR):
     """(scans, errors, rows) of the (target, blocks) ``families`` of ``engine``, in engine columns.
 
-    ``errors[j]`` holds family j's error for each of the engine's trials:
-    the engine's ValidationError if it would interpolate the window at
-    p_max (it then has no scan), else :func:`_failures` of its scan. Its
-    ``rows[j]`` are the criterion over orders 1..p_max for each trial,
-    NaN where it has an error; the others are scored together.
+    ``errors[j]`` is family j's one error or None, by the one failure rule:
+    the engine's ValidationError, failing every trial, if the family would
+    interpolate the window at p_max (it then has no scan); under MDL, a
+    DegenerateFitError failing each trial with an order whose rss <= 1e-12
+    y'y; else the scan's rank error (one-series engines only). ``rows[j]``
+    is the criterion over orders 1..p_max per trial, NaN where it fails.
     """
     trials = len(engine._series)
     scans = [None] * len(families)
-    errors = [[engine._underdetermined(len(blocks), engine.p_max)] * trials for _, blocks in families]
-    fitting = [j for j, error in enumerate(errors) if error[0] is None]
+    errors = [engine._underdetermined(len(blocks), engine.p_max) for _, blocks in families]
+    fitting = [j for j, error in enumerate(errors) if error is None]
     fitted = engine._families([families[j] for j in fitting], coefficients=criterion == "MDL")
-    for j, scan, error in zip(fitting, fitted, _failures(fitted, criterion)):
-        scans[j], errors[j] = scan, error
+    noiseless = [[False] * trials] * len(fitted)
+    if criterion == "MDL" and fitted:
+        noiseless = np.array([(scan.rss <= 1e-12 * scan.response_sq[:, None]).any(axis=1) for scan in fitted]).tolist()
+    scored = []  # (family, its noiseless trials) of the families some trial scores
+    for j, scan, degenerate in zip(fitting, fitted, noiseless):
+        scans[j], errors[j] = scan, DegenerateFitError(_NOISELESS) if any(degenerate) else scan.rank_error
+        if scan.rank_error is None and not all(degenerate):
+            scored.append((j, degenerate))
     rows = np.full((len(families), trials, engine.p_max), np.nan)
-    scored = [j for j in fitting if errors[j].count(None)]
     if scored:
-        failed = np.array([[error is not None for error in errors[j]] for j in scored])
-        curves = _scored([scans[j] for j in scored], failed, criterion, engine.ts.n_samples, delta, scale_floor)
-        rows[scored] = [curve[0] for curve in curves]
+        scored, failed = zip(*scored)
+        curves = _scored([scans[j] for j in scored], np.array(failed), criterion, engine.ts.n_samples,
+                         delta, scale_floor)
+        rows[list(scored)] = [curve[0] for curve in curves]
     return scans, errors, rows
-
-
-def _failures(scans, criterion):
-    """Each scanned family's error for each trial, or None: the one failure rule of scoring.
-
-    Under MDL an order with rss <= 1e-12 y'y leaves no Gaussian code
-    length, a DegenerateFitError; otherwise it is the scan's rank error.
-    """
-    errors = [[scan.rank_error] * len(scan.rss) for scan in scans]
-    if criterion == "MDL" and scans:
-        noiseless = np.array([(scan.rss <= 1e-12 * scan.response_sq[:, None]).any(axis=1) for scan in scans])
-        for j, t in zip(*np.nonzero(noiseless)):
-            errors[j][t] = DegenerateFitError(_NOISELESS)
-    return errors
 
 
 def _scored(scans, failed, criterion, n_total, delta, scale_floor):

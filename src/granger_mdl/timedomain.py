@@ -467,8 +467,9 @@ def _mdl_edges(engine):
     trial's gate passes, with its target's full family. The edges are
     arrays in the per-edge traversal order, target by target and each
     target's sources ascending, which is ``np.nonzero(~np.eye(V))``. A
-    trial's error is the first one that traversal meets: own, pair, then
-    where the trial's gate passes, all but the source and all.
+    trial's error is the one error of the first family with NaN rows in
+    the trial that traversal meets: own, pair, then where the trial's gate
+    passes, all but the source and all.
     """
     nv = len(engine.variables)
     targets, sources = np.nonzero(~np.eye(nv, dtype=bool))
@@ -489,11 +490,11 @@ def _mdl_edges(engine):
     errors = [None] * pairwise.shape[1]
     for t in np.flatnonzero(hit.any(axis=0)):
         e = int(np.argmax(hit[:, t]))
-        visited = [own_errors[targets[e]], pair_errors[e]]
+        visited = [(own_errors, own_rows, targets[e]), (pair_errors, pair_rows, e)]
         if gated[e, t]:
             g = int(np.searchsorted(edges, e))
-            visited += [gate_errors[g], gate_errors[own_full[g]]]
-        errors[t] = next(error[t] for error in visited if error[t] is not None)
+            visited += [(gate_errors, gate_rows, g), (gate_errors, gate_rows, own_full[g])]
+        errors[t] = next(stage[j] for stage, rows, j in visited if np.isnan(rows[j, t, 0]))
     return _as_matrices(nv, sources, targets, np.where(gated, conditional > 0, pairwise > 0),
                         np.where(gated, conditional, pairwise)) + (errors,)
 
@@ -514,8 +515,8 @@ def _f_edges(engine, cfg):
     degrees of freedom, as :func:`conditional_f_test_gc` with p = q = r = n
     on the engine's window. Only orders up to n of the full family need
     fit the window. A trial's error is the first one of the per-edge
-    traversal: the order search, the full family's window and rank, then
-    the degrees of freedom.
+    traversal: the order search (its family's one error, where its rows
+    are NaN), the full family's window and rank, then the degrees of freedom.
     """
     nv, m = len(engine.variables), engine.m
     targets, sources = np.nonzero(~np.eye(nv, dtype=bool))
@@ -541,7 +542,7 @@ def _f_edges(engine, cfg):
     for t in np.flatnonzero(bad.any(axis=0)):
         e = int(np.argmax(bad[:, t]))
         if failed[e, t]:
-            trial_errors[t] = errors[e][t]
+            trial_errors[t] = errors[e]
         elif under[e, t]:
             trial_errors[t] = engine._underdetermined(nv, int(n[e, t]))
         elif short[e, t]:
@@ -568,12 +569,10 @@ def _decided(engine, cfg: MethodConfig):
     mean nothing. Each of :meth:`LagEngine._groups` is decided as one.
     """
     nv, trials = len(engine.variables), len(engine._series)
-    keep, weight, errors = np.zeros((trials, nv, nv), dtype=bool), np.zeros((trials, nv, nv)), [None] * trials
+    keep, weight, errors = np.zeros((trials, nv, nv), dtype=bool), np.zeros((trials, nv, nv)), np.full(trials, None)
     for group, part in engine._groups():
-        keep[group], weight[group], part_errors = _mdl_edges(part) if cfg.method == "mdl" else _f_edges(part, cfg)
-        for t, error in zip(group, part_errors):
-            errors[t] = error
-    return keep, weight, errors
+        keep[group], weight[group], errors[group] = _mdl_edges(part) if cfg.method == "mdl" else _f_edges(part, cfg)
+    return keep, weight, errors.tolist()
 
 
 def _checked_network(ts):
@@ -607,25 +606,15 @@ def infer_network(
     scores three stages over all targets (own, pairwise, and the
     conditional families the gate reads); a certified engine fits each
     stage's small families in one batch. Edges are decided as arrays,
-    each family's error kept as a value by one rule; the first error that a
-    loop over the edges in that ascending order would meet is raised.
+    each family's failure kept once, as one error value by one rule; the
+    first error that a loop over the edges in that ascending order would
+    meet is raised.
     A constant column, or two identical ones, is a ValidationError
     naming them, raised before any fit.
     """
-    return _infer_network(ts, MethodConfig(method, alpha, p_max, order_criterion), {})
-
-
-def _infer_network(ts, cfg: MethodConfig, engines) -> CausalGraph:
-    """:func:`infer_network` for ``cfg``, reading its fits from ``engines[cfg.p_max]``.
-
-    The engine over ``ts`` is built on first use and left in the dict, so
-    calls on one series that share the dict share its factorisation and
-    its scans.
-    """
-    if cfg.p_max not in engines:
-        _checked_network(ts)
-        engines[cfg.p_max] = LagEngine(ts, cfg.p_max)
-    (adjacency,), (weight,), (error,) = _decided(engines[cfg.p_max], cfg)
+    cfg = MethodConfig(method, alpha, p_max, order_criterion)
+    _checked_network(ts)
+    (adjacency,), (weight,), (error,) = _decided(LagEngine(ts, cfg.p_max), cfg)
     if error is not None:
         raise error
     return CausalGraph(

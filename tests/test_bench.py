@@ -710,11 +710,15 @@ class TestStackedChunk:
         """(adjacencies, weights) of the trial's series under each config, or its failure text."""
         try:
             ts = demean(simulate(spec, int(seed)))
-            engines = {}
-            graphs = [timedomain._infer_network(ts, cfg, engines) for cfg in configs]
+            timedomain._checked_network(ts)
+            engine = LagEngine(ts, configs[0].p_max)  # the configs share one p_max
+            decided = [timedomain._decided(engine, cfg) for cfg in configs]
+            for _, _, (error,) in decided:
+                if error is not None:
+                    raise error
         except Exception as exc:
             return f"{type(exc).__name__}: {exc}"
-        return np.array([g.adjacency for g in graphs]), np.array([g.weight for g in graphs])
+        return np.array([keep[0] for keep, _, _ in decided]), np.array([weight[0] for _, weight, _ in decided])
 
     def test_trials_that_fail_alone_keep_their_places(self, monkeypatch):
         # every third trial fails before the stack is built, the others are decided in it

@@ -469,6 +469,27 @@ def _command(command, sim_csv, out):
     }[command]
 
 
+@pytest.mark.parametrize("command", ["simulate", "analyze", "spectral", "mc-bench"])
+@pytest.mark.parametrize("where", ["a directory", "in a missing directory", "without write permission"])
+def test_unwritable_out_exits_2_naming_it_before_any_work(command, where, sim_csv, tmp_path,
+                                                          monkeypatch, capsys):
+    out, problem = {
+        "a directory": (tmp_path, "it is a directory"),
+        "in a missing directory": (tmp_path / "missing" / "out", f"no directory {tmp_path / 'missing'}"),
+        "without write permission": (tmp_path / "out", "permission denied"),
+    }[where]
+
+    def no_trial(args):
+        raise AssertionError("a trial ran before the output path was checked")
+
+    monkeypatch.setattr(bench, "_run_chunk", no_trial)
+    if where == "without write permission":  # root may write anywhere, so the check is faked
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    assert run_cli(*_command(command, sim_csv, out)) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {problem}\n")
+    assert sorted(tmp_path.iterdir()) == []
+
+
 class TestConfigTypes:
     @pytest.mark.parametrize("command, key", [
         ("simulate", "noise"),

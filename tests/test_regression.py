@@ -21,8 +21,8 @@ from granger_mdl.regression import (
 from granger_mdl.spectral import fit_bivariate_var
 from granger_mdl.timedomain import (
     MethodConfig,
+    _decided,
     _f_values,
-    _infer_network,
     conditional_f_test_gc,
     f_test_gc,
     infer_network,
@@ -438,20 +438,20 @@ class TestInverseRoute:
         # same engines then forms the coefficients of the families its gate
         # reads, and of no other, and keeps the F scores
         panel = demean(simulate(builtin_5node(), 4))
-        engines = {}
-        _infer_network(panel, MethodConfig("ftest", p_max=5), engines)
-        memo = engines[5]._memo
+        engine = LagEngine(panel, 5)
+        _decided(engine, MethodConfig("ftest", p_max=5))
+        memo = engine._memo
         dropped = [key for key in memo if len(key[1]) == 4]
         assert len(dropped) == 25 and all(memo[key].coefficients is None for key in dropped)
         f_scores = {key: memo[key].curves for key in dropped}
-        graph = _infer_network(panel, MethodConfig("mdl", p_max=5), engines)
+        _, (weight,), _ = _decided(engine, MethodConfig("mdl", p_max=5))
         assert all(memo[key].curves is f_scores[key] for key in dropped)
         read = [key for key in dropped if ("MDL", None, 1.0) in memo[key].curves]
         assert 0 < len(read) < 20
         assert all(memo[key].coefficients.shape == (1, 20, 5) for key in read)
         assert all(memo[key].coefficients is None for key in dropped if key not in read)
         fresh = infer_network(panel, "mdl", p_max=5)
-        np.testing.assert_array_equal(graph.weight, fresh.weight)
+        np.testing.assert_array_equal(weight, fresh.weight)
         sliced = LagEngine(panel, 5)
         for target, blocks in read:
             np.testing.assert_allclose(memo[target, blocks].coefficients[0],
@@ -530,12 +530,15 @@ class TestInverseRoute:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
-        engines = {}
-        graphs = [_infer_network(panel, MethodConfig(method, p_max=5), engines) for method in methods]
+        engine = LagEngine(panel, 5)
+        decided = [_decided(engine, MethodConfig(method, p_max=5)) for method in methods]
         assert solves == [(5, 1, 5, 5, 5)]  # (order, trial, source, lag, lag)
         monkeypatch.undo()
-        for method, graph in zip(methods, graphs):
-            assert graph.to_json() == infer_network(panel, method, p_max=5).to_json()
+        for method, (keep, weight, errors) in zip(methods, decided):
+            fresh = infer_network(panel, method, p_max=5)
+            assert errors == [None]
+            np.testing.assert_array_equal(keep[0], fresh.adjacency)
+            np.testing.assert_array_equal(weight[0], fresh.weight)
 
 
 def near_copy(noise):

@@ -1,11 +1,13 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from granger_mdl import selection, timedomain
 from granger_mdl.bench import builtin_3node, builtin_5node, simulate
@@ -27,9 +29,9 @@ from granger_mdl.timedomain import (
     similarity,
     MethodConfig,
     _best_code_length,
+    _decided,
     _f_comparison,
     _f_dof,
-    _infer_network,
 )
 from granger_mdl.regression import LagEngine
 from granger_mdl.cli import main
@@ -414,6 +416,21 @@ class TestGraphSerialization:
         assert back.edges() == graph.edges()
         np.testing.assert_array_equal(back.adjacency, graph.adjacency)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_json_round_trip_keeps_edges_and_weight_bytes(self, data):
+        # any distinct labels, any adjacency (self-loops too), any finite weights
+        labels = data.draw(st.lists(st.text(), max_size=5, unique=True))
+        n = len(labels)
+        extremes = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, sys.float_info.max, -sys.float_info.max])
+        adjacency = data.draw(arrays(bool, (n, n)))
+        weight = data.draw(arrays(np.float64, (n, n), elements=extremes | st.floats(allow_nan=False,
+                                                                                   allow_infinity=False)))
+        graph = CausalGraph(n, adjacency, weight, "MDL", {"p_max": 3}, tuple(labels))
+        back = CausalGraph.from_json(graph.to_json())
+        assert back.labels == graph.labels and back.edges() == graph.edges()
+        assert back.weight[adjacency].tobytes() == weight[adjacency].tobytes()
+
     def test_malformed_json_rejected(self):
         with pytest.raises(ValidationError):
             CausalGraph.from_json("{\"nodes\": [\"a\"]}")
@@ -504,32 +521,32 @@ class TestScoredOnce:
 
     def test_mdl_scores_each_visited_family_once(self, calls):
         ts = demean(simulate(builtin_5node(), 11))
-        engines = {}
-        first = _infer_network(ts, MethodConfig("mdl"), engines)
-        memo = engines[10]._memo
+        engine = LagEngine(ts, 10)
+        _, (first,), _ = _decided(engine, MethodConfig("mdl"))
+        memo = engine._memo
         scored = [scan for scan in memo.values() if scan.curves]
         assert len(scored) > 20  # pairwise and conditional families
         assert calls["code_length_orders"] == sum(scan.rss.size for scan in scored)
         assert calls["code_length"] < len(scored)
         seen, families = dict(calls), len(memo)
-        again = _infer_network(ts, MethodConfig("mdl"), engines)
+        _, (again,), _ = _decided(engine, MethodConfig("mdl"))
         assert calls == seen and len(memo) == families
-        np.testing.assert_array_equal(again.weight, first.weight)
+        np.testing.assert_array_equal(again, first)
 
     def test_second_f_config_reads_stored_scans_and_curves(self, calls):
         ts = demean(simulate(builtin_5node(), 12))
-        engines = {}
-        _infer_network(ts, MethodConfig("ftest", alpha=0.05), engines)
-        memo = engines[10]._memo
+        engine = LagEngine(ts, 10)
+        _decided(engine, MethodConfig("ftest", alpha=0.05))
+        memo = engine._memo
         seen, families = dict(calls), len(memo)
         scored = [scan for scan in memo.values() if scan.curves]
         assert len(scored) == 20 and seen["code_length"] == 0  # every (target, all but source)
         assert seen["loglik_orders"] == sum(scan.rss.size for scan in scored)
-        shared = _infer_network(ts, MethodConfig("ftest", alpha=0.01), engines)
+        shared = _decided(engine, MethodConfig("ftest", alpha=0.01))
         assert calls == seen and len(memo) == families
-        fresh = _infer_network(ts, MethodConfig("ftest", alpha=0.01), {})
-        np.testing.assert_array_equal(shared.adjacency, fresh.adjacency)
-        np.testing.assert_array_equal(shared.weight, fresh.weight)
+        fresh = infer_network(ts, "ftest", alpha=0.01)
+        np.testing.assert_array_equal(shared[0][0], fresh.adjacency)
+        np.testing.assert_array_equal(shared[1][0], fresh.weight)
 
     @pytest.mark.parametrize("criterion", ["MDL", "AIC"])
     def test_rank_error_raised_again_and_never_stored(self, criterion):
@@ -781,7 +798,6 @@ class TestErrorReplay:
         ts = TimeSeriesMatrix(np.column_stack([a, y, x]), ["a", "y", "x"])
         _, errors, rows = selection._scores(LagEngine(ts, p_max), [(0, [0]), (0, [0, 1]), (0, [0, 1, 2]),
                                                                  (1, [1, 2])], "MDL")
-        errors = [error for error, in errors]  # the one trial's
         assert errors[:2] == [None, None] and np.nanmin(rows[0]) > np.nanmin(rows[1])
         assert isinstance(errors[2], RankDeficiencyError) and isinstance(errors[3], DegenerateFitError)
         with pytest.raises(RankDeficiencyError) as info:
@@ -847,7 +863,7 @@ class TestOneFailureRule:
         families = [(target, [v for v in range(nv) if mask >> v & 1])
                     for target in range(nv) for mask in range(1, 2 ** nv)]
         _, errors, rows = selection._scores(LagEngine(ts, p_max), families, criterion)
-        errors, rows = [error for error, in errors], rows[:, 0]  # the one trial's
+        rows = rows[:, 0]  # the one trial's
         assert any(error is not None for error in errors)
         for family, error, row in zip(families, errors, rows):
             alone = LagEngine(ts, p_max)
@@ -859,6 +875,41 @@ class TestOneFailureRule:
             with pytest.raises(type(error)) as info:
                 _search_order(alone, [family], criterion)
             assert str(info.value) == str(error)
+
+    @staticmethod
+    def driven_stack(epsilons):
+        """Trials of [x = 0.8 s(t-1) + eps noise, s, z] on 200 rows, one eps per trial."""
+        trials = []
+        for seed, eps in enumerate(epsilons):
+            s, z, e = np.random.default_rng(seed).standard_normal((3, 200))
+            x = np.zeros(200)
+            x[1:] = 0.8 * s[:-1] + eps * e[1:]
+            trials.append(TimeSeriesMatrix(np.column_stack([x, s, z]), ["x", "s", "z"]))
+        return trials
+
+    @pytest.mark.parametrize("criterion", CRITERIA)
+    @pytest.mark.parametrize("epsilons", [(1.0, 3e-7), (3e-7, 1.0), (1.0, 0.5, 3e-7), (3e-7, 3e-7)])
+    def test_a_stack_fails_each_trial_as_that_trial_alone(self, epsilons, criterion):
+        trials = self.driven_stack(epsilons)
+        families = [(target, [v for v in range(3) if mask >> v & 1]) for target in range(3) for mask in range(1, 8)]
+        stack = LagEngine(trials, 2)
+        assert stack._certified()
+        _, errors, rows = selection._scores(stack, families, criterion)
+        for t, ts in enumerate(trials):
+            _, alone_errors, alone_rows = selection._scores(LagEngine(ts, 2), families, criterion)
+            np.testing.assert_array_equal(np.isnan(rows[:, t]), np.isnan(alone_rows[:, 0]))
+            for error, alone, row in zip(errors, alone_errors, rows[:, t]):
+                assert (alone is None) == (not np.isnan(row).any())
+                if alone is not None:
+                    assert type(error) is type(alone) and str(error) == str(alone)
+        # x's families with s's history leave no residual in the eps = 3e-7 trials
+        noiseless = [(0, blocks) for target, blocks in families if target == 0 and 1 in blocks]
+        noiseless = noiseless if criterion == "MDL" else []
+        failing = [family for family, row in zip(families, rows) if np.isnan(row).any()]
+        assert failing == (noiseless if 3e-7 in epsilons else [])
+        for family, error, row in zip(families, errors, rows):
+            assert np.isnan(row[:, 0]).tolist() == [family in noiseless and eps == 3e-7 for eps in epsilons]
+            assert (error is None) == (family not in failing)
 
     def test_malformed_family_raises_before_an_earlier_family_fails(self):
         # the first family alone raises "column x.lag2" RankDeficiencyError
