@@ -87,8 +87,9 @@ class NetworkSpec:
     """Linear stochastic network definition.
 
     coefficients: tuples (target, source, lag, value) with 0-based node
-    indices. noise_variances: per node, either a fixed positive number
-    or a (low, high) range sampled uniformly once per trial.
+    indices, each lag below total_len; with no coefficients the network
+    is white noise. noise_variances: per node, either a fixed positive
+    number or a (low, high) range sampled uniformly once per trial.
     initial_values: per-node constants filling the pre-sample rows.
 
     Every field is read by :func:`~granger_mdl.timeseries.checked_value`:
@@ -148,6 +149,9 @@ class NetworkSpec:
             raise ValidationError(
                 f"burn_in {burn_in} must satisfy 0 <= burn_in < total_len {total_len}"
             )
+        for t, s, lag, v in coefficients:
+            if lag >= total_len:
+                raise ValidationError(f"coefficient ({t},{s},{lag},{v}): lag must be below total_len {total_len}")
         initial_values = tuple(
             _finite(x, f"initial value {k}")
             for k, x in enumerate(_entries(initial_values, "initial_values"))
@@ -165,7 +169,7 @@ class NetworkSpec:
 
     @property
     def max_lag(self) -> int:
-        return max(lag for _, _, lag, _ in self.coefficients)
+        return max((lag for _, _, lag, _ in self.coefficients), default=0)
 
     def to_dict(self) -> dict:
         return {
@@ -470,13 +474,9 @@ def _run_chunk(args):
     adjacency = np.zeros((len(series), len(configs), spec.n_nodes, spec.n_nodes), dtype=bool)
     errors, engines = [None] * len(series), {}
     for c, cfg in enumerate(configs):
-        try:
-            if cfg.p_max not in engines:
-                engines[cfg.p_max] = LagEngine(series, cfg.p_max)
-        except ValidationError as exc:  # the window is too short for p_max: every trial's error
-            config_errors = [exc] * len(series)
-        else:
-            adjacency[:, c], _, config_errors = _decided(engines[cfg.p_max], cfg)
+        if cfg.p_max not in engines:
+            engines[cfg.p_max] = LagEngine(series, cfg.p_max)
+        adjacency[:, c], _, config_errors = _decided(engines[cfg.p_max], cfg)
         errors = [error if error is not None else new for error, new in zip(errors, config_errors)]
     decided = iter(zip(adjacency, errors))
     for index, trial in enumerate(out):
@@ -504,7 +504,8 @@ def run_bench_multi(
     accuracies are directly comparable. The reduction runs in trial
     order, making the reports byte-identical for any worker count.
     Trials that raise are recorded in the report's failures and count
-    against every accuracy; they are never silently dropped.
+    against every accuracy; they are never silently dropped. A p_max that
+    no window (``total_len - burn_in`` rows) fits raises before any trial.
     """
     n_trials = checked_value(n_trials, int, "n_trials")
     master_seed = checked_value(master_seed, int, "master_seed")
@@ -514,6 +515,10 @@ def run_bench_multi(
         raise ValidationError("need at least one method config")
     if len(set(cfg.label for cfg in configs)) != len(configs):
         raise ValidationError("duplicate method configs")
+    window = spec.total_len - spec.burn_in
+    for cfg in configs:
+        if window <= cfg.p_max:
+            raise ValidationError(f"series of length {window} too short for orders up to {cfg.p_max}")
 
     seeds = child_seeds(master_seed, n_trials)
     workers = worker_count(n_workers)

@@ -34,7 +34,6 @@ __all__ = [
     "ols_fit",
     "residual_covariance",
     "stability_check",
-    "nested_scan",
     "ols_order_scan",
 ]
 
@@ -243,11 +242,11 @@ class OrderScanEntry:
     response_sq: float
 
 
-# Orders 1..n of one family as arrays over the order axis; see nested_scan.
-# ``curves`` holds the family's criterion rows once scored (selection fills
-# it), so an engine's memo entry keeps a family's scan and scores together.
-# ``coefficients`` is None only for a drop-one family asked for its residual
-# sums alone (see LagEngine._families).
+# Orders 1..n of one family, each array with a leading trial axis; see
+# LagEngine.scan. ``curves`` holds the family's criterion rows once scored
+# (selection fills it), so an engine's memo entry keeps a family's scan and
+# scores together. ``coefficients`` is None only for a drop-one family asked
+# for its residual sums alone (see LagEngine._families).
 NestedScan = namedtuple("NestedScan", "coefficients k rss m response_sq rank_error curves")
 
 
@@ -359,10 +358,10 @@ class LagEngine:
     kappa_1 and kappa_2 differ by at most a factor of the column count,
     and leading blocks of R_L have kappa_1 at most R_L's. So every column
     prefix of every family passes :func:`_fit_prefixes`' rank policy, and
-    these routes skip it without changing a rank decision. An engine that
-    does not certify (a short window, near-collinear columns) scans each
-    family of one series by its own slice QR and rank check; a stack whose
-    trials do not all certify is first split by :meth:`_groups`.
+    these routes skip it without changing a rank decision. A one-series
+    engine that does not certify (a short window, near-collinear columns)
+    scans each family by its own slice QR and rank check; a stack that
+    does not certify is first split into its series by :meth:`_groups`.
 
     ``variables`` (labels or indices; default all, ascending) fixes the
     engine's order. Blocks are always taken in that order, and each
@@ -399,29 +398,25 @@ class LagEngine:
                             for s, r in zip(series, responses)])
         response_sq = np.array([[r[:, v] @ r[:, v] for v in self.variables] for r in responses])
         self._response_sq = dict(zip(self.variables, response_sq.T))
-        self._memo, self._views = {}, {}
+        self._memo = {}
         self._lag_inverse = None  # R_L^-1 once every trial certifies it, False if one does not
-        self._passed = None  # per trial, whether it certifies
         self._schur = None  # what the drop-one coefficients need (see _drop_one_families)
         self._split = None
 
     def scan(self, target, block_vars: Sequence, orders: int = None) -> NestedScan:
-        """Orders 1..min(p_max, (m - 1) // b) of the family, as :func:`nested_scan`, on the first series.
+        """The family {order n: every block gets lags 1..n}: its memo entry, with the trial axis.
 
-        ``orders`` (default p_max) is the highest order the caller reads;
-        a window with no more rows than its b*orders columns would
-        interpolate the data and is a ValidationError. The scan is one
-        object per family and engine, without the trial axis.
+        Orders 1..min(p_max, (m - 1) // b) are fitted, stopping before the
+        first rank-broken one, whose error ``rank_error`` holds. ``orders``
+        (default p_max) is the highest order the caller reads; a window
+        with no more rows than its b*orders columns would interpolate the
+        data and is a ValidationError.
         """
         target, blocks = self._family(target, block_vars)
         error = self._underdetermined(len(blocks), self.p_max if orders is None else orders)
         if error is not None:
             raise error
-        stacked, key = self._families([(target, blocks)])[0], (target, tuple(blocks))
-        if self._views.get(key, (None,))[0] is not stacked:
-            self._views[key] = stacked, stacked._replace(
-                coefficients=stacked.coefficients[0], rss=stacked.rss[0], response_sq=float(stacked.response_sq[0]))
-        return self._views[key][1]
+        return self._families([(target, blocks)])[0]
 
     def _family(self, target, block_vars):
         """(target, blocks) as engine columns, blocks in the engine's order; repeated or no blocks: ValidationError."""
@@ -442,19 +437,16 @@ class LagEngine:
     def _groups(self):
         """(trials, engine) pairs that cover the engine's trials, each engine one the routes can serve.
 
-        The engine itself if every trial certifies or it holds one series;
-        else the certified trials as one engine and every other trial as
-        its own, since the rank-checked route reads one series. Those are
-        built once.
+        The engine itself if it holds one series or every trial certifies;
+        else one engine per trial, since the rank-checked route reads one
+        series. Those are built once.
         """
         trials = np.arange(len(self._series))
         if trials.size == 1 or self._certified():
             return [(trials, self)]
         if self._split is None:
-            groups = [trials[self._passed]] if self._passed.any() else []
-            groups += [trials[[t]] for t in trials[~self._passed]]
-            self._split = [(group, LagEngine([self._series[t] for t in group], self.p_max, self._start,
-                                             self.variables)) for group in groups]
+            self._split = [(trials[[t]], LagEngine(s, self.p_max, self._start, self.variables))
+                           for t, s in enumerate(self._series)]
         return self._split
 
     def _families(self, families, coefficients: bool = True) -> List[NestedScan]:
@@ -478,9 +470,7 @@ class LagEngine:
                 self._stacked([key for key in missing if len(key[1]) == width])
         for key in missing:
             if key not in self._memo:
-                scan = self._scan(*key)
-                self._memo[key] = scan._replace(coefficients=scan.coefficients[None], rss=scan.rss[None],
-                                                response_sq=np.array([scan.response_sq]))
+                self._memo[key] = self._scan(*key)
         return [self._memo[key] for key in keys]
 
     def residual_covariance(self) -> np.ndarray:
@@ -496,30 +486,28 @@ class LagEngine:
         return t.T @ t / self.m
 
     def _scan(self, target: int, blocks: List[int]) -> NestedScan:
-        """The first series' family by its own slice QR and rank check, without the trial axis."""
+        """The family by its own slice QR and rank check, on a one-series engine (see :meth:`_groups`)."""
         b = len(blocks)
         n_fit = min(self.p_max, (self.m - 1) // b)
         columns = [(v, ell) for ell in range(n_fit) for v in blocks]
         kk, rss, coefficients, rank_error = self._fit(target, columns, b * np.arange(1, n_fit + 1))
-        return NestedScan(coefficients, kk, rss, self.m, float(self._response_sq[target][0]), rank_error, {})
+        return self._nested(target, coefficients[None], kk, rss[None], rank_error)
 
-    def _nested(self, target, coefficients, k, rss) -> NestedScan:
-        return NestedScan(coefficients, k, rss, self.m, self._response_sq[target], None, {})
+    def _nested(self, target, coefficients, k, rss, rank_error=None) -> NestedScan:
+        return NestedScan(coefficients, k, rss, self.m, self._response_sq[target], rank_error, {})
 
     def _certified(self) -> bool:
         """Whether every trial certifies the inverse and stacked routes (see the class docstring).
 
-        The first call decides it, per trial in ``_passed``, and, if all
-        pass, memoises every full family.
+        The first call decides it and, if they do, memoises every full family.
         """
         if self._lag_inverse is None:
             width = len(self.variables) * self.p_max
-            self._lag_inverse, self._passed = False, np.zeros(len(self._r), dtype=bool)
+            self._lag_inverse = False
             if self.m > width:
                 inverses = [_inverse(r) for r in self._r[:, :width, :width]]
-                self._passed = np.array([r_inv.shape[0] == width and kappa[-1] * width ** 2 * RANK_TOL <= 1.0
-                                         for r_inv, kappa in inverses])
-                if self._passed.all():
+                if all(r_inv.shape[0] == width and kappa[-1] * width ** 2 * RANK_TOL <= 1.0
+                       for r_inv, kappa in inverses):
                     self._lag_inverse = np.array([r_inv for r_inv, _ in inverses])
                     self._full_families(self._lag_inverse)
         return self._lag_inverse is not False
@@ -630,25 +618,6 @@ class LagEngine:
         )
 
 
-def nested_scan(
-    ts: TimeSeriesMatrix,
-    target: int,
-    block_vars: Sequence[int],
-    p_max: int,
-    start: int = None,
-) -> NestedScan:
-    """Fit the shared-order family {order n: every block gets lags 1..n}.
-
-    Columns are interleaved lag-major in the order of ``block_vars``, so
-    order n is a column prefix and one QR serves every order on the
-    window starting at ``start`` (default p_max), as :func:`_fit_prefixes`
-    says. The family stops before its first rank-broken order, whose error
-    ``rank_error`` holds (None when all p_max orders fit). This is a
-    one-family :class:`LagEngine`.
-    """
-    return LagEngine(ts, p_max, start, [*block_vars, target]).scan(target, block_vars)
-
-
 def ols_order_scan(
     ts: TimeSeriesMatrix,
     target: int,
@@ -656,20 +625,20 @@ def ols_order_scan(
     p_max: int,
     start: int = None,
 ) -> List[OrderScanEntry]:
-    """:func:`nested_scan` as one entry per order, raising if rank-broken.
+    """:meth:`LagEngine.scan` of ``ts``, blocks in the order given, as one entry per order, raising if rank-broken.
 
     Coefficients are put back in the predictor-major order used by
     :func:`build_design`.
     """
-    scan = nested_scan(ts, target, block_vars, p_max, start)
+    scan = LagEngine(ts, p_max, start, [*block_vars, target]).scan(target, block_vars)
     if scan.rank_error is not None:
         raise scan.rank_error
     b = len(block_vars)
     return [
         OrderScanEntry(
             order=order, k=b * order,
-            coefficients=scan.coefficients[:b * order, order - 1].reshape(order, b).T.ravel(),
-            rss=float(scan.rss[order - 1]), m=scan.m, response_sq=scan.response_sq,
+            coefficients=scan.coefficients[0, :b * order, order - 1].reshape(order, b).T.ravel(),
+            rss=float(scan.rss[0, order - 1]), m=scan.m, response_sq=float(scan.response_sq[0]),
         )
         for order in range(1, p_max + 1)
     ]

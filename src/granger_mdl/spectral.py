@@ -126,7 +126,7 @@ def fit_bivariate_var(ts: TimeSeriesMatrix, x, y, order: int) -> BivariateVar:
         if scan.rank_error is not None:
             raise scan.rank_error
         # lag-major columns: row l is the equation's [x, y] coefficients at lag l+1
-        coefficients.append(scan.coefficients[:, order - 1].reshape(order, 2))
+        coefficients.append(scan.coefficients[0, :, order - 1].reshape(order, 2))
     a_mats = -np.stack(coefficients, axis=1)
 
     radius = stability_check(-a_mats)

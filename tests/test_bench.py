@@ -43,6 +43,18 @@ JSON_SPEC = json.dumps({
     "initial_values": [1.0, -2.0, 0.25],
 })
 
+# node2 is node0 one step back plus noise of variance at most 2e-15: at p_max 3
+# about half of the trials certify the engine's inverse routes, and a stack of
+# them does not
+MIXED_SPEC = {
+    "n_nodes": 3,
+    "coefficients": [[0, 0, 1, 0.5], [1, 1, 1, 0.3], [1, 0, 1, 0.4], [2, 0, 1, 1.0]],
+    "noise_variances": [0.2, 0.2, [0.0, 2e-15]],
+    "total_len": 420,
+    "burn_in": 100,
+    "initial_values": [1.0, 1.0, 1.0],
+}
+
 
 class TestBuiltinSpecs:
     def test_3node_structure(self):
@@ -81,6 +93,20 @@ class TestBuiltinSpecs:
         with pytest.raises(ValidationError, match="out of range"):
             NetworkSpec(1, [(0, 1, 1, 0.5)], [1.0], total_len=10, burn_in=2,
                         initial_values=[0.0])
+
+    def test_lag_must_be_below_total_len(self):
+        with pytest.raises(ValidationError, match=re.escape("coefficient (0,1,50,0.5): lag must be below total_len 10")):
+            NetworkSpec(2, [(0, 1, 50, 0.5)], [0.1, 0.1], total_len=10, burn_in=0, initial_values=[1.0, 1.0])
+        # the longest lag that fits reads the first row from the last one
+        spec = NetworkSpec(2, [(0, 1, 9, 0.5)], [0.1, 0.1], total_len=10, burn_in=0, initial_values=[1.0, 1.0])
+        assert simulate(spec, 0).values.tobytes() == simulate_by_loop(spec, 0).tobytes()
+
+    def test_no_coefficients_is_white_noise(self):
+        spec = NetworkSpec(2, [], [0.1, [0.2, 0.3]], total_len=120, burn_in=20, initial_values=[1.0, 1.0])
+        assert spec.max_lag == 0 and not true_edge_matrix(spec).any()
+        assert simulate(spec, 3).values.tobytes() == simulate_by_loop(spec, 3).tobytes()
+        reports = run_bench_multi(spec, [MethodConfig("mdl", p_max=3), MethodConfig("ftest", p_max=3)], 10, 0)
+        assert all(report.failures == () for report in reports.values())
 
     @pytest.mark.parametrize("path, value, message", [
         (("n_nodes",), 2.9, "n_nodes must be an integer, got 2.9"),
@@ -292,6 +318,11 @@ class TestCompiledRecursion:
     @given(spec=small_specs(min_nodes=2, min_len=40), trials=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1))
     def test_reports_identical_for_one_and_two_workers(self, spec, trials, seed):
         configs = [MethodConfig("mdl", p_max=2), MethodConfig("ftest", p_max=2)]
+        if spec.total_len - spec.burn_in <= 2:  # no window fits p_max 2: rejected before any trial
+            for workers in (1, 2):
+                with pytest.raises(ValidationError, match="too short for orders up to 2"):
+                    run_bench_multi(spec, configs, trials, seed, n_workers=workers)
+            return
         bench._recursion.cache_clear()
         two = run_bench_multi(spec, configs, trials, seed, n_workers=2)
         # compiled in the parent before the fork, and run by the forked workers
@@ -405,7 +436,7 @@ class TestRunBench:
             return out
 
         monkeypatch.setattr(bench, "_run_chunk", fake_chunk)
-        configs = [MethodConfig("mdl"), MethodConfig("ftest")]
+        configs = [MethodConfig("mdl", p_max=3), MethodConfig("ftest", p_max=3)]  # the window is 10 rows
         n_trials = 40
         reports = run_bench_multi(spec, configs, n_trials, master_seed=0, n_workers=1)
         for c_idx, cfg in enumerate(configs):
@@ -435,6 +466,16 @@ class TestRunBench:
         second = run_bench_multi(network, configs[::-1], 12, master_seed=3, n_workers=1)
         assert {label: rep.to_json() for label, rep in first.items()} == \
                {label: rep.to_json() for label, rep in second.items()}
+
+    @pytest.mark.parametrize("p_max", [1000, 300])
+    def test_p_max_the_window_cannot_fit_raises_before_any_trial(self, p_max, monkeypatch):
+        def no_chunk(args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(bench, "_run_chunk", no_chunk)
+        configs = [MethodConfig("mdl", p_max=299), MethodConfig("ftest", p_max=p_max)]
+        with pytest.raises(ValidationError, match=f"series of length 300 too short for orders up to {p_max}$"):
+            run_bench_multi(builtin_3node(), configs, 2, master_seed=0)
 
     def test_f_test_alphas_are_distinct_configs(self):
         reports = run_bench_multi(
@@ -770,3 +811,32 @@ class TestStackedChunk:
             for (_, want), w, error in zip(series, weight, errors):
                 if not isinstance(want, str):
                     assert error is None and w.tobytes() == want[1][c].tobytes()
+
+    def test_a_stack_that_does_not_certify_splits_into_its_series(self):
+        spec = NetworkSpec.from_dict(MIXED_SPEC)
+        configs = [MethodConfig.parse(method, p_max=3) for method in ("ftest:0.05", "ftest:0.01", "mdl")]
+        series = [demean(simulate(spec, int(seed))) for seed in child_seeds(0, 12)]
+        certified = [LagEngine(ts, 3)._certified() for ts in series]
+        assert 0 < sum(certified) < len(series)
+        stack = LagEngine(series, 3)
+        groups = stack._groups()
+        assert [group.tolist() for group, _ in groups] == [[t] for t in range(len(series))]
+        assert all(part._series == [ts] for (_, part), ts in zip(groups, series))
+        for cfg in configs:
+            keep, weight, errors = timedomain._decided(stack, cfg)
+            for t, ts in enumerate(series):
+                (alone_keep,), (alone_weight,), (alone_error,) = timedomain._decided(LagEngine(ts, 3), cfg)
+                assert keep[t].tobytes() == alone_keep.tobytes() and weight[t].tobytes() == alone_weight.tobytes()
+                assert repr(errors[t]) == repr(alone_error)
+        # the certified trials as one stack take the inverse, Schur and batched
+        # routes, each trial that does not certify the rank-checked one
+        together = LagEngine([ts for ts, passed in zip(series, certified) if passed], 3)
+        for cfg in configs:
+            timedomain._decided(together, cfg)
+        assert together._certified() and {len(blocks) for _, blocks in together._memo} == {1, 2, 3}
+        assert any(not part._certified() and part._memo for _, part in groups)
+        for engine in [together] + [part for _, part in groups]:
+            for scan in engine._memo.values():
+                trials = len(engine._series)
+                assert scan.rss.shape[0] == scan.response_sq.shape[0] == trials
+                assert scan.coefficients is None or scan.coefficients.shape[0] == trials

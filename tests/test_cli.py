@@ -93,6 +93,15 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_lag_reaching_total_len_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "lag50.json"
+        spec_path.write_text(json.dumps({
+            "n_nodes": 2, "coefficients": [[0, 1, 50, 0.5]], "noise_variances": [0.1, 0.1],
+            "total_len": 10, "burn_in": 0, "initial_values": [1.0, 1.0],
+        }))
+        assert run_cli("simulate", "--network", str(spec_path), "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err == "error: coefficient (0,1,50,0.5): lag must be below total_len 10\n"
+
     def test_invalid_spec_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(json.dumps({
@@ -381,6 +390,7 @@ class TestMcBench:
     @pytest.mark.parametrize("flags", [
         ["--methods", "mdl,ftest:2"],
         ["--methods", "mdl", "--p-max", "0"],
+        ["--methods", "mdl", "--p-max", "1000"],  # the 300-row window fits no order 1000
     ])
     def test_bad_config_exits_2_before_any_trial(self, flags, monkeypatch):
         calls = []

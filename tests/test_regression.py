@@ -12,7 +12,6 @@ from granger_mdl.regression import (
     LagEngine,
     LagSpec,
     build_design,
-    nested_scan,
     ols_fit,
     ols_order_scan,
     residual_covariance,
@@ -294,8 +293,8 @@ class TestOrderScan:
         with pytest.raises(RankDeficiencyError, match=r"x\.lag2") as info:
             ols_order_scan(ts, 0, [0, 1], 4)
         assert "var0" not in str(info.value)
-        scan = nested_scan(ts, 0, [0, 1], 4)
-        assert scan.rss.shape == (1,)
+        scan = LagEngine(ts, 4).scan(0, [0, 1])
+        assert scan.rss.shape == (1, 1)
         assert scan.rank_error is not None
 
     @pytest.mark.parametrize(
@@ -309,8 +308,8 @@ class TestOrderScan:
 
     def test_scan_resolves_labels(self):
         ts = TimeSeriesMatrix(np.random.default_rng(4).standard_normal((60, 3)), ["a", "b", "c"])
-        by_label = nested_scan(ts, "a", ["a", "c"], 3)
-        by_index = nested_scan(ts, 0, [0, 2], 3)
+        by_label = LagEngine(ts, 3).scan("a", ["a", "c"])
+        by_index = LagEngine(ts, 3).scan(0, [0, 2])
         np.testing.assert_array_equal(by_label.rss, by_index.rss)
 
 
@@ -319,15 +318,15 @@ def check_engine_scan(engine, target, blocks, orders):
     scan = engine.scan(target, blocks, orders)
     ordered = sorted(blocks)  # the engine's default order is ascending
     b = len(blocks)
-    assert scan.rss.shape == (orders,)
+    assert scan.rss.shape == (1, orders)
     for n in range(1, orders + 1):
         spec = LagSpec(target, [(v, n) for v in ordered])
         fit = ols_fit(*build_design(engine.ts, spec, start=engine.p_max))
-        assert scan.rss[n - 1] == pytest.approx(fit.rss, rel=1e-10)
-        coefficients = scan.coefficients[:b * n, n - 1].reshape(n, b).T.ravel()
+        assert scan.rss[0, n - 1] == pytest.approx(fit.rss, rel=1e-10)
+        coefficients = scan.coefficients[0, :b * n, n - 1].reshape(n, b).T.ravel()
         scale = np.abs(fit.coefficients).max()
         np.testing.assert_allclose(coefficients, fit.coefficients, rtol=1e-10, atol=1e-10 * scale)
-        assert not scan.coefficients[b * n:, n - 1].any()
+        assert not scan.coefficients[0, b * n:, n - 1].any()
 
 
 class TestLagEngine:
@@ -384,7 +383,7 @@ class TestLagEngine:
 
     def test_start_below_p_max_rejected(self):
         with pytest.raises(ValidationError, match="below p_max"):
-            nested_scan(self.panel(60, 2, 9), 0, [0, 1], 4, start=2)
+            LagEngine(self.panel(60, 2, 9), 4, start=2)
 
 
 def families_from_both_routes(ts, p_max, orders=None):
@@ -454,7 +453,7 @@ class TestInverseRoute:
         np.testing.assert_array_equal(weight, fresh.weight)
         sliced = LagEngine(panel, 5)
         for target, blocks in read:
-            np.testing.assert_allclose(memo[target, blocks].coefficients[0],
+            np.testing.assert_allclose(memo[target, blocks].coefficients,
                                        sliced._scan(target, list(blocks)).coefficients, rtol=0, atol=1e-12)
 
     def test_batched_families_are_bit_identical(self):
@@ -565,7 +564,7 @@ class TestRankPolicy:
             outcomes.append(None)
         except RankDeficiencyError as exc:
             outcomes.append(exc.columns)
-        outcomes.append(nested_scan(ts, "x", ["x", "y"], 2).rank_error)
+        outcomes.append(LagEngine(ts, 2, variables=["x", "y"]).scan("x", ["x", "y"]).rank_error)
         try:
             conditional_f_test_gc(ts, "x", "y", ["z"], p=2, q=1, r=1)
             outcomes.append(None)
@@ -637,10 +636,10 @@ def test_near_threshold_drop_one_against_longdouble():
     for order in (1, 2):
         rss_r = lagged_rss_longdouble(values, 0, [0, 1], order, start)
         rss_u = lagged_rss_longdouble(values, 0, [0, 1, 2], order, start)
-        assert abs(dropped.rss[order - 1] - rss_r) <= 1e-15 * rss_r
-        assert abs(full.rss[order - 1] - rss_u) <= 1e-15 * rss_u
+        assert abs(dropped.rss[0, order - 1] - rss_r) <= 1e-15 * rss_r
+        assert abs(full.rss[0, order - 1] - rss_u) <= 1e-15 * rss_u
         d2 = engine.m - 3 * order - 1
-        f_value = _f_values(dropped.rss[order - 1], full.rss[order - 1], order, d2)[0]
+        f_value = _f_values(dropped.rss[0, order - 1], full.rss[0, order - 1], order, d2)[0]
         f_exact = (rss_r - rss_u) / order / (rss_u / d2)
         # rounding of 1e-16 of the rss, over a difference of 1e-7 of it
         assert abs(f_value - f_exact) <= 1e-8 * f_exact

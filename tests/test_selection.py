@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from granger_mdl.bench import NetworkSpec, simulate
 from granger_mdl.errors import DegenerateFitError, ValidationError
-from granger_mdl.regression import LagSpec, OlsFit, build_design, nested_scan, ols_fit, ols_order_scan
+from granger_mdl.regression import LagEngine, LagSpec, OlsFit, build_design, ols_fit, ols_order_scan
 from granger_mdl.selection import (
     _as_bits,
     _code_length_curve,
@@ -98,6 +98,20 @@ class TestCodeLength:
         base = code_length_from_stats([], rss=50.0, m=50, n_total=100, scale_floor=0.0)
         small = code_length_from_stats([0.05], rss=50.0, m=50, n_total=100, scale_floor=0.0)
         assert small.param_term - base.param_term == 0.0
+
+    @given(coefficients=st.lists(st.floats(-10.0, 10.0), max_size=6), rss=st.floats(1e-3, 1e3),
+           floors=st.lists(st.floats(0.0, 5.0), min_size=2, max_size=2))
+    def test_scale_floor_only_raises_the_parameter_term(self, coefficients, rss, floors):
+        # each value is priced at max(|value|, floor): a higher floor never
+        # lowers the term, and a floor below every value changes nothing
+        low, high = sorted(floors)
+
+        def term(floor):
+            return code_length_from_stats(coefficients, rss, m=50, n_total=100, scale_floor=floor).param_term
+
+        assert term(low) <= term(high)
+        if min([rss / 50, *map(abs, coefficients)]) >= high:
+            assert term(high) == term(0.0)
 
     def test_data_term_is_negative_loglik(self):
         cl = code_length_from_stats([0.3], rss=12.0, m=30, n_total=40)
@@ -217,9 +231,9 @@ class TestCodeLengthCurve:
             np.column_stack([ar2_series(400, seed=5).values[:, 0], rng.standard_normal(400)])
         ))
         p_max = 8
-        scan = nested_scan(ts, 0, [0, 1], p_max)
+        scan = LagEngine(ts, p_max).scan(0, [0, 1])
         curve = _code_length_curve(
-            scan.coefficients, scan.k, scan.rss, scan.m, ts.n_samples, None, scale_floor
+            scan.coefficients[0], scan.k, scan.rss[0], scan.m, ts.n_samples, None, scale_floor
         )
         entries = ols_order_scan(ts, 0, [0, 1], p_max)
         for j, entry in enumerate(entries):

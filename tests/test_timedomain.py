@@ -477,18 +477,16 @@ class TestSimilarity:
         a = graph_from_edges(2, [])
         assert similarity(a, a) == 1.0
 
-    def test_symmetry_and_bounds(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            ea = {(j, i) for j in range(4) for i in range(4)
-                  if i != j and rng.random() < 0.4}
-            eb = {(j, i) for j in range(4) for i in range(4)
-                  if i != j and rng.random() < 0.4}
-            a, b = graph_from_edges(4, ea), graph_from_edges(4, eb)
-            s_ab, s_ba = similarity(a, b), similarity(b, a)
-            assert s_ab == s_ba
-            assert 0.0 <= s_ab <= 1.0
-            assert (s_ab == 1.0) == (ea == eb)
+    @given(nv=st.integers(2, 5), data=st.data())
+    def test_symmetry_and_bounds(self, nv, data):
+        edges = st.sets(st.sampled_from([(j, i) for j in range(nv) for i in range(nv) if i != j]))
+        ea, eb = data.draw(edges), data.draw(edges)
+        a, b = graph_from_edges(nv, ea), graph_from_edges(nv, eb)
+        s_ab, s_ba = similarity(a, b), similarity(b, a)
+        assert similarity(a, graph_from_edges(nv, ea)) == 1.0  # identical, and two empty graphs
+        assert s_ab == s_ba
+        assert 0.0 <= s_ab <= 1.0
+        assert (s_ab == 1.0) == (ea == eb)
 
     def test_node_count_mismatch(self):
         with pytest.raises(ValidationError):
@@ -671,9 +669,9 @@ def one_engine_loop(ts, method, p_max, alpha=0.05):
                     n = _search_order(engine, [(i, [i] + rest)], "AIC")[0]
                     restricted = engine.scan(i, [i] + rest)
                     unrestricted = engine.scan(i, [i, j] + rest, orders=n)
-                    if unrestricted.rss.size < n:
+                    if unrestricted.rss.shape[1] < n:
                         raise unrestricted.rank_error
-                    result = _f_comparison(restricted.rss[n - 1], unrestricted.rss[n - 1], n,
+                    result = _f_comparison(restricted.rss[0, n - 1], unrestricted.rss[0, n - 1], n,
                                            _f_dof(engine.m, nv * n), alpha)
                     adjacency[j, i], weight[j, i] = result.significant, result.f_value
     except (ValidationError, RankDeficiencyError, DegenerateFitError) as exc:
