@@ -249,7 +249,7 @@ def simulate(spec: NetworkSpec, seed: int) -> TimeSeriesMatrix:
     Per-node noise variances given as ranges are drawn once for the
     trial; the pre-sample rows hold the node's initial value; the first
     ``burn_in`` rows are dropped. Identical seeds give bit-identical
-    output. Trajectories exceeding 1e12 in magnitude abort with a
+    output. A value exceeding 1e12 in magnitude, or NaN, aborts with a
     divergence error naming the node and step. The steps run in a
     function compiled once per network structure (:func:`_recursion`).
     """
@@ -281,9 +281,10 @@ def _recursion(n_nodes: int, terms: tuple):
     Built on first use per network structure. Each step is straight-line
     code: node i's value is row t's noise plus c_j times the lagged source
     for each of its terms in order, summed left to right, then checked
-    against ``limit``. Lagged values are locals ``x<source>_<lag>``, rotated
-    after the step. The source text holds identifiers and integer indices
-    only; the limit and the c_j are arguments (as keys, 0.0 == -0.0).
+    against ``limit`` (NaN fails). Lagged values are locals
+    ``x<source>_<lag>``, rotated after the step. The source text holds
+    identifiers and integer indices only; the limit and the c_j are
+    arguments (as keys, 0.0 == -0.0).
     """
     depth = {s: max(lag for _, s_, lag in terms if s_ == s) for _, s, _ in terms}
     lines = [f"def step(values, start, stop, limit, {', '.join(f'c{j}' for j in range(len(terms)))}):"]
@@ -291,7 +292,7 @@ def _recursion(n_nodes: int, terms: tuple):
     lines += ["    for t in range(start, stop):", "        row = values[t]"]
     for i in range(n_nodes):
         sum_ = "".join(f" + c{j} * x{s}_{lag}" for j, (t, s, lag) in enumerate(terms) if t == i)
-        lines += [f"        a{i} = row[{i}]{sum_}", f"        if abs(a{i}) > limit: raise _diverged({i}, t, a{i})"]
+        lines += [f"        a{i} = row[{i}]{sum_}", f"        if not abs(a{i}) <= limit: raise _diverged({i}, t, a{i})"]
     lines.append(f"        values[t] = [{', '.join(f'a{i}' for i in range(n_nodes))}]")
     for s in depth:
         lines += [f"        x{s}_{lag} = x{s}_{lag - 1}" for lag in range(depth[s], 1, -1)] + [f"        x{s}_1 = a{s}"]

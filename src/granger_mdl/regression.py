@@ -243,11 +243,9 @@ class OrderScanEntry:
 
 
 # Orders 1..n of one family, each array with a leading trial axis; see
-# LagEngine.scan. ``curves`` holds the family's criterion rows once scored
-# (selection fills it), so an engine's memo entry keeps a family's scan and
-# scores together. ``coefficients`` is None only for a drop-one family asked
+# LagEngine.scan. ``coefficients`` is None only for a drop-one family asked
 # for its residual sums alone (see LagEngine._families).
-NestedScan = namedtuple("NestedScan", "coefficients k rss m response_sq rank_error curves")
+NestedScan = namedtuple("NestedScan", "coefficients k rss m response_sq rank_error")
 
 
 def _qr_r(a: np.ndarray) -> np.ndarray:
@@ -350,23 +348,25 @@ class LagEngine:
     The families with fewer blocks (a target's own history, a pair) that
     are asked for together are fitted in one batch per width.
 
-    These routes run only if every trial certifies them: m > V p (every
-    order fits the window), no zero pivot in R_L, and kappa_1(R_L) (V p)^2
-    <= 1 / RANK_TOL. A family's design at order n is a column subset of
-    Z's order-n prefix, so by column-deletion interlacing (Golub & Van
-    Loan, 4th ed., section 8.6) its kappa_2 is at most the prefix's;
-    kappa_1 and kappa_2 differ by at most a factor of the column count,
-    and leading blocks of R_L have kappa_1 at most R_L's. So every column
-    prefix of every family passes :func:`_fit_prefixes`' rank policy, and
-    these routes skip it without changing a rank decision. A one-series
-    engine that does not certify (a short window, near-collinear columns)
-    scans each family by its own slice QR and rank check; a stack that
-    does not certify is first split into its series by :meth:`_groups`.
+    These routes run only if every trial certifies them, which the engine
+    decides when it is built: m > V p (every order fits the window), no
+    zero pivot in R_L, and kappa_1(R_L) (V p)^2 <= 1 / RANK_TOL. A
+    family's design at order n is a column subset of Z's order-n prefix,
+    so by column-deletion interlacing (Golub & Van Loan, 4th ed., section
+    8.6) its kappa_2 is at most the prefix's; kappa_1 and kappa_2 differ
+    by at most a factor of the column count, and leading blocks of R_L
+    have kappa_1 at most R_L's. So every column prefix of every family
+    passes :func:`_fit_prefixes`' rank policy, and these routes skip it
+    without changing a rank decision. A one-series engine that does not
+    certify (a short window, near-collinear columns) scans each family by
+    its own slice QR and rank check; a stack that does not certify scans
+    nothing (ValidationError), and is decided series by series through
+    :meth:`_groups`.
 
     ``variables`` (labels or indices; default all, ascending) fixes the
     engine's order. Blocks are always taken in that order, and each
-    family is scanned once per engine, however its blocks are listed; its
-    memo entry, the scan, also keeps the family's criterion scores.
+    family is scanned once per engine, however its blocks are listed.
+    Scans are memoised; scores are not.
     """
 
     def __init__(self, ts, p_max: int, start: int = None, variables=None):
@@ -399,9 +399,16 @@ class LagEngine:
         response_sq = np.array([[r[:, v] @ r[:, v] for v in self.variables] for r in responses])
         self._response_sq = dict(zip(self.variables, response_sq.T))
         self._memo = {}
-        self._lag_inverse = None  # R_L^-1 once every trial certifies it, False if one does not
         self._schur = None  # what the drop-one coefficients need (see _drop_one_families)
         self._split = None
+        self._lag_inverse = None  # R_L^-1 if every trial certifies the routes above, which memoise every full family
+        width = len(self.variables) * p_max
+        if self.m > width:
+            inverses = [_inverse(r) for r in self._r[:, :width, :width]]
+            if all(r_inv.shape[0] == width and kappa[-1] * width ** 2 * RANK_TOL <= 1.0
+                   for r_inv, kappa in inverses):
+                self._lag_inverse = np.array([r_inv for r_inv, _ in inverses])
+                self._full_families(self._lag_inverse)
 
     def scan(self, target, block_vars: Sequence, orders: int = None) -> NestedScan:
         """The family {order n: every block gets lags 1..n}: its memo entry, with the trial axis.
@@ -442,7 +449,7 @@ class LagEngine:
         series. Those are built once.
         """
         trials = np.arange(len(self._series))
-        if trials.size == 1 or self._certified():
+        if trials.size == 1 or self._lag_inverse is not None:
             return [(trials, self)]
         if self._split is None:
             self._split = [(trials[[t]], LagEngine(s, self.p_max, self._start, self.variables))
@@ -456,18 +463,22 @@ class LagEngine:
         memoised; on a certified engine the missing ones come off R_L^-1
         or, per width, from one batch of slice QRs (see the class docstring).
         Without ``coefficients`` the drop-one families may come without
-        them (None), as residual sums only.
+        them (None), as residual sums only. A stack that does not certify
+        has no scan: ValidationError.
         """
         keys = [(target, tuple(sorted(blocks, key=self._position.__getitem__))) for target, blocks in families]
         missing = [key for key in dict.fromkeys(keys)
                    if key not in self._memo or coefficients and self._memo[key].coefficients is None]
         nv = len(self.variables)
-        if missing and self._certified():
+        if missing and self._lag_inverse is not None:
             dropped = [key for key in missing if len(key[1]) == nv - 1]
             if dropped:
                 self._drop_one_families(set(dropped) if coefficients else set())
             for width in sorted({len(blocks) for _, blocks in missing if len(blocks) < nv - 1}):
                 self._stacked([key for key in missing if len(key[1]) == width])
+        elif missing and len(self._series) > 1:
+            raise ValidationError("a stack of series that does not certify the shared routes has no one scan: "
+                                  "scan each series alone")
         for key in missing:
             if key not in self._memo:
                 self._memo[key] = self._scan(*key)
@@ -494,23 +505,7 @@ class LagEngine:
         return self._nested(target, coefficients[None], kk, rss[None], rank_error)
 
     def _nested(self, target, coefficients, k, rss, rank_error=None) -> NestedScan:
-        return NestedScan(coefficients, k, rss, self.m, self._response_sq[target], rank_error, {})
-
-    def _certified(self) -> bool:
-        """Whether every trial certifies the inverse and stacked routes (see the class docstring).
-
-        The first call decides it and, if they do, memoises every full family.
-        """
-        if self._lag_inverse is None:
-            width = len(self.variables) * self.p_max
-            self._lag_inverse = False
-            if self.m > width:
-                inverses = [_inverse(r) for r in self._r[:, :width, :width]]
-                if all(r_inv.shape[0] == width and kappa[-1] * width ** 2 * RANK_TOL <= 1.0
-                       for r_inv, kappa in inverses):
-                    self._lag_inverse = np.array([r_inv for r_inv, _ in inverses])
-                    self._full_families(self._lag_inverse)
-        return self._lag_inverse is not False
+        return NestedScan(coefficients, k, rss, self.m, self._response_sq[target], rank_error)
 
     def _full_families(self, r_inv):
         """Each target's full family, for every trial: :func:`_prefix_fits` on the shared R_L^-1."""
@@ -535,7 +530,7 @@ class LagEngine:
         its rss. Coefficients (which code-length scores and :meth:`scan`
         read, and the F test does not) are formed only for the (target,
         family) keys in ``formed`` that lack them, with the columns
-        Sigma_:,D of one source at a time; a memoised family keeps its scores.
+        Sigma_:,D of one source at a time.
         """
         nv, p = len(self.variables), self.p_max
         width, trials = nv * p, len(self._r)

@@ -224,85 +224,79 @@ def search_order(
 
 
 def _search_order(engine, families, criterion, delta=None, scale_floor=DEFAULT_SCALE_FLOOR):
-    """:func:`search_order` on ``engine``'s one series, each family scored once per engine; raises the first error."""
+    """:func:`search_order` on ``engine``'s one series; raises the first family's error."""
     criterion = str(criterion).upper()
     if criterion not in CRITERIA:
         raise ValidationError(f"unknown criterion {criterion!r}; pick one of {CRITERIA}")
     scale_floor, delta = _checked_floor(scale_floor), _checked_delta(delta)
     families = [engine._family(target, blocks) for target, blocks in families]
-    scans, errors, rows = _scores(engine, families, criterion, delta, scale_floor)
-    for error in errors:
-        if error is not None:
-            raise error
-    summed = rows[:, 0].sum(axis=0)  # row by row, as a running sum
+    _, errors, rows = _scores(engine, families, criterion, delta, scale_floor)
+    (error,) = _first_errors(errors)
+    if error is not None:
+        raise error
+    summed = rows[0, :, 0].sum(axis=0)  # row by row, as a running sum
     best = int(np.argmin(summed))
-    key = (criterion, delta, scale_floor)  # _scored's memo: the MDL curves at the best order
-    lengths = [_at(scan.curves[key][:, 0], best) for scan in scans] if criterion == "MDL" else []
+    lengths = [_at(curve, best) for curve in rows[:, :, 0].transpose(1, 0, 2)] if criterion == "MDL" else []
     return best + 1, float(summed[best]), lengths
 
 
 def _scores(engine, families, criterion, delta=None, scale_floor=DEFAULT_SCALE_FLOOR):
     """(scans, errors, rows) of the (target, blocks) ``families`` of ``engine``, in engine columns.
 
-    ``errors[j]`` is family j's one error or None, by the one failure rule:
-    the engine's ValidationError, failing every trial, if the family would
-    interpolate the window at p_max (it then has no scan); under MDL, a
-    DegenerateFitError failing each trial with an order whose rss <= 1e-12
-    y'y; else the scan's rank error (one-series engines only). ``rows[j]``
-    is the criterion over orders 1..p_max per trial, NaN where it fails.
+    ``errors[j, t]`` is family j's error in trial t or None, by the one
+    failure rule: the engine's ValidationError in every trial if the family
+    would interpolate the window at p_max (it then has no scan); under MDL,
+    a DegenerateFitError in each trial with an order whose rss <= 1e-12
+    y'y; else the scan's rank error (one-series engines only). ``rows`` is
+    (row, family, trial, order): the criterion over orders 1..p_max, and
+    under MDL every :func:`_code_length_curve` row, NaN where ``errors``
+    is not None. The families some trial scores are scored together, every
+    (family, trial, order) one column of one array.
     """
     trials = len(engine._series)
     scans = [None] * len(families)
-    errors = [engine._underdetermined(len(blocks), engine.p_max) for _, blocks in families]
-    fitting = [j for j, error in enumerate(errors) if error is None]
+    errors = np.full((len(families), trials), None)
+    for j, (_, blocks) in enumerate(families):
+        errors[j] = engine._underdetermined(len(blocks), engine.p_max)
+    fitting = [j for j in range(len(families)) if errors[j, 0] is None]
     fitted = engine._families([families[j] for j in fitting], coefficients=criterion == "MDL")
     noiseless = [[False] * trials] * len(fitted)
     if criterion == "MDL" and fitted:
         noiseless = np.array([(scan.rss <= 1e-12 * scan.response_sq[:, None]).any(axis=1) for scan in fitted]).tolist()
-    scored = []  # (family, its noiseless trials) of the families some trial scores
     for j, scan, degenerate in zip(fitting, fitted, noiseless):
-        scans[j], errors[j] = scan, DegenerateFitError(_NOISELESS) if any(degenerate) else scan.rank_error
-        if scan.rank_error is None and not all(degenerate):
-            scored.append((j, degenerate))
-    rows = np.full((len(families), trials, engine.p_max), np.nan)
-    if scored:
-        scored, failed = zip(*scored)
-        curves = _scored([scans[j] for j in scored], np.array(failed), criterion, engine.ts.n_samples,
-                         delta, scale_floor)
-        rows[list(scored)] = [curve[0] for curve in curves]
+        scans[j] = scan
+        if any(degenerate):
+            errors[j, degenerate] = DegenerateFitError(_NOISELESS)
+        elif scan.rank_error is not None:
+            errors[j] = scan.rank_error
+    failed = np.not_equal(errors, None)
+    scored = np.flatnonzero(~failed.all(axis=1))
+    rows = np.full((6 if criterion == "MDL" else 1, len(families), trials, engine.p_max), np.nan)
+    if scored.size:
+        rss = np.array([scans[j].rss for j in scored])  # (family, trial, order)
+        rss[failed[scored]] = np.nan
+        k = np.repeat(np.array([scans[j].k for j in scored]), trials, axis=0).ravel()
+        if criterion == "MDL":
+            # zero rows past a family's own coefficients are never priced
+            coefficients = np.zeros((max(scans[j].coefficients.shape[1] for j in scored),) + rss.shape)
+            for column, j in enumerate(scored):
+                coefficients[:scans[j].coefficients.shape[1], column] = scans[j].coefficients.transpose(1, 0, 2)
+            curve = _code_length_curve(coefficients.reshape(coefficients.shape[0], -1), k, rss.ravel(),
+                                       engine.m, engine.ts.n_samples, delta, scale_floor)
+        else:
+            loglik = gaussian_loglik(rss.ravel(), engine.m)
+            curve = (aic(loglik, k) if criterion == "AIC" else bic(loglik, k, engine.m))[None]
+        rows[:, scored] = curve.reshape((-1,) + rss.shape)
     return scans, errors, rows
 
 
-def _scored(scans, failed, criterion, n_total, delta, scale_floor):
-    """The criterion's rows over each family's orders and trials, kept in its ``scan.curves``.
+def _first_errors(table: np.ndarray) -> np.ndarray:
+    """Each trial's first error in row-major order of ``table`` (..., trial), or None: a (trial,) array.
 
-    One row for AIC and BIC, the :func:`_code_length_curve` rows for MDL,
-    keyed by (criterion, delta, scale_floor), each (row, trial, order).
-    The families not yet scored are scored together, every (family,
-    trial, order) one column of one array; the trials ``failed`` marks
-    (family, trial) are NaN, since the failure rule leaves them no score.
+    A trial with no error reads its first entry, which is None.
     """
-    key = (criterion, delta, scale_floor)
-    todo = [j for j, scan in enumerate(scans) if key not in scan.curves]
-    if todo:
-        rss = np.array([scans[j].rss for j in todo])  # (family, trial, order)
-        if failed.any():
-            rss[failed[todo]] = np.nan
-        k = np.repeat(np.array([scans[j].k for j in todo]), rss.shape[1], axis=0).ravel()
-        if criterion == "MDL":
-            # zero rows past a family's own coefficients are never priced
-            coefficients = np.zeros((max(scans[j].coefficients.shape[1] for j in todo),) + rss.shape)
-            for column, j in enumerate(todo):
-                coefficients[:scans[j].coefficients.shape[1], column] = scans[j].coefficients.transpose(1, 0, 2)
-            curve = _code_length_curve(coefficients.reshape(coefficients.shape[0], -1), k, rss.ravel(),
-                                       scans[0].m, n_total, delta, scale_floor)
-        else:
-            loglik = gaussian_loglik(rss.ravel(), scans[0].m)
-            curve = (aic(loglik, k) if criterion == "AIC" else bic(loglik, k, scans[0].m))[None]
-        curve = curve.reshape((-1,) + rss.shape)
-        for column, j in enumerate(todo):
-            scans[j].curves[key] = curve[:, column]
-    return [scan.curves[key] for scan in scans]
+    table = table.reshape(-1, table.shape[-1])
+    return table[np.not_equal(table, None).argmax(axis=0), np.arange(table.shape[1])]
 
 
 def select_order(

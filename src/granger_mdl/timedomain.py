@@ -26,7 +26,7 @@ from scipy.special import betainc
 
 from .errors import ValidationError
 from .regression import LagEngine
-from .selection import CRITERIA, CodeLength, _scores, _search_order
+from .selection import CRITERIA, CodeLength, _first_errors, _scores, _search_order
 from .timeseries import TimeSeriesMatrix, checked_value, distinct_columns
 
 __all__ = [
@@ -50,6 +50,8 @@ __all__ = [
 # Every accepted spelling of a method name (any case, surrounding space
 # stripped) and the canonical name it stands for.
 _METHOD_ALIASES = {"mdl": "mdl", "ftest": "ftest", "f_test": "ftest", "f-test": "ftest", "f": "ftest"}
+
+_FEW_DOF = "not enough samples: denominator degrees of freedom {} < 1"
 
 
 @dataclass(frozen=True)
@@ -265,7 +267,7 @@ def _f_dof(m: int, k: int) -> int:
     """
     d2 = m - k - 1
     if d2 < 1:
-        raise ValidationError(f"not enough samples: denominator degrees of freedom {d2} < 1")
+        raise ValidationError(_FEW_DOF.format(d2))
     return d2
 
 
@@ -467,36 +469,30 @@ def _mdl_edges(engine):
     trial's gate passes, with its target's full family. The edges are
     arrays in the per-edge traversal order, target by target and each
     target's sources ascending, which is ``np.nonzero(~np.eye(V))``. A
-    trial's error is the one error of the first family with NaN rows in
-    the trial that traversal meets: own, pair, then where the trial's gate
-    passes, all but the source and all.
+    trial's error is the first that traversal meets (see
+    :func:`_first_errors`): own, pair, then where the trial's gate passes,
+    all but the source and all.
     """
     nv = len(engine.variables)
     targets, sources = np.nonzero(~np.eye(nv, dtype=bool))
-    _, own_errors, own_rows = _scores(engine, [(t, [t]) for t in range(nv)], "MDL")
-    _, pair_errors, pair_rows = _scores(engine, [(t, [t, s]) for t, s in zip(targets, sources)], "MDL")
+    _, own_errors, (own_rows, *_) = _scores(engine, [(t, [t]) for t in range(nv)], "MDL")
+    _, pair_errors, (pair_rows, *_) = _scores(engine, [(t, [t, s]) for t, s in zip(targets, sources)], "MDL")
     pairwise = own_rows.min(axis=2)[targets] - pair_rows.min(axis=2)  # (edge, trial)
     gated = pairwise > 0 if nv > 2 else np.zeros(pairwise.shape, dtype=bool)
     edges = np.flatnonzero(gated.any(axis=1))
     full = np.array(sorted(set(targets[edges].tolist())), dtype=int)
     dropped = [(targets[e], [v for v in range(nv) if v != sources[e]]) for e in edges]
-    _, gate_errors, gate_rows = _scores(engine, dropped + [(t, range(nv)) for t in full], "MDL")
+    _, gate_errors, (gate_rows, *_) = _scores(engine, dropped + [(t, range(nv)) for t in full], "MDL")
     gate_best = gate_rows.min(axis=2)
     own_full = edges.size + np.searchsorted(full, targets[edges])
     conditional = np.full(pairwise.shape, np.nan)
     conditional[edges] = gate_best[:edges.size] - gate_best[own_full]
-    hit = np.isnan(own_rows[targets, :, 0]) | np.isnan(pair_rows[..., 0])
-    hit[edges] |= gated[edges] & np.isnan(gate_rows[:edges.size, :, 0] + gate_rows[own_full, :, 0])
-    errors = [None] * pairwise.shape[1]
-    for t in np.flatnonzero(hit.any(axis=0)):
-        e = int(np.argmax(hit[:, t]))
-        visited = [(own_errors, own_rows, targets[e]), (pair_errors, pair_rows, e)]
-        if gated[e, t]:
-            g = int(np.searchsorted(edges, e))
-            visited += [(gate_errors, gate_rows, g), (gate_errors, gate_rows, own_full[g])]
-        errors[t] = next(stage[j] for stage, rows, j in visited if np.isnan(rows[j, t, 0]))
+    table = np.full((targets.size, 4) + pairwise.shape[1:], None)  # (edge, stage, trial)
+    table[:, 0], table[:, 1] = own_errors[targets], pair_errors
+    table[edges, 2] = np.where(gated[edges], gate_errors[:edges.size], None)
+    table[edges, 3] = np.where(gated[edges], gate_errors[own_full], None)
     return _as_matrices(nv, sources, targets, np.where(gated, conditional > 0, pairwise > 0),
-                        np.where(gated, conditional, pairwise)) + (errors,)
+                        np.where(gated, conditional, pairwise)) + (_first_errors(table),)
 
 
 def _as_matrices(nv, sources, targets, keep, weight):
@@ -514,21 +510,19 @@ def _f_edges(engine, cfg):
     trial: its rss at n against the full family's, on (n, m - V n - 1)
     degrees of freedom, as :func:`conditional_f_test_gc` with p = q = r = n
     on the engine's window. Only orders up to n of the full family need
-    fit the window. A trial's error is the first one of the per-edge
-    traversal: the order search (its family's one error, where its rows
-    are NaN), the full family's window and rank, then the degrees of freedom.
+    fit the window. A trial's error is the first that the per-edge
+    traversal meets (see :func:`_first_errors`): the order search, the full
+    family's window and rank, then the degrees of freedom.
     """
     nv, m = len(engine.variables), engine.m
     targets, sources = np.nonzero(~np.eye(nv, dtype=bool))
-    scans, errors, rows = _scores(
+    scans, errors, (rows, *_) = _scores(
         engine, [(i, [v for v in range(nv) if v != j]) for i, j in zip(targets, sources)],
         cfg.order_criterion,
     )
-    failed = np.isnan(rows[..., 0])  # (edge, trial)
-    n = np.argmin(rows, axis=2) + 1
+    n = np.argmin(rows, axis=2) + 1  # (edge, trial)
     d2 = m - nv * n - 1
-    under = m <= nv * n
-    reached = ~failed & ~under
+    reached = np.equal(errors, None) & (m > nv * n)
     needed = sorted(set(targets[reached.any(axis=1)].tolist()))
     full = dict(zip(needed, engine._families([(i, range(nv)) for i in needed])))
     full_rss = np.full((nv,) + rows.shape[1:], np.nan)  # (target, trial, order), NaN past the orders that fit
@@ -536,23 +530,16 @@ def _f_edges(engine, cfg):
         full_rss[i, :, :scan.rss.shape[1]] = scan.rss
     trials = np.arange(rows.shape[1])
     rss_u = full_rss[targets[:, None], trials, n - 1]
-    short = reached & np.isnan(rss_u)
-    bad = failed | under | short | (d2 < 1)
-    trial_errors = [None] * rows.shape[1]
-    for t in np.flatnonzero(bad.any(axis=0)):
-        e = int(np.argmax(bad[:, t]))
-        if failed[e, t]:
-            trial_errors[t] = errors[e]
-        elif under[e, t]:
-            trial_errors[t] = engine._underdetermined(nv, int(n[e, t]))
-        elif short[e, t]:
-            trial_errors[t] = full[targets[e]].rank_error
-        else:
-            try:
-                _f_dof(m, nv * int(n[e, t]))
-            except ValidationError as exc:
-                trial_errors[t] = exc
-    if trial_errors.count(None):
+    table = np.full((targets.size, 4, trials.size), None)  # (edge, stage, trial)
+    table[:, 0] = errors
+    for e, t in zip(*np.nonzero(m <= nv * n)):
+        table[e, 1, t] = engine._underdetermined(nv, int(n[e, t]))
+    for e, t in zip(*np.nonzero(reached & np.isnan(rss_u))):
+        table[e, 2, t] = full[targets[e]].rank_error
+    for e, t in zip(*np.nonzero(d2 < 1)):
+        table[e, 3, t] = ValidationError(_FEW_DOF.format(d2[e, t]))
+    trial_errors = _first_errors(table)
+    if np.equal(trial_errors, None).any():
         # a trial without an error reads every family's scan, each of all p_max orders
         rss_r = np.array([scan.rss for scan in scans])[np.arange(targets.size)[:, None], trials, n - 1]
         f_value, p_value, _ = _f_values(rss_r, rss_u, n, d2)
@@ -600,15 +587,16 @@ def infer_network(
     at ``alpha``.
 
     All fits come from one :class:`LagEngine` over ``ts``: one
-    factorisation, and each model family scanned and scored once. This is
-    the one-trial case of the Monte Carlo harness's stacked decision
-    (:func:`_decided`), which takes the same path. The code-length method
+    factorisation, and each model family scanned once (scans are
+    memoised, scores are not). This is the one-trial case of the Monte
+    Carlo harness's stacked decision (:func:`_decided`), which takes the
+    same path. The code-length method
     scores three stages over all targets (own, pairwise, and the
     conditional families the gate reads); a certified engine fits each
     stage's small families in one batch. Edges are decided as arrays,
-    each family's failure kept once, as one error value by one rule; the
-    first error that a loop over the edges in that ascending order would
-    meet is raised.
+    each family's failures kept per trial by one rule; the first error
+    that a loop over the edges in that ascending order would meet is
+    raised.
     A constant column, or two identical ones, is a ValidationError
     naming them, raised before any fit.
     """
@@ -628,16 +616,15 @@ def infer_network(
 
 
 def similarity(a: CausalGraph, b: CausalGraph) -> float:
-    """Jaccard similarity of two directed edge sets.
+    """Jaccard similarity of two directed edge sets, edges as (from-label, to-label).
 
     Intersection over union of the edge sets; two empty graphs count as
-    identical (1.0).
+    identical (1.0). The graphs must have one set of node labels, in any
+    order; else ValidationError.
     """
-    if a.n_nodes != b.n_nodes:
-        raise ValidationError(
-            f"node counts differ: {a.n_nodes} vs {b.n_nodes}"
-        )
-    ea, eb = set(a.edges()), set(b.edges())
+    if set(a.labels) != set(b.labels):
+        raise ValidationError(f"node labels differ: {list(a.labels)} vs {list(b.labels)}")
+    ea, eb = ({(g.labels[j], g.labels[i]) for j, i in g.edges()} for g in (a, b))
     union = ea | eb
     if not union:
         return 1.0

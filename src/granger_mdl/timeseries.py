@@ -186,13 +186,14 @@ def load_csv(path, has_header: bool = True, sample_rate_hz: Optional[float] = No
 
     Every cell must parse as a finite decimal real number (optional
     exponent; no digit-group underscores); rows must all have the same
-    number of cells. LF and CRLF endings are both accepted. With
+    number of cells. LF and CRLF endings are both accepted, and a leading
+    UTF-8 byte-order mark is skipped. With
     ``has_header`` the first row supplies labels, otherwise labels are
     generated as ``v0, v1, ...``. Rows in messages are file lines,
     counted from 1.
     """
     try:
-        with open(path, "r", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             raw_lines = fh.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc

@@ -173,7 +173,7 @@ def simulate_by_loop(spec, seed):
             acc = noise[t, node]
             for s, lag, v in by_target.get(node, ()):
                 acc += v * values[t - lag, s]
-            if abs(acc) > 1e12:
+            if not abs(acc) <= 1e12:
                 raise DivergenceError(
                     f"trajectory diverged at node {node}, step {t}: |{acc:.3e}|",
                     node=node,

@@ -234,6 +234,17 @@ class TestSimulate:
         assert (got.value.node, got.value.step) == (want.value.node, want.value.step)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("noise, burn_in", [(0.1, 10), (0.0, 0)])
+    def test_nan_step_diverges_at_that_step(self, noise, burn_in):
+        # 1e300 * 1e10 - 1e300 * 1e10 is inf - inf: node 0 is NaN at step 1
+        spec = NetworkSpec(3, [(0, 1, 1, 1e300), (0, 2, 1, -1e300)], [noise] * 3, 50, burn_in, [1e10] * 3)
+        with pytest.raises(DivergenceError) as want, np.errstate(over="ignore", invalid="ignore"):
+            simulate_by_loop(spec, 1)
+        with pytest.raises(DivergenceError) as got:
+            simulate(spec, 1)
+        assert (got.value.node, got.value.step) == (want.value.node, want.value.step) == (0, 1)
+        assert str(got.value) == str(want.value) == "trajectory diverged at node 0, step 1: |nan|"
+
     def test_trajectories_bounded_across_seeds(self):
         for spec in (builtin_3node(), builtin_5node()):
             for seed in range(1000):
@@ -812,11 +823,22 @@ class TestStackedChunk:
                 if not isinstance(want, str):
                     assert error is None and w.tobytes() == want[1][c].tobytes()
 
+    def test_a_stack_that_does_not_certify_scans_nothing(self):
+        series = [demean(simulate(NetworkSpec.from_dict(MIXED_SPEC), int(seed))) for seed in child_seeds(0, 12)]
+        stack = LagEngine(series, 3)
+        assert stack._lag_inverse is None
+        for target, blocks in [(0, [0, 1, 2]), (1, [1]), (2, [0, 2])]:
+            with pytest.raises(ValidationError, match="does not certify"):
+                stack.scan(target, blocks)
+            with pytest.raises(ValidationError, match="does not certify"):
+                stack._families([(target, blocks)], coefficients=False)
+        assert stack._memo == {}
+
     def test_a_stack_that_does_not_certify_splits_into_its_series(self):
         spec = NetworkSpec.from_dict(MIXED_SPEC)
         configs = [MethodConfig.parse(method, p_max=3) for method in ("ftest:0.05", "ftest:0.01", "mdl")]
         series = [demean(simulate(spec, int(seed))) for seed in child_seeds(0, 12)]
-        certified = [LagEngine(ts, 3)._certified() for ts in series]
+        certified = [LagEngine(ts, 3)._lag_inverse is not None for ts in series]
         assert 0 < sum(certified) < len(series)
         stack = LagEngine(series, 3)
         groups = stack._groups()
@@ -833,8 +855,8 @@ class TestStackedChunk:
         together = LagEngine([ts for ts, passed in zip(series, certified) if passed], 3)
         for cfg in configs:
             timedomain._decided(together, cfg)
-        assert together._certified() and {len(blocks) for _, blocks in together._memo} == {1, 2, 3}
-        assert any(not part._certified() and part._memo for _, part in groups)
+        assert together._lag_inverse is not None and {len(blocks) for _, blocks in together._memo} == {1, 2, 3}
+        assert any(part._lag_inverse is None and part._memo for _, part in groups)
         for engine in [together] + [part for _, part in groups]:
             for scan in engine._memo.values():
                 trials = len(engine._series)

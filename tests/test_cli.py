@@ -338,6 +338,32 @@ class TestSimilarity:
         self.graph_json(b, [("a", "b")], nodes=("a", "b"))
         assert run_cli("similarity", str(a), str(b)) == 2
 
+    def test_nodes_in_another_order_compare_by_label(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self.graph_json(a, [("a", "b")], nodes=("a", "b"))
+        self.graph_json(b, [("a", "b")], nodes=("b", "a"))
+        assert run_cli("similarity", str(a), str(b)) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
+    def test_other_labels_exit_2_naming_both(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self.graph_json(a, [("a", "b")], nodes=("a", "b"))
+        self.graph_json(b, [("p", "q")], nodes=("p", "q"))
+        assert run_cli("similarity", str(a), str(b)) == 2
+        assert capsys.readouterr().err == "error: node labels differ: ['a', 'b'] vs ['p', 'q']\n"
+
+
+def test_csv_with_byte_order_mark_reads_its_first_label(sim_csv, tmp_path, capsys):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + sim_csv.read_bytes())
+    for path, name in ((sim_csv, "plain"), (bom, "bom")):
+        assert run_cli("analyze", str(path), "--method", "mdl", "--out", str(tmp_path / f"{name}.json")) == 0
+        assert run_cli("spectral", str(path), "--x", "node1", "--y", "node2",
+                       "--out", str(tmp_path / f"{name}.csv")) == 0
+    assert json.loads((tmp_path / "bom.json").read_text())["nodes"][0] == "node1"
+    for suffix in (".json", ".csv"):
+        assert (tmp_path / f"bom{suffix}").read_bytes() == (tmp_path / f"plain{suffix}").read_bytes()
+
 
 @pytest.mark.parametrize("reader", ["csv", "config", "network spec", "graph"])
 def test_non_utf8_file_exits_2_naming_it(reader, sim_csv, tmp_path, capsys):

@@ -420,7 +420,7 @@ class TestInverseRoute:
             np.cumsum(rng.standard_normal((n, nv)), axis=0) * 0.1 + rng.standard_normal((n, nv))
         )
         for engine, scan, sliced in families_from_both_routes(ts, p_max):
-            assert engine._lag_inverse is not False
+            assert engine._lag_inverse is not None
             np.testing.assert_array_equal(scan.k, sliced.k)
             assert scan.rank_error is None and sliced.rank_error is None
             np.testing.assert_allclose(scan.rss, sliced.rss, rtol=1e-12, atol=0)
@@ -435,20 +435,20 @@ class TestInverseRoute:
     def test_drop_one_coefficients_only_when_read(self):
         # the F test reads the drop-one rss alone; a code-length score on the
         # same engines then forms the coefficients of the families its gate
-        # reads, and of no other, and keeps the F scores
+        # reads, and of no other
         panel = demean(simulate(builtin_5node(), 4))
         engine = LagEngine(panel, 5)
         _decided(engine, MethodConfig("ftest", p_max=5))
         memo = engine._memo
         dropped = [key for key in memo if len(key[1]) == 4]
         assert len(dropped) == 25 and all(memo[key].coefficients is None for key in dropped)
-        f_scores = {key: memo[key].curves for key in dropped}
         _, (weight,), _ = _decided(engine, MethodConfig("mdl", p_max=5))
-        assert all(memo[key].curves is f_scores[key] for key in dropped)
-        read = [key for key in dropped if ("MDL", None, 1.0) in memo[key].curves]
+        read = [key for key in dropped if memo[key].coefficients is not None]
         assert 0 < len(read) < 20
         assert all(memo[key].coefficients.shape == (1, 20, 5) for key in read)
-        assert all(memo[key].coefficients is None for key in dropped if key not in read)
+        alone = LagEngine(panel, 5)  # the code-length score without the F test first
+        _decided(alone, MethodConfig("mdl", p_max=5))
+        assert read == [key for key in dropped if alone._memo[key].coefficients is not None]
         fresh = infer_network(panel, "mdl", p_max=5)
         np.testing.assert_array_equal(weight, fresh.weight)
         sliced = LagEngine(panel, 5)
@@ -465,7 +465,7 @@ class TestInverseRoute:
             engine._families([(target, b) for b in families])
             for blocks in families:
                 assert_same_scan(engine.scan(target, blocks), sliced._scan(target, blocks))
-        assert engine._lag_inverse is not False
+        assert engine._lag_inverse is not None
 
     @pytest.mark.parametrize("n, orders", [(100, 7), (130, 9)])
     def test_short_panel_takes_the_slice_qr(self, n, orders):
@@ -473,14 +473,14 @@ class TestInverseRoute:
         # orders 1..7 or 1..9, not 10
         panel = TestLagEngine().panel(n, 12, 7)
         for engine, scan, sliced in families_from_both_routes(panel, 10, orders):
-            assert engine._lag_inverse is False
+            assert engine._lag_inverse is None
             assert_same_scan(scan, sliced)
 
     def test_near_collinear_panel_takes_the_slice_qr(self):
         # kappa_1(R_L) is about 3e8: every family passes the 1e10 rule, but
         # 3e8 * (3 * 3)^2 does not certify them
         for engine, scan, sliced in families_from_both_routes(near_copy(1e-8), 3):
-            assert engine._lag_inverse is False
+            assert engine._lag_inverse is None
             assert scan.rank_error is None
             assert_same_scan(scan, sliced)
         errors = []
@@ -632,7 +632,7 @@ def test_near_threshold_drop_one_against_longdouble():
     values = np.column_stack([y, w, x])
     engine = LagEngine(TimeSeriesMatrix(values, ["y", "w", "x"]), p)
     dropped, full = engine.scan("y", ["y", "w"]), engine.scan("y", ["y", "w", "x"])
-    assert engine._lag_inverse is not False  # the Schur route
+    assert engine._lag_inverse is not None  # the Schur route
     for order in (1, 2):
         rss_r = lagged_rss_longdouble(values, 0, [0, 1], order, start)
         rss_u = lagged_rss_longdouble(values, 0, [0, 1, 2], order, start)

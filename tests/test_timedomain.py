@@ -492,69 +492,86 @@ class TestSimilarity:
         with pytest.raises(ValidationError):
             similarity(graph_from_edges(2, []), graph_from_edges(3, []))
 
+    @given(nv=st.integers(2, 5), data=st.data())
+    def test_edges_compare_by_label_in_any_node_order(self, nv, data):
+        edges = data.draw(st.sets(st.sampled_from([(j, i) for j in range(nv) for i in range(nv) if i != j])))
+        order = data.draw(st.permutations(range(nv)))
+        a = graph_from_edges(nv, edges)
+        # the same labelled edges over the nodes listed in another order
+        position = {v: p for p, v in enumerate(order)}
+        b = graph_from_edges(nv, [(position[j], position[i]) for j, i in edges])
+        b = CausalGraph(nv, b.adjacency, b.weight, "MDL", {}, tuple(a.labels[v] for v in order))
+        assert similarity(a, b) == similarity(b, a) == 1.0
+        other = graph_from_edges(nv, edges)
+        other = CausalGraph(nv, other.adjacency, other.weight, "MDL", {}, tuple(f"m{i}" for i in range(nv)))
+        with pytest.raises(ValidationError, match=r"node labels differ: \['n0'.* vs \['m0'"):
+            similarity(a, other)
 
-class TestScoredOnce:
+
+class TestScannedOnce:
+    """Scans are memoised per engine, scores are not: deciding again fits nothing and raises the same errors."""
+
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counts of family scans, and of calls and orders scored by the curve functions."""
-        calls = {"scan": 0, "code_length": 0, "code_length_orders": 0, "loglik": 0, "loglik_orders": 0}
+        """Counts of the engine's fitting routes: rank-checked slice QRs, batched slice QRs, Schur passes."""
+        calls = {"_scan": 0, "_stacked": 0, "_drop_one_families": 0}
 
-        def counted(name, fn, rss_at):
+        def counted(name):
+            fn = getattr(LagEngine, name)
+
             def wrapper(*args, **kwargs):
                 calls[name] += 1
-                if rss_at is not None:
-                    calls[name + "_orders"] += np.size(args[rss_at])
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(LagEngine, "_scan", counted("scan", LagEngine._scan, None))
-        monkeypatch.setattr(selection, "_code_length_curve",
-                            counted("code_length", selection._code_length_curve, 2))
-        monkeypatch.setattr(selection, "gaussian_loglik", counted("loglik", selection.gaussian_loglik, 0))
+        for name in calls:
+            monkeypatch.setattr(LagEngine, name, counted(name))
         return calls
 
-    # A network's families are scored together, several to a curve call, so
-    # each is counted by its orders: every order of every scored family in
-    # the memo is scored once, and nothing is scored again.
-
-    def test_mdl_scores_each_visited_family_once(self, calls):
+    def test_second_mdl_decision_fits_nothing(self, calls):
         ts = demean(simulate(builtin_5node(), 11))
         engine = LagEngine(ts, 10)
-        _, (first,), _ = _decided(engine, MethodConfig("mdl"))
-        memo = engine._memo
-        scored = [scan for scan in memo.values() if scan.curves]
-        assert len(scored) > 20  # pairwise and conditional families
-        assert calls["code_length_orders"] == sum(scan.rss.size for scan in scored)
-        assert calls["code_length"] < len(scored)
-        seen, families = dict(calls), len(memo)
+        _, (first,), (error,) = _decided(engine, MethodConfig("mdl"))
+        assert error is None and len(engine._memo) > 20  # pairwise and conditional families
+        seen, families = dict(calls), len(engine._memo)
         _, (again,), _ = _decided(engine, MethodConfig("mdl"))
-        assert calls == seen and len(memo) == families
+        assert calls == seen and len(engine._memo) == families
         np.testing.assert_array_equal(again, first)
 
-    def test_second_f_config_reads_stored_scans_and_curves(self, calls):
+    def test_second_f_config_reads_stored_scans(self, calls):
         ts = demean(simulate(builtin_5node(), 12))
         engine = LagEngine(ts, 10)
         _decided(engine, MethodConfig("ftest", alpha=0.05))
         memo = engine._memo
         seen, families = dict(calls), len(memo)
-        scored = [scan for scan in memo.values() if scan.curves]
-        assert len(scored) == 20 and seen["code_length"] == 0  # every (target, all but source)
-        assert seen["loglik_orders"] == sum(scan.rss.size for scan in scored)
         shared = _decided(engine, MethodConfig("ftest", alpha=0.01))
         assert calls == seen and len(memo) == families
         fresh = infer_network(ts, "ftest", alpha=0.01)
         np.testing.assert_array_equal(shared[0][0], fresh.adjacency)
         np.testing.assert_array_equal(shared[1][0], fresh.weight)
 
+    @pytest.mark.parametrize("method", ["mdl", "ftest"])
+    @pytest.mark.parametrize("name", ["lagged copy", "noiseless target of four", "noiseless single source"])
+    def test_errors_raised_again_in_the_same_order(self, name, method, calls):
+        engine = LagEngine(replay_panel(name), 3)
+        _, _, (first,) = _decided(engine, MethodConfig(method, p_max=3))
+        assert first is not None and engine._lag_inverse is None and calls["_scan"] > 0
+        seen, families = dict(calls), len(engine._memo)
+        _, _, (again,) = _decided(engine, MethodConfig(method, p_max=3))
+        assert calls == seen and len(engine._memo) == families
+        assert type(again) is type(first) and str(again) == str(first)
+        with pytest.raises(type(first)) as info:
+            infer_network(replay_panel(name), method, p_max=3)
+        assert str(info.value) == str(first)
+
     @pytest.mark.parametrize("criterion", ["MDL", "AIC"])
-    def test_rank_error_raised_again_and_never_stored(self, criterion):
+    def test_rank_error_raised_again(self, criterion):
         x = np.random.default_rng(3).standard_normal(120)
         ts = TimeSeriesMatrix(np.column_stack([x, np.roll(x, 1)]), ["x", "y"])
         engine = LagEngine(ts, 4)
         for _ in range(2):
             with pytest.raises(RankDeficiencyError, match=r"x\.lag2"):
                 _search_order(engine, [(0, [0, 1])], criterion)
-        assert engine.scan(0, [0, 1]).curves == {}
 
     def test_noiseless_order_raised_again_before_rank_error(self):
         # x_t = 0.9 x_(t-1): order 1 leaves no residual, and x.lag2 is x.lag1 / 0.9
@@ -564,7 +581,6 @@ class TestScoredOnce:
         for _ in range(2):
             with pytest.raises(DegenerateFitError):
                 _search_order(engine, [(0, [0])], "MDL")
-        assert engine.scan(0, [0]).curves == {}
 
 
 class TestCheckedParameters:
@@ -706,7 +722,7 @@ class TestArrayDecision:
             # leaves no code length (DegenerateFitError under MDL)
             values[:, -1] = np.roll(values[:, 0], 1) + 1e-8 * rng.standard_normal(m + p_max)
         ts = demean(TimeSeriesMatrix(values))
-        assert LagEngine(ts, p_max)._certified() == (kind == "certified")
+        assert (LagEngine(ts, p_max)._lag_inverse is not None) == (kind == "certified")
         looped = one_engine_loop(ts, method, p_max)
         if isinstance(looped[0], type):
             with pytest.raises(looped[0]) as info:
@@ -796,6 +812,7 @@ class TestErrorReplay:
         ts = TimeSeriesMatrix(np.column_stack([a, y, x]), ["a", "y", "x"])
         _, errors, rows = selection._scores(LagEngine(ts, p_max), [(0, [0]), (0, [0, 1]), (0, [0, 1, 2]),
                                                                  (1, [1, 2])], "MDL")
+        errors, rows = errors[:, 0].tolist(), rows[0]  # the one trial's errors, the criterion row
         assert errors[:2] == [None, None] and np.nanmin(rows[0]) > np.nanmin(rows[1])
         assert isinstance(errors[2], RankDeficiencyError) and isinstance(errors[3], DegenerateFitError)
         with pytest.raises(RankDeficiencyError) as info:
@@ -861,7 +878,7 @@ class TestOneFailureRule:
         families = [(target, [v for v in range(nv) if mask >> v & 1])
                     for target in range(nv) for mask in range(1, 2 ** nv)]
         _, errors, rows = selection._scores(LagEngine(ts, p_max), families, criterion)
-        rows = rows[:, 0]  # the one trial's
+        errors, rows = errors[:, 0], rows[0, :, 0]  # the one trial's
         assert any(error is not None for error in errors)
         for family, error, row in zip(families, errors, rows):
             alone = LagEngine(ts, p_max)
@@ -891,12 +908,12 @@ class TestOneFailureRule:
         trials = self.driven_stack(epsilons)
         families = [(target, [v for v in range(3) if mask >> v & 1]) for target in range(3) for mask in range(1, 8)]
         stack = LagEngine(trials, 2)
-        assert stack._certified()
-        _, errors, rows = selection._scores(stack, families, criterion)
+        assert stack._lag_inverse is not None
+        _, errors, (rows, *_) = selection._scores(stack, families, criterion)
         for t, ts in enumerate(trials):
-            _, alone_errors, alone_rows = selection._scores(LagEngine(ts, 2), families, criterion)
+            _, alone_errors, (alone_rows, *_) = selection._scores(LagEngine(ts, 2), families, criterion)
             np.testing.assert_array_equal(np.isnan(rows[:, t]), np.isnan(alone_rows[:, 0]))
-            for error, alone, row in zip(errors, alone_errors, rows[:, t]):
+            for error, alone, row in zip(errors[:, t], alone_errors[:, 0], rows[:, t]):
                 assert (alone is None) == (not np.isnan(row).any())
                 if alone is not None:
                     assert type(error) is type(alone) and str(error) == str(alone)
@@ -907,7 +924,22 @@ class TestOneFailureRule:
         assert failing == (noiseless if 3e-7 in epsilons else [])
         for family, error, row in zip(families, errors, rows):
             assert np.isnan(row[:, 0]).tolist() == [family in noiseless and eps == 3e-7 for eps in epsilons]
-            assert (error is None) == (family not in failing)
+            assert [e is not None for e in error] == np.isnan(row[:, 0]).tolist()
+            assert np.equal(error, None).all() == (family not in failing)
+
+    @pytest.mark.parametrize("method", ["mdl", "ftest"])
+    @pytest.mark.parametrize("epsilons", [(1.0, 3e-7), (3e-7, 1.0), (1.0, 0.5, 3e-7, 3e-7, 0.5)])
+    def test_a_stack_decides_each_trial_as_that_trial_alone(self, epsilons, method):
+        trials = self.driven_stack(epsilons)
+        stack = LagEngine(trials, 2)
+        assert stack._lag_inverse is not None
+        keep, weight, errors = _decided(stack, MethodConfig(method, p_max=2))
+        assert [error is not None for error in errors] == [method == "mdl" and eps == 3e-7 for eps in epsilons]
+        for t, ts in enumerate(trials):
+            (alone_keep,), (alone_weight,), (alone_error,) = _decided(LagEngine(ts, 2), MethodConfig(method, p_max=2))
+            assert repr(errors[t]) == repr(alone_error)
+            if alone_error is None:
+                assert keep[t].tobytes() == alone_keep.tobytes() and weight[t].tobytes() == alone_weight.tobytes()
 
     def test_malformed_family_raises_before_an_earlier_family_fails(self):
         # the first family alone raises "column x.lag2" RankDeficiencyError
