@@ -3,8 +3,9 @@
 Builds the restricted/unrestricted autoregressions every causality test
 rests on. Every fit takes one route: an R-only QR of [X | y], one rank
 check on the 1-norm condition number of R's leading blocks, then R^-1.
-Every time-domain fit runs through a `LagEngine`: one QR of all lags of
-a series' variables. When the engine certifies that this changes no
+A single design (`ols_fit`'s, an F test's) takes it as it stands; every
+model family is fitted by a `LagEngine`: one QR of all lags of a
+series' variables. When the engine certifies that this changes no
 rank decision, two kinds of family, the full one (every variable) and
 the drop-one ones (every variable but one), come for every target at
 once from one inverse of that QR's lag block, and the smaller families
@@ -328,12 +329,12 @@ class LagEngine:
     the same order as alone.
 
     ``Z = [lags 1..p_max of every variable, lag-major | the responses]`` on
-    the window starting at row ``start`` (default p_max) is factored once
-    as Z = QR, keeping only R. Any design (a model family's, whose blocks
-    share one order, or an F test's) has columns S of Z, so a QR of the
-    slice ``R[:, S + [target's response]]`` is a QR of its own design with
-    its response appended: the top-left block is the design's R, the last
-    column is Q'y over it. Columns that lead Z read R as it is.
+    the window starting at row p_max is factored once as Z = QR, keeping
+    only R. A model family's design (its blocks share one order) has
+    columns S of Z, so a QR of the slice ``R[:, S + [target's response]]``
+    is a QR of its own design with its response appended: the top-left
+    block is the design's R, the last column is Q'y over it. Columns that
+    lead Z read R as it is.
 
     Two kinds of family skip the slice QR and come, for every target at
     once, from one inverse R_L^-1 of the lag block R_L = R[:V p, :V p]
@@ -369,7 +370,7 @@ class LagEngine:
     Scans are memoised; scores are not.
     """
 
-    def __init__(self, ts, p_max: int, start: int = None, variables=None):
+    def __init__(self, ts, p_max: int, variables=None):
         series = [ts] if isinstance(ts, TimeSeriesMatrix) else list(ts)
         ts = series[0]
         if any(s.values.shape != ts.values.shape or s.labels != ts.labels for s in series):
@@ -377,11 +378,8 @@ class LagEngine:
         p_max = checked_value(p_max, int, "p_max")
         if p_max < 1:
             raise ValidationError("p_max must be >= 1")
-        start = p_max if start is None else checked_value(start, int, "start")
-        if start < p_max:
-            raise ValidationError(f"start={start} is below p_max {p_max}")
         n = ts.n_samples
-        if n <= start:
+        if n <= p_max:
             raise ValidationError(
                 f"series of length {n} too short for orders up to {p_max}"
             )
@@ -389,12 +387,11 @@ class LagEngine:
             variables = range(ts.n_variables)
         self.variables = list(dict.fromkeys(ts.column(v) for v in variables))
         self._position = {v: i for i, v in enumerate(self.variables)}
-        self.ts, self.p_max, self.m = ts, p_max, n - start
-        self._series, self._start = series, start
+        self.ts, self.p_max, self.m, self._series = ts, p_max, n - p_max, series
         columns = [(v, ell) for ell in range(1, p_max + 1) for v in self.variables]
-        responses = [s.values[start:] for s in series]
+        responses = [s.values[p_max:] for s in series]
         # one series at a time, so that one Z is held at once
-        self._r = np.array([_qr_r(np.hstack([_lagged(s.values, start, columns), r[:, self.variables]]))
+        self._r = np.array([_qr_r(np.hstack([_lagged(s.values, p_max, columns), r[:, self.variables]]))
                             for s, r in zip(series, responses)])
         response_sq = np.array([[r[:, v] @ r[:, v] for v in self.variables] for r in responses])
         self._response_sq = dict(zip(self.variables, response_sq.T))
@@ -452,7 +449,7 @@ class LagEngine:
         if trials.size == 1 or self._lag_inverse is not None:
             return [(trials, self)]
         if self._split is None:
-            self._split = [(trials[[t]], LagEngine(s, self.p_max, self._start, self.variables))
+            self._split = [(trials[[t]], LagEngine(s, self.p_max, self.variables))
                            for t, s in enumerate(self._series)]
         return self._split
 
@@ -498,10 +495,15 @@ class LagEngine:
 
     def _scan(self, target: int, blocks: List[int]) -> NestedScan:
         """The family by its own slice QR and rank check, on a one-series engine (see :meth:`_groups`)."""
-        b = len(blocks)
+        b, nv = len(blocks), len(self.variables)
         n_fit = min(self.p_max, (self.m - 1) // b)
         columns = [(v, ell) for ell in range(n_fit) for v in blocks]
-        kk, rss, coefficients, rank_error = self._fit(target, columns, b * np.arange(1, n_fit + 1))
+        index = [ell * nv + self._position[v] for v, ell in columns]
+        factor = self._r[0][:, index + [nv * self.p_max + self._position[target]]]
+        if index != list(range(len(index))):
+            factor = _qr_r(factor)
+        kk, rss, coefficients, rank_error = _fit_prefixes(
+            factor, b * np.arange(1, n_fit + 1), lambda j: f"{self.ts.labels[columns[j][0]]}.lag{columns[j][1] + 1}")
         return self._nested(target, coefficients[None], kk, rss[None], rank_error)
 
     def _nested(self, target, coefficients, k, rss, rank_error=None) -> NestedScan:
@@ -601,31 +603,19 @@ class LagEngine:
         for key, family_rss, family_coefficients in zip(keys, rss, coefficients):
             self._memo[key] = self._nested(key[0], family_coefficients, sizes, family_rss)
 
-    def _fit(self, target: int, columns, sizes: np.ndarray):
-        """:func:`_fit_prefixes` on the first series' Z ``columns`` (variable, lag - 1): the one slice-and-QR step."""
-        width_z = len(self.variables)
-        index = [ell * width_z + self._position[v] for v, ell in columns]
-        factor = self._r[0][:, index + [width_z * self.p_max + self._position[target]]]
-        if index != list(range(len(index))):
-            factor = _qr_r(factor)
-        return _fit_prefixes(
-            factor, sizes, lambda j: f"{self.ts.labels[columns[j][0]]}.lag{columns[j][1] + 1}"
-        )
-
 
 def ols_order_scan(
     ts: TimeSeriesMatrix,
     target: int,
     block_vars: Sequence[int],
     p_max: int,
-    start: int = None,
 ) -> List[OrderScanEntry]:
     """:meth:`LagEngine.scan` of ``ts``, blocks in the order given, as one entry per order, raising if rank-broken.
 
     Coefficients are put back in the predictor-major order used by
     :func:`build_design`.
     """
-    scan = LagEngine(ts, p_max, start, [*block_vars, target]).scan(target, block_vars)
+    scan = LagEngine(ts, p_max, [*block_vars, target]).scan(target, block_vars)
     if scan.rank_error is not None:
         raise scan.rank_error
     b = len(block_vars)

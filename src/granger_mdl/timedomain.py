@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import ValidationError
-from .regression import LagEngine
+from .regression import LagEngine, LagSpec, _fit_prefixes, _qr_r, build_design
 from .selection import CRITERIA, CodeLength, _first_errors, _scores, _search_order
 from .timeseries import TimeSeriesMatrix, checked_value, distinct_columns
 
@@ -302,12 +302,15 @@ def _f_comparison(rss_r, rss_u, q, d2, alpha):
 
 
 def _resolve(ts, x, y, z_set):
-    """Column indices of target, source and a disjoint conditioning set."""
+    """Column indices of target, source and a disjoint conditioning set of distinct variables."""
     xi, yi, zi = ts.column(x), ts.column(y), [ts.column(z) for z in z_set]
     if xi == yi:
         raise ValidationError("source and target must differ")
     if xi in zi or yi in zi:
         raise ValidationError("conditioning set must be disjoint from source and target")
+    for i, z in enumerate(zi):
+        if z in zi[:i]:
+            raise ValidationError(f"conditioning variable {ts.labels[z]} is listed more than once")
     return xi, yi, zi
 
 
@@ -344,22 +347,25 @@ def conditional_f_test_gc(
     """F-test of y -> x while controlling for the variables in ``z_set``.
 
     Restricted model: x's own p lags plus r lags of every conditioning
-    variable. Unrestricted: plus q lags of y. The restricted columns lead
-    the unrestricted ones, so one QR off a :class:`LagEngine` gives both.
+    variable. Unrestricted: plus q lags of y. Both are fitted on
+    :func:`~granger_mdl.regression.ols_fit`'s route, and the restricted
+    columns lead the unrestricted ones, so one QR of the design gives both.
     """
     xi, yi, zi = _resolve(ts, x, y, z_set)
     p, q, r = (checked_value(value, int, name) for name, value in (("p", p), ("q", q), ("r", r)))
     alpha = _checked_alpha(alpha)
+    start = checked_value(start, int, "start", nullable=True)
     if p < 1 or q < 1:
         raise ValidationError(f"orders p, q must be >= 1, got p={p}, q={q}")
     if zi and r < 1:
         raise ValidationError(f"conditioning order r must be >= 1, got {r}")
 
-    max_lag = max(p, q, r if zi else 0)
-    engine = LagEngine(ts, max_lag, start=max_lag if start is None else start, variables=[xi, *zi, yi])
-    columns = [(v, ell) for v, lags in [(xi, p), *((z, r) for z in zi), (yi, q)] for ell in range(lags)]
-    d2 = _f_dof(engine.m, len(columns))
-    _, rss, _, rank_error = engine._fit(xi, columns, np.array([len(columns) - q, len(columns)]))
+    spec = LagSpec(xi, [(xi, p), *((z, r) for z in zi), (yi, q)])
+    design, response = build_design(ts, spec, start)
+    d2 = _f_dof(*design.shape)
+    labels = [f"{ts.labels[v]}.lag{ell}" for v, lags in spec.predictors for ell in range(1, lags + 1)]
+    _, rss, _, rank_error = _fit_prefixes(
+        _qr_r(np.column_stack([design, response])), np.array([len(labels) - q, len(labels)]), labels.__getitem__)
     if rank_error is not None:
         raise rank_error
     return _f_comparison(rss[0], rss[1], q, d2, alpha)

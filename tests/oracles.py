@@ -4,7 +4,9 @@ These deliberately take different numerical routes from the package:
 the incomplete beta uses a Lentz continued fraction, least squares goes
 through the normal equations, code lengths are recomputed term by
 term with plain Python floats, and Geweke spectra come from the
-unnormalised transfer function one frequency at a time. The simulator
+unnormalised transfer function one frequency at a time. One series'
+innovation variance comes from the companion form's autocovariances
+and the Levinson-Durbin recursion, with no spectrum. The simulator
 oracle is the network recursion as it was first written, on numpy
 scalars one element at a time. The Markov-chain context counts are a
 loop over the bits.
@@ -143,6 +145,36 @@ def geweke_by_transfer(a_mats, noise_cov, omega):
     f_y_to_x = math.log(sxx / (sxx - part_y * abs(h[0][1]) ** 2))
     f_x_to_y = math.log(syy / (syy - part_x * abs(h[1][0]) ** 2))
     return f_y_to_x, f_x_to_y, s
+
+
+def univariate_innovation_variance(a_mats, noise_cov, lags):
+    """One-step prediction error variance of the VAR's first series from its own last ``lags`` values.
+
+    The VAR is A(L) X = e with A_0 = I, lag matrices ``a_mats`` and
+    innovation covariance ``noise_cov``. Its companion form s_t = F s_{t-1}
+    + e_t has state covariance vec G_0 = (I - F kron F)^-1 vec Q, and
+    cov(s_{t+h}, s_t) = F^h G_0, whose top-left entries are the first
+    series' autocovariances; Levinson-Durbin turns them into the error
+    variance of its order-``lags`` predictor.
+    """
+    k = np.asarray(a_mats[0]).shape[0]
+    size = k * len(a_mats)
+    f = np.zeros((size, size))
+    f[:k] = -np.hstack([np.asarray(a, dtype=float) for a in a_mats])
+    f[k:, :-k] = np.eye(size - k)
+    q = np.zeros((size, size))
+    q[:k, :k] = noise_cov
+    g = np.linalg.solve(np.eye(size * size) - np.kron(f, f), q.ravel()).reshape(size, size)
+    gamma = []
+    for _ in range(lags + 1):
+        gamma.append(g[0, 0])
+        g = f @ g
+    phi, variance = np.zeros(0), gamma[0]
+    for h in range(1, lags + 1):
+        reflection = (gamma[h] - phi @ gamma[h - 1:0:-1]) / variance
+        phi = np.append(phi - reflection * phi[::-1], reflection)
+        variance *= 1.0 - reflection ** 2
+    return variance
 
 
 def simulate_by_loop(spec, seed):

@@ -381,10 +381,6 @@ class TestLagEngine:
         expected = np.array([[residual_covariance(a, b).matrix[0, 1] for b in fits] for a in fits])
         np.testing.assert_allclose(engine.residual_covariance(), expected, rtol=1e-10, atol=1e-14)
 
-    def test_start_below_p_max_rejected(self):
-        with pytest.raises(ValidationError, match="below p_max"):
-            LagEngine(self.panel(60, 2, 9), 4, start=2)
-
 
 def families_from_both_routes(ts, p_max, orders=None):
     """Each full and drop-one family of an engine over ``ts``, with its slice-QR scan.
@@ -494,17 +490,17 @@ class TestInverseRoute:
     def test_one_inverse_and_no_slice_qr_per_engine(self, method, monkeypatch):
         nv, p_max = 12, 10
         fitted, inverted = [], []
-        fit, dtrtri = LagEngine._fit, scipy.linalg.lapack.dtrtri
+        scan, dtrtri = LagEngine._scan, scipy.linalg.lapack.dtrtri
 
-        def counted_fit(self, target, columns, sizes):
-            fitted.append(len({v for v, _ in columns}))
-            return fit(self, target, columns, sizes)
+        def counted_scan(self, target, blocks):
+            fitted.append(len(set(blocks)))
+            return scan(self, target, blocks)
 
         def counted_dtrtri(r, *args, **kwargs):
             inverted.append(r.shape)
             return dtrtri(r, *args, **kwargs)
 
-        monkeypatch.setattr(LagEngine, "_fit", counted_fit)
+        monkeypatch.setattr(LagEngine, "_scan", counted_scan)
         monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", counted_dtrtri)
         infer_network(TestLagEngine().panel(300, nv, 5), method, p_max=p_max)
         # no family takes the rank-checked slice route; the MDL path fits
@@ -574,7 +570,7 @@ class TestRankPolicy:
         if raises:
             assert outcomes[0] == (2,)
             assert "column x.lag2 depends" in str(outcomes[1])
-            assert "column y.lag1 depends" in str(outcomes[2])
+            assert "column y.lag1 depends" in str(outcomes[2]) and outcomes[2].columns == (3,)
 
     def test_kahan_matrix_passes_the_diagonal_ratio_and_fails_kappa(self):
         n, theta = 50, 1.0

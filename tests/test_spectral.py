@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -27,7 +28,7 @@ from granger_mdl.spectral import (
 )
 from granger_mdl.timeseries import TimeSeriesMatrix, demean, save_csv
 
-from oracles import geweke_by_transfer
+from oracles import geweke_by_transfer, univariate_innovation_variance
 
 
 def decoupled_pair(seed, n=10_000):
@@ -411,6 +412,23 @@ class TestInvariances:
                 log_sxx = np.log(sc.spectra[:, 0, 0].real)
                 expected = np.log(np.exp(np.mean(log_sxx)) / model.noise_cov.var_x)
                 assert float(np.mean(sc.f_y_to_x)) == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_log_innovation_variance_is_the_mean_log_spectrum(self):
+        # Kolmogorov-Szego (Geweke 1982, section 3): ln of x's one-step
+        # prediction variance from its own past is the band mean of ln S_xx,
+        # against an oracle that never forms a spectrum
+        ngrid = 4096
+        freqs = (np.arange(1, ngrid + 1) - 0.5) / (2.0 * ngrid)
+        ts = demean(simulate(builtin_5node(), 0))
+        for x in ts.labels:
+            for y in ts.labels:
+                if x == y:
+                    continue
+                model = fit_bivariate_var(ts, x, y, select_var_order(ts, x, y, 10))
+                sc = geweke_spectrum(model, freqs, 1.0)
+                variance = univariate_innovation_variance(model.a_mats, model.noise_cov.matrix, 400)
+                mean_log = float(np.mean(np.log(sc.spectra[:, 0, 0].real)))
+                assert mean_log == pytest.approx(math.log(variance), rel=0, abs=1e-12)
 
 
 class TestGrids:

@@ -39,7 +39,7 @@ from granger_mdl.selection import CRITERIA, _search_order, code_length_from_stat
 from granger_mdl.spectral import fit_bivariate_var
 from granger_mdl.timeseries import TimeSeriesMatrix, demean, save_csv
 
-from oracles import f_cdf_oracle
+from oracles import f_cdf_oracle, lagged_rss_longdouble
 from test_regression import near_copy
 
 
@@ -133,6 +133,33 @@ class TestFTest:
             expected = scipy.stats.f.sf(result.f_value, d1, d2)
             assert result.p_value == pytest.approx(expected, rel=1e-10, abs=0.0)
 
+    def test_builds_no_lag_engine(self, monkeypatch):
+        # an F test fits its own design on ols_fit's route
+        built, init = [], LagEngine.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LagEngine, "__init__", counted_init)
+        ts = demean(simulate(builtin_5node(), 0))
+        f_test_gc(ts, 0, 1, 5, 5)
+        conditional_f_test_gc(ts, 0, 1, [2, 3, 4], 5, 5, 5)
+        assert built == []
+
+    def test_late_window_matches_extended_precision_oracle(self):
+        # p = q = r = 3 on the window from row 7, past the max lag
+        ts = demean(simulate(builtin_5node(), 2))
+        n, start = 3, 7
+        result = conditional_f_test_gc(ts, "node2", "node1", ["node3", "node5"], n, n, n, start=start)
+        rss_r = lagged_rss_longdouble(ts.values, 1, [1, 2, 4], n, start)
+        rss_u = lagged_rss_longdouble(ts.values, 1, [1, 2, 4, 0], n, start)
+        d2 = ts.n_samples - start - 4 * n - 1
+        assert result.dof == (n, d2)
+        assert result.rss_restricted == pytest.approx(float(rss_r), rel=1e-12)
+        assert result.rss_unrestricted == pytest.approx(float(rss_u), rel=1e-12)
+        assert result.f_value == pytest.approx(float((rss_r - rss_u) / n / (rss_u / d2)), rel=1e-12)
+
     def test_log_variance_ratio(self):
         result = _f_comparison(rss_r=8.0, rss_u=4.0, q=1, d2=20, alpha=0.05)
         assert log_variance_ratio(result) == pytest.approx(math.log(2.0))
@@ -210,10 +237,14 @@ class TestMdlGc:
             mdl_gc(ts, "x", "y", p_max=4)
 
     def test_duplicate_conditioning_variable_rejected(self):
+        # an input error that names the label, before any fit, for both methods
         rng = np.random.default_rng(9)
         ts = TimeSeriesMatrix(rng.standard_normal((150, 3)), ["a", "b", "c"])
-        with pytest.raises(ValidationError):
-            conditional_mdl_gc(ts, "a", "b", ["c", "c"], p_max=3)
+        for z_set in (["c", "c"], ["c", 2], [2, "c"]):
+            with pytest.raises(ValidationError, match="conditioning variable c is listed more than once"):
+                conditional_mdl_gc(ts, "a", "b", z_set, p_max=3)
+            with pytest.raises(ValidationError, match="conditioning variable c is listed more than once"):
+                conditional_f_test_gc(ts, "a", "b", z_set, 2, 2, 2)
 
     def test_saving_equals_length_difference(self):
         ts = sim3(77)
@@ -597,7 +628,6 @@ class TestCheckedParameters:
         (lambda ts: f_test_gc(ts, 0, 1, 2, 2, start=3.5), "start"),
         (lambda ts: mdl_gc(ts, 0, 1, p_max=2.5), "p_max"),
         (lambda ts: select_order(ts, 0, [0], "AIC", p_max=2.5), "p_max"),
-        (lambda ts: LagEngine(ts, 2, start=3.5), "start"),
         (lambda ts: LagEngine(ts, None), "p_max"),
         (lambda ts: mdl_gc(ts, 0, 1, p_max=3, scale_floor=math.nan), "scale_floor"),
         (lambda ts: mdl_gc(ts, 0, 1, p_max=3, scale_floor=-1), "scale_floor"),
