@@ -29,6 +29,7 @@ from .bench import (
 )
 from .errors import NumericalError, ValidationError
 from .spectral import (
+    _checked_grid,
     default_frequency_grid,
     fit_bivariate_var,
     geweke_spectrum,
@@ -114,13 +115,14 @@ def _network_spec(name: str, noise: str) -> NetworkSpec:
     return NetworkSpec.from_dict(_read_json(name, "network spec"))
 
 
-def _parse_freqs(text: str) -> np.ndarray:
+def _parse_freqs(text: str, sample_rate_hz) -> np.ndarray:
     """Parse '1:30,50,100' into a frequency array, in the order given.
 
     As in :func:`load_csv`, digit-group underscores are rejected: Python
-    reads ``1_0`` as 10.
+    reads ``1_0`` as 10. A range is expanded only once its endpoints pass
+    the spectrum's grid check for ``sample_rate_hz``.
     """
-    values: List[float] = []
+    chunks: List[tuple] = []  # (lo, hi) of a whole-number range, or (f, None)
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -131,21 +133,23 @@ def _parse_freqs(text: str) -> np.ndarray:
                 if "_" in chunk:
                     raise ValueError(chunk)
                 lo, hi = int(lo_s), int(hi_s)
-            except ValueError:
+                float(lo), float(hi)  # an endpoint past a float's range is no frequency
+            except (ValueError, OverflowError):
                 raise ValidationError(f"bad frequency range {chunk!r}") from None
             if hi < lo:
                 raise ValidationError(f"empty frequency range {chunk!r}")
-            values.extend(float(v) for v in range(lo, hi + 1))
+            chunks.append((lo, hi))
         else:
             try:
                 if "_" in chunk:
                     raise ValueError(chunk)
-                values.append(float(chunk))
+                chunks.append((float(chunk), None))
             except ValueError:
                 raise ValidationError(f"bad frequency {chunk!r}") from None
-    if not values:
+    if not chunks:
         raise ValidationError(f"no frequencies in {text!r}")
-    return np.array(values)
+    _checked_grid([end for pair in chunks for end in pair if end is not None], sample_rate_hz or 1.0)
+    return np.array([float(v) for lo, hi in chunks for v in ([lo] if hi is None else range(lo, hi + 1))])
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -176,6 +180,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_spectral(args: argparse.Namespace) -> int:
     ts = load_csv(args.input, has_header=not args.no_header, sample_rate_hz=args.sample_rate)
     xi, yi = ts.column(args.x), ts.column(args.y)
+    fs = ts.sample_rate_hz
+    freqs = default_frequency_grid(fs) if args.freqs is None else _parse_freqs(args.freqs, fs)
     if args.demean:
         ts = demean_ts(ts)
 
@@ -183,9 +189,6 @@ def cmd_spectral(args: argparse.Namespace) -> int:
     if order is None:
         order = select_var_order(ts, xi, yi, args.p_max)
     model = fit_bivariate_var(ts, xi, yi, order)
-
-    fs = ts.sample_rate_hz
-    freqs = _parse_freqs(args.freqs) if args.freqs else default_frequency_grid(fs)
     result = geweke_spectrum(model, freqs, fs)
     spectral_to_csv(result, args.out)
     print(

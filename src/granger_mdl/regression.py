@@ -243,10 +243,11 @@ class OrderScanEntry:
     response_sq: float
 
 
-# Orders 1..n of one family, each array with a leading trial axis; see
-# LagEngine.scan. ``coefficients`` is None only for a drop-one family asked
-# for its residual sums alone (see LagEngine._families).
-NestedScan = namedtuple("NestedScan", "coefficients k rss m response_sq rank_error")
+# Orders 1..n of one family (see LagEngine.scan): ``coefficients`` (trial,
+# row, order), ``k`` each order's column count, ``rss`` (trial, order) and
+# ``rank_error``, the first rank-broken order's error or None. ``coefficients``
+# is None only for a drop-one family asked for its residual sums alone.
+NestedScan = namedtuple("NestedScan", "coefficients k rss rank_error", defaults=(None,))
 
 
 def _qr_r(a: np.ndarray) -> np.ndarray:
@@ -504,10 +505,7 @@ class LagEngine:
             factor = _qr_r(factor)
         kk, rss, coefficients, rank_error = _fit_prefixes(
             factor, b * np.arange(1, n_fit + 1), lambda j: f"{self.ts.labels[columns[j][0]]}.lag{columns[j][1] + 1}")
-        return self._nested(target, coefficients[None], kk, rss[None], rank_error)
-
-    def _nested(self, target, coefficients, k, rss, rank_error=None) -> NestedScan:
-        return NestedScan(coefficients, k, rss, self.m, self._response_sq[target], rank_error)
+        return NestedScan(coefficients[None], kk, rss[None], rank_error)
 
     def _full_families(self, r_inv):
         """Each target's full family, for every trial: :func:`_prefix_fits` on the shared R_L^-1."""
@@ -518,7 +516,7 @@ class LagEngine:
         tail_sq = np.array([[q[width:] @ q[width:] for q in target_qty] for target_qty in qty])
         for pos, target in enumerate(self.variables):
             rss, coefficients = _prefix_fits(r_inv, qty[pos, :, :width], tail_sq[pos], sizes)
-            self._memo[target, tuple(self.variables)] = self._nested(target, coefficients, sizes, rss)
+            self._memo[target, tuple(self.variables)] = NestedScan(coefficients, sizes, rss)
 
     def _drop_one_families(self, formed):
         """Every (target, all but x) family, from the full ones by the Schur complement.
@@ -555,7 +553,7 @@ class LagEngine:
             sizes = (nv - 1) * np.arange(1, p + 1)
             for x, family in enumerate(families):
                 for pos, target in enumerate(self.variables):
-                    self._memo[target, family] = self._nested(target, None, sizes, rss[:, x, pos])
+                    self._memo[target, family] = NestedScan(None, sizes, rss[:, x, pos])
             self._schur = blocks, d, g, b.reshape(trials, p, nv, p, nv)  # b as (trial, lag, v, order, target)
         blocks, d, g, b_rows = self._schur
         for x, family in enumerate(families):
@@ -601,7 +599,7 @@ class LagEngine:
         r_inv[..., np.tri(k, k, -1, dtype=bool)] = 0.0
         rss, coefficients = _prefix_fits(r_inv, qty[..., :k], qty[..., k] ** 2, sizes)
         for key, family_rss, family_coefficients in zip(keys, rss, coefficients):
-            self._memo[key] = self._nested(key[0], family_coefficients, sizes, family_rss)
+            self._memo[key] = NestedScan(family_coefficients, sizes, family_rss)
 
 
 def ols_order_scan(
@@ -615,15 +613,16 @@ def ols_order_scan(
     Coefficients are put back in the predictor-major order used by
     :func:`build_design`.
     """
-    scan = LagEngine(ts, p_max, [*block_vars, target]).scan(target, block_vars)
+    engine = LagEngine(ts, p_max, [*block_vars, target])
+    scan = engine.scan(target, block_vars)
     if scan.rank_error is not None:
         raise scan.rank_error
-    b = len(block_vars)
+    b, response_sq = len(block_vars), float(engine._response_sq[ts.column(target)][0])
     return [
         OrderScanEntry(
             order=order, k=b * order,
             coefficients=scan.coefficients[0, :b * order, order - 1].reshape(order, b).T.ravel(),
-            rss=float(scan.rss[0, order - 1]), m=scan.m, response_sq=float(scan.response_sq[0]),
+            rss=float(scan.rss[0, order - 1]), m=engine.m, response_sq=response_sq,
         )
         for order in range(1, p_max + 1)
     ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "bic",
     "mdl_code_length",
     "code_length_from_stats",
-    "search_order",
     "select_order",
     "markov_mdl",
     "bernoulli_code_length",
@@ -197,34 +196,17 @@ def mdl_code_length(
     )
 
 
-def search_order(
-    ts: TimeSeriesMatrix,
-    families: Sequence[Tuple[int, Sequence[int]]],
-    criterion: str,
-    p_max: int,
-    delta: Optional[float] = None,
-    scale_floor: float = DEFAULT_SCALE_FLOOR,
-):
-    """The shared order 1..p_max minimising the summed curves of ``families``.
-
-    Each (target, blocks) family is scanned once, all of them from one
-    :class:`LagEngine` over their variables, and scored at every order as
-    an array; ties go to the smaller order. Every family is resolved, and
-    ``delta`` and ``scale_floor`` read, before any is scanned; then the
-    first family that fails raises its error (see :func:`_scores`).
-    Returns (order, value, per-family CodeLength at the order, an empty
-    list unless MDL).
-    """
-    families = list(families)
-    if not families:
-        raise ValidationError("search_order needs at least one model family")
-    variables = [v for target, blocks in families for v in (*blocks, target)]
-    engine = LagEngine(ts, p_max, variables=variables)
-    return _search_order(engine, families, criterion, delta, scale_floor)
-
-
 def _search_order(engine, families, criterion, delta=None, scale_floor=DEFAULT_SCALE_FLOOR):
-    """:func:`search_order` on ``engine``'s one series; raises the first family's error."""
+    """The shared order 1..p_max minimising the summed curves of ``families`` on ``engine``'s one series.
+
+    This is every lag search: each caller builds the :class:`LagEngine`
+    over its variables. Each (target, blocks) family, one or more, is
+    scanned once per engine and scored at every order as an array; ties
+    go to the smaller order. Every family is resolved, and ``delta`` and
+    ``scale_floor`` read, before any is scanned; then the first family
+    that fails raises its error (see :func:`_scores`). Returns (order,
+    value, per-family CodeLength at the order, an empty list unless MDL).
+    """
     criterion = str(criterion).upper()
     if criterion not in CRITERIA:
         raise ValidationError(f"unknown criterion {criterion!r}; pick one of {CRITERIA}")
@@ -262,7 +244,8 @@ def _scores(engine, families, criterion, delta=None, scale_floor=DEFAULT_SCALE_F
     fitted = engine._families([families[j] for j in fitting], coefficients=criterion == "MDL")
     noiseless = [[False] * trials] * len(fitted)
     if criterion == "MDL" and fitted:
-        noiseless = np.array([(scan.rss <= 1e-12 * scan.response_sq[:, None]).any(axis=1) for scan in fitted]).tolist()
+        response_sq = [engine._response_sq[families[j][0]][:, None] for j in fitting]
+        noiseless = np.array([(scan.rss <= 1e-12 * sq).any(axis=1) for scan, sq in zip(fitted, response_sq)]).tolist()
     for j, scan, degenerate in zip(fitting, fitted, noiseless):
         scans[j] = scan
         if any(degenerate):
@@ -313,7 +296,9 @@ def select_order(
     p_max so values are comparable. Ties break toward the smaller order.
     Variables are given by label or index.
     """
-    order, value, _ = search_order(ts, [(target, predictors)], criterion, p_max)
+    predictors = list(predictors)
+    engine = LagEngine(ts, p_max, variables=[*predictors, target])
+    order, value, _ = _search_order(engine, [(target, predictors)], criterion)
     return CriterionScore(criterion=str(criterion).upper(), value=value, order=order)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .regression import LagEngine, ResidualCovariance, stability_check
-from .selection import search_order
+from .selection import _search_order
 from .timeseries import TimeSeriesMatrix, checked_sample_rate, checked_value, distinct_columns
 
 __all__ = [
@@ -97,7 +97,7 @@ def select_var_order(ts: TimeSeriesMatrix, x, y, p_max: int = 10) -> int:
     if xi == yi:
         raise ValidationError("x and y must be distinct variables")
     distinct_columns(ts, [xi, yi])
-    return search_order(ts, [(xi, [xi, yi]), (yi, [xi, yi])], "MDL", p_max)[0]
+    return _search_order(LagEngine(ts, p_max, variables=[xi, yi]), [(xi, [xi, yi]), (yi, [xi, yi])], "MDL")[0]
 
 
 def fit_bivariate_var(ts: TimeSeriesMatrix, x, y, order: int) -> BivariateVar:
@@ -200,18 +200,7 @@ def geweke_spectrum(
     variance is not positive is NaN throughout; for x, so are the spectra.
     """
     fs = checked_sample_rate(sample_rate_hz) or 1.0
-    freqs = np.asarray(list(frequencies_hz), dtype=float)
-    if freqs.size == 0:
-        raise ValidationError("empty frequency grid")
-    if not np.isfinite(freqs).all():
-        bad = freqs[~np.isfinite(freqs)][0]
-        raise ValidationError(f"frequency {float(bad)!r} is not finite")
-    nyquist = fs / 2.0
-    if (freqs <= 0).any() or (freqs > nyquist + 1e-12).any():
-        raise ValidationError(
-            f"frequencies must lie in (0, {nyquist}] Hz for sample rate {fs} Hz"
-        )
-
+    freqs = _checked_grid(frequencies_hz, fs)
     h, _ = _transfer(model, TWO_PI * freqs / fs)
     sigma = np.asarray(model.noise_cov.matrix, dtype=float)
     spectra = h @ sigma @ h.conj().swapaxes(1, 2)
@@ -223,6 +212,20 @@ def geweke_spectrum(
         f_x_to_y=_influence(h[:, ::-1, ::-1], sigma[::-1, ::-1]),
         spectra=spectra,
     )
+
+
+def _checked_grid(frequencies_hz, fs: float) -> np.ndarray:
+    """``frequencies_hz`` as a float array, nonempty, finite and in (0, Nyquist] for sample rate ``fs`` Hz."""
+    freqs = np.asarray(list(frequencies_hz), dtype=float)
+    if freqs.size == 0:
+        raise ValidationError("empty frequency grid")
+    if not np.isfinite(freqs).all():
+        bad = freqs[~np.isfinite(freqs)][0]
+        raise ValidationError(f"frequency {float(bad)!r} is not finite")
+    nyquist = fs / 2.0
+    if (freqs <= 0).any() or (freqs > nyquist + 1e-12).any():
+        raise ValidationError(f"frequencies must lie in (0, {nyquist}] Hz for sample rate {fs} Hz")
+    return freqs
 
 
 def default_frequency_grid(sample_rate_hz: Optional[float] = None) -> np.ndarray:

@@ -382,11 +382,6 @@ def log_variance_ratio(result: FTestResult) -> float:
     return math.log(result.rss_restricted / result.rss_unrestricted)
 
 
-def _best_code_length(engine, target, blocks, delta, scale_floor) -> CodeLength:
-    """Shortest code length over the engine's shared orders for one family."""
-    return _search_order(engine, [(target, blocks)], "MDL", delta, scale_floor)[2][0]
-
-
 def mdl_gc(
     ts: TimeSeriesMatrix,
     x,
@@ -422,8 +417,8 @@ def conditional_mdl_gc(
     """
     xi, yi, zi = _resolve(ts, x, y, z_set)
     engine = LagEngine(ts, p_max, variables=[xi, yi, *zi])
-    restricted = _best_code_length(engine, xi, [xi] + zi, delta, scale_floor)
-    unrestricted = _best_code_length(engine, xi, [xi, yi] + zi, delta, scale_floor)
+    restricted, unrestricted = (_search_order(engine, [(xi, blocks)], "MDL", delta, scale_floor)[2][0]
+                                for blocks in ([xi, *zi], [xi, yi, *zi]))
     f_nats = restricted.total - unrestricted.total
     return MdlCausality(
         f_nats=float(f_nats),
@@ -453,9 +448,8 @@ def joint_mdl_gc(
     if len({xi, yi, zi}) != 3:
         raise ValidationError("x, y, z must be three distinct variables")
     engine = LagEngine(ts, p_max, variables=[xi, yi, zi])
-    l_xy = _best_code_length(engine, xi, [xi, yi], delta, scale_floor)
-    l_xz = _best_code_length(engine, xi, [xi, zi], delta, scale_floor)
-    l_xyz = _best_code_length(engine, xi, [xi, yi, zi], delta, scale_floor)
+    l_xy, l_xz, l_xyz = (_search_order(engine, [(xi, blocks)], "MDL", delta, scale_floor)[2][0]
+                         for blocks in ([xi, yi], [xi, zi], [xi, yi, zi]))
     return JointMdlCausality(
         f_nats=float(min(l_xy.total, l_xz.total) - l_xyz.total),
         len_with_first=l_xy,

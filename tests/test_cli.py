@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,12 +251,43 @@ class TestSpectral:
         ("5,-inf", "frequency -inf is not finite"),
         ("1_0", "bad frequency '1_0'"),
         ("2:1_2", "bad frequency range '2:1_2'"),
+        ("2:" + "9" * 400, "bad frequency range '2:" + "9" * 400 + "'"),
     ])
     def test_bad_frequency_exits_2(self, freqs, message, sim_csv, tmp_path, capsys):
         assert run_cli("spectral", str(sim_csv), "--x", "node2", "--y", "node1",
                        "--sample-rate", "200", "--freqs", freqs,
                        "--out", str(tmp_path / "x.csv")) == 2
         assert f"error: {message}\n" == capsys.readouterr().err
+
+    def test_wide_range_is_refused_before_it_is_expanded(self, sim_csv, tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            code = run_cli("spectral", str(sim_csv), "--x", "node2", "--y", "node1",
+                           "--freqs", "1:2000000", "--out", str(tmp_path / "x.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == "error: frequencies must lie in (0, 0.5] Hz for sample rate 1.0 Hz\n"
+        assert peak < 5e6
+
+    def test_frequencies_are_checked_before_the_fit(self, tmp_path, capsys):
+        # a constant column fails the fit; the bad grid is named first
+        write_columns(tmp_path / "flat.csv", {"a": np.ones(50), "b": np.arange(50.0)})
+        assert run_cli("spectral", str(tmp_path / "flat.csv"), "--x", "a", "--y", "b",
+                       "--freqs", "0.7", "--out", str(tmp_path / "x.csv")) == 2
+        assert "frequencies must lie in (0, 0.5]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_empty_frequencies_exit_2(self, given, sim_csv, tmp_path, capsys):
+        argv = ["spectral", str(sim_csv), "--x", "node2", "--y", "node1", "--out", str(tmp_path / "x.csv")]
+        if given == "flag":
+            argv += ["--freqs", ""]
+        else:
+            (tmp_path / "empty.json").write_text('{"freqs": ""}')
+            argv += ["--config", str(tmp_path / "empty.json")]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == "error: no frequencies in ''\n"
 
     def test_frequencies_keep_the_order_given(self, sim_csv, tmp_path):
         out = tmp_path / "freq.csv"

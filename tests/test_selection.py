@@ -18,7 +18,6 @@ from granger_mdl.selection import (
     gaussian_loglik,
     markov_mdl,
     mdl_code_length,
-    search_order,
     select_order,
     universal_int_bits,
 )
@@ -217,10 +216,9 @@ class TestSelectOrder:
         ts = TimeSeriesMatrix(np.random.default_rng(2).standard_normal((80, 3)), ["a", "b", "c"])
         assert select_order(ts, "a", ["a", "c"], "BIC", 5) == select_order(ts, 0, [0, 2], "BIC", 5)
 
-    def test_search_needs_a_family(self):
-        ts = TimeSeriesMatrix(np.random.default_rng(2).standard_normal((80, 3)))
-        with pytest.raises(ValidationError, match="family"):
-            search_order(ts, [], "AIC", 3)
+    def test_predictors_are_read_once(self):
+        ts = TimeSeriesMatrix(np.random.default_rng(2).standard_normal((80, 3)), ["a", "b", "c"])
+        assert select_order(ts, 0, (v for v in [0, 1])) == select_order(ts, 0, [0, 1])
 
 
 class TestCodeLengthCurve:
@@ -231,9 +229,10 @@ class TestCodeLengthCurve:
             np.column_stack([ar2_series(400, seed=5).values[:, 0], rng.standard_normal(400)])
         ))
         p_max = 8
-        scan = LagEngine(ts, p_max).scan(0, [0, 1])
+        engine = LagEngine(ts, p_max)
+        scan = engine.scan(0, [0, 1])
         curve = _code_length_curve(
-            scan.coefficients[0], scan.k, scan.rss[0], scan.m, ts.n_samples, None, scale_floor
+            scan.coefficients[0], scan.k, scan.rss[0], engine.m, ts.n_samples, None, scale_floor
         )
         entries = ols_order_scan(ts, 0, [0, 1], p_max)
         for j, entry in enumerate(entries):

@@ -28,14 +28,13 @@ from granger_mdl.timedomain import (
     mdl_gc,
     similarity,
     MethodConfig,
-    _best_code_length,
     _decided,
     _f_comparison,
     _f_dof,
 )
 from granger_mdl.regression import LagEngine
 from granger_mdl.cli import main
-from granger_mdl.selection import CRITERIA, _search_order, code_length_from_stats, search_order, select_order
+from granger_mdl.selection import CRITERIA, _search_order, code_length_from_stats, select_order
 from granger_mdl.spectral import fit_bivariate_var
 from granger_mdl.timeseries import TimeSeriesMatrix, demean, save_csv
 
@@ -279,6 +278,14 @@ class TestConditionalMdl:
             - joint.len_with_both.total
         )
         assert joint.f_nats == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("network", ["3node", "5node"])
+    def test_joint_lengths_are_the_conditional_ones(self, network):
+        ts = sim3(1) if network == "3node" else demean(simulate(builtin_5node(), 1))
+        joint = joint_mdl_gc(ts, 0, 1, 2, p_max=5)
+        conditional = conditional_mdl_gc(ts, 0, 1, [2], p_max=5)
+        assert joint.len_with_both == conditional.unrestricted_len
+        assert joint.len_with_second == conditional.restricted_len
 
     def test_overlapping_conditioning_rejected(self):
         ts = sim3(7)
@@ -706,8 +713,8 @@ def one_engine_loop(ts, method, p_max, alpha=0.05):
                 if method == "mdl":
                     # the pairwise saving, then where it is positive the conditional one
                     for given_ in ([], rest):
-                        saving = (_best_code_length(engine, i, [i, *given_], None, 1.0).total
-                                  - _best_code_length(engine, i, [i, j, *given_], None, 1.0).total)
+                        saving = (_search_order(engine, [(i, [i, *given_])], "MDL")[2][0].total
+                                  - _search_order(engine, [(i, [i, j, *given_])], "MDL")[2][0].total)
                         if saving <= 0.0 or not rest:
                             break
                     adjacency[j, i], weight[j, i] = saving > 0.0, saving
@@ -975,18 +982,18 @@ class TestOneFailureRule:
         # the first family alone raises "column x.lag2" RankDeficiencyError
         ts = near_copy(1e-10)
         with pytest.raises(RankDeficiencyError, match=r"x\.lag2"):
-            search_order(ts, [("x", ["x", "y"])], "MDL", 2)
+            _search_order(LagEngine(ts, 2), [("x", ["x", "y"])], "MDL")
         with pytest.raises(ValidationError, match="distinct and non-empty"):
-            search_order(ts, [("x", ["x", "y"]), ("x", ["x", "x"])], "MDL", 2)
+            _search_order(LagEngine(ts, 2), [("x", ["x", "y"]), ("x", ["x", "x"])], "MDL")
 
     @pytest.mark.parametrize("criterion", CRITERIA)
     def test_bad_delta_raises_before_any_family_fails(self, criterion):
         # order 1 leaves no residual and x.lag2 is x.lag1 / 0.9
         ts = TimeSeriesMatrix((0.9 ** np.arange(80.0))[:, None], ["x"])
         with pytest.raises(DegenerateFitError if criterion == "MDL" else RankDeficiencyError):
-            search_order(ts, [("x", ["x"])], criterion, 3)
+            _search_order(LagEngine(ts, 3), [("x", ["x"])], criterion)
         with pytest.raises(ValidationError, match=r"\bdelta\b"):
-            search_order(ts, [("x", ["x"])], criterion, 3, delta=-1.0)
+            _search_order(LagEngine(ts, 3), [("x", ["x"])], criterion, delta=-1.0)
 
 
 class TestFScaleInvariance:
