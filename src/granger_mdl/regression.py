@@ -408,17 +408,16 @@ class LagEngine:
                 self._lag_inverse = np.array([r_inv for r_inv, _ in inverses])
                 self._full_families(self._lag_inverse)
 
-    def scan(self, target, block_vars: Sequence, orders: int = None) -> NestedScan:
+    def scan(self, target, block_vars: Sequence) -> NestedScan:
         """The family {order n: every block gets lags 1..n}: its memo entry, with the trial axis.
 
         Orders 1..min(p_max, (m - 1) // b) are fitted, stopping before the
-        first rank-broken one, whose error ``rank_error`` holds. ``orders``
-        (default p_max) is the highest order the caller reads; a window
-        with no more rows than its b*orders columns would interpolate the
-        data and is a ValidationError.
+        first rank-broken one, whose error ``rank_error`` holds. A window
+        with no more rows than the b*p_max columns at p_max would
+        interpolate the data and is a ValidationError.
         """
         target, blocks = self._family(target, block_vars)
-        error = self._underdetermined(len(blocks), self.p_max if orders is None else orders)
+        error = self._underdetermined(len(blocks), self.p_max)
         if error is not None:
             raise error
         return self._families([(target, blocks)])[0]
@@ -613,6 +612,7 @@ def ols_order_scan(
     Coefficients are put back in the predictor-major order used by
     :func:`build_design`.
     """
+    block_vars = list(block_vars)
     engine = LagEngine(ts, p_max, [*block_vars, target])
     scan = engine.scan(target, block_vars)
     if scan.rank_error is not None:

@@ -308,9 +308,16 @@ def universal_int_bits(j: int) -> float:
     log2 j + 2 log2(log2(j+1) + 1) + 1. Any fixed monotone choice gives
     the same model selections; this one is documented and kept stable.
     """
+    j = checked_value(j, int, "j")
     if j < 1:
         raise ValidationError(f"universal integer code needs j >= 1, got {j}")
     return math.log2(j) + 2.0 * math.log2(math.log2(j + 1) + 1.0) + 1.0
+
+
+def _count_bits(n1, n0, theta):
+    """-n1 log2(theta) - n0 log2(1 - theta) elementwise: 0 for a count of 0, +inf where a seen symbol has probability 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(n1 > 0, -n1 * np.log2(theta), 0.0) + np.where(n0 > 0, -n0 * np.log2(1.0 - theta), 0.0)
 
 
 def bernoulli_code_length(bits: Sequence[int], theta: float) -> float:
@@ -323,32 +330,30 @@ def bernoulli_code_length(bits: Sequence[int], theta: float) -> float:
     arr = _as_bits(bits)
     n1 = int(arr.sum())
     n0 = arr.size - n1
+    theta = checked_value(theta, float, "theta")
     if not 0.0 <= theta <= 1.0:
         raise ValidationError(f"theta must be in [0, 1], got {theta}")
     if theta == 0.0 and n1 > 0:
         raise ValidationError("observed symbol 1 with theta = 0: zero-probability symbol")
     if theta == 1.0 and n0 > 0:
         raise ValidationError("observed symbol 0 with theta = 1: zero-probability symbol")
-    bits_total = 0.0
-    if n1 > 0:
-        bits_total -= n1 * math.log2(theta)
-    if n0 > 0:
-        bits_total -= n0 * math.log2(1.0 - theta)
-    return bits_total
+    return float(_count_bits(n1, n0, theta))
 
 
 def markov_mdl(bits: Sequence[int], gamma_max: int, d_max: int) -> MarkovMdlResult:
     """Select a binary chain order and parameter precision by total bits.
 
-    Exhaustively scores context orders gamma in 0..gamma_max (so k =
-    2^gamma contexts) and precisions d in 1..d_max. For each pair the
+    Scores context orders gamma in 0..gamma_max (so k = 2^gamma
+    contexts) and precisions d in 1..d_max. For each pair the
     maximum-likelihood conditional probabilities are snapped to the
     nearest point of the (1/2^d)-step grid on [0, 1]; the data term
     charges gamma bits for the unmodelled prefix plus the exact
     conditional code of the rest; the model term is k*d plus universal
     integer codes for k and d. Ties break toward the smaller (gamma, d).
+    The search stops once no larger gamma can cost less.
     """
     arr = _as_bits(bits)
+    gamma_max, d_max = checked_value(gamma_max, int, "gamma_max"), checked_value(d_max, int, "d_max")
     if arr.size == 0:
         raise ValidationError("empty sequence")
     if gamma_max < 0:
@@ -356,47 +361,25 @@ def markov_mdl(bits: Sequence[int], gamma_max: int, d_max: int) -> MarkovMdlResu
     if d_max < 1:
         raise ValidationError(f"d_max must be >= 1, got {d_max}")
     if arr.size <= gamma_max:
-        raise ValidationError(
-            f"sequence length {arr.size} must exceed gamma_max {gamma_max}"
-        )
+        raise ValidationError(f"sequence length {arr.size} must exceed gamma_max {gamma_max}")
 
-    best = None
+    best = MarkovMdlResult(k=0, d=0, theta_hat=np.empty(0), total_bits=math.inf)
     for gamma in range(gamma_max + 1):
         k = 2 ** gamma
+        # the total below with no data bits and d = 1, summed alike: no total at gamma or above is less
+        if best.total_bits <= gamma + 0.0 + k + universal_int_bits(k) + universal_int_bits(1):
+            break
         n0_ctx, n1_ctx = _context_counts(arr, gamma)
         totals = n0_ctx + n1_ctx
-        with np.errstate(invalid="ignore"):
-            theta_ml = np.where(totals > 0, n1_ctx / np.maximum(totals, 1), 0.5)
+        theta_ml = np.where(totals > 0, n1_ctx / np.maximum(totals, 1), 0.5)
         for d in range(1, d_max + 1):
             cells = float(2 ** d)
             theta_q = np.round(theta_ml * cells) / cells
-            data_bits = float(gamma)
-            ok = True
-            for ctx in range(k):
-                n1 = int(n1_ctx[ctx])
-                n0 = int(n0_ctx[ctx])
-                tq = float(theta_q[ctx])
-                if n1 > 0:
-                    if tq == 0.0:
-                        ok = False
-                        break
-                    data_bits -= n1 * math.log2(tq)
-                if n0 > 0:
-                    if tq == 1.0:
-                        ok = False
-                        break
-                    data_bits -= n0 * math.log2(1.0 - tq)
-            if not ok:
-                continue
-            total = data_bits + k * d + universal_int_bits(k) + universal_int_bits(d)
-            if best is None or total < best.total_bits:
-                best = MarkovMdlResult(
-                    k=k, d=d, theta_hat=theta_q.copy(), total_bits=float(total)
-                )
-    if best is None:
-        raise ValidationError(
-            "no admissible (order, precision) pair: increase d_max"
-        )
+            total = gamma + _count_bits(n1_ctx, n0_ctx, theta_q).sum() + k * d + universal_int_bits(k) + universal_int_bits(d)
+            if total < best.total_bits:  # an inadmissible pair's total is inf
+                best = MarkovMdlResult(k=k, d=d, theta_hat=theta_q, total_bits=float(total))
+    if best.total_bits == math.inf:
+        raise ValidationError("no admissible (order, precision) pair: increase d_max")
     return best
 
 

@@ -260,3 +260,49 @@ def context_counts_by_loop(arr, gamma):
                 n0[ctx] += 1
         ctx = ((ctx << 1) | int(arr[i])) & mask
     return n0, n1
+
+
+def universal_bits(j):
+    """log2 j + 2 log2(log2(j+1) + 1) + 1, the package's universal integer code, on Python floats."""
+    return math.log2(j) + 2.0 * math.log2(math.log2(j + 1) + 1.0) + 1.0
+
+
+def count_bits_by_terms(n1, n0, theta):
+    """-n1 log2(theta) - n0 log2(1 - theta) term by term, or None where a seen symbol has probability 0."""
+    if (n1 > 0 and theta == 0.0) or (n0 > 0 and theta == 1.0):
+        return None
+    bits = 0.0
+    if n1 > 0:
+        bits -= n1 * math.log2(theta)
+    if n0 > 0:
+        bits -= n0 * math.log2(1.0 - theta)
+    return bits
+
+
+def markov_mdl_by_loop(arr, gamma_max, d_max):
+    """(k, d, theta_hat, total_bits) of the binary-chain search, every context and pair one at a time.
+
+    Every (gamma, d) is scored, with no early stop: gamma bits for the
+    prefix plus each context's count code, then k*d and the universal
+    codes of k and d; a strictly smaller total replaces the best. None if
+    no pair is admissible.
+    """
+    best = None
+    for gamma in range(gamma_max + 1):
+        k = 2 ** gamma
+        n0_ctx, n1_ctx = context_counts_by_loop(arr, gamma)
+        for d in range(1, d_max + 1):
+            cells = float(2 ** d)
+            theta_q = [round(n1 / (n0 + n1) * cells) / cells if n0 + n1 else 0.5
+                       for n0, n1 in zip(n0_ctx, n1_ctx)]
+            data_bits = float(gamma)
+            for n0, n1, theta in zip(n0_ctx, n1_ctx, theta_q):
+                bits = count_bits_by_terms(n1, n0, theta)
+                if bits is None:
+                    break
+                data_bits += bits
+            else:
+                total = data_bits + k * d + universal_bits(k) + universal_bits(d)
+                if best is None or total < best[3]:
+                    best = (k, d, np.array(theta_q), total)
+    return best

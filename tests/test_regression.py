@@ -306,6 +306,14 @@ class TestOrderScan:
         with pytest.raises(ValidationError):
             ols_order_scan(ts, target, blocks, 3)
 
+    def test_scan_reads_the_blocks_once(self):
+        ts = TimeSeriesMatrix(np.random.default_rng(4).standard_normal((80, 3)))
+        by_generator, by_list = ols_order_scan(ts, 0, (v for v in [0, 1]), 3), ols_order_scan(ts, 0, [0, 1], 3)
+        assert len(by_generator) == len(by_list) == 3
+        for got, want in zip(by_generator, by_list):
+            np.testing.assert_array_equal(got.coefficients, want.coefficients)
+            assert (got.order, got.k, got.rss, got.m, got.response_sq) == (want.order, want.k, want.rss, want.m, want.response_sq)
+
     def test_scan_resolves_labels(self):
         ts = TimeSeriesMatrix(np.random.default_rng(4).standard_normal((60, 3)), ["a", "b", "c"])
         by_label = LagEngine(ts, 3).scan("a", ["a", "c"])
@@ -314,8 +322,8 @@ class TestOrderScan:
 
 
 def check_engine_scan(engine, target, blocks, orders):
-    """Every order of an engine scan against a fresh ols_fit, to 1e-10."""
-    scan = engine.scan(target, blocks, orders)
+    """Every order 1..orders of an engine scan against a fresh ols_fit, to 1e-10."""
+    scan = engine.scan(target, blocks) if orders == engine.p_max else engine._families([(target, blocks)])[0]
     ordered = sorted(blocks)  # the engine's default order is ascending
     b = len(blocks)
     assert scan.rss.shape == (1, orders)
@@ -350,7 +358,7 @@ class TestLagEngine:
         engine = LagEngine(self.panel(200, 5, 6), 6)
         first = engine.scan(2, [4, 2, 0])
         assert engine.scan("v2", [0, 2, 4]) is first
-        assert engine.scan(2, [2, 0, 4], orders=3) is first
+        assert engine._families([(2, [2, 0, 4])])[0] is first
         assert engine.scan(1, [4, 2, 0]) is not first
         check_engine_scan(engine, 2, [0, 2, 4], 6)
 
@@ -369,8 +377,6 @@ class TestLagEngine:
         engine = LagEngine(self.panel(100, 12, 8), 10)
         with pytest.raises(ValidationError, match="underdetermined"):
             engine.scan(0, list(range(12)))
-        with pytest.raises(ValidationError, match="underdetermined"):
-            engine.scan(0, list(range(12)), orders=8)
         check_engine_scan(engine, 0, list(range(12)), 7)
 
     def test_residual_covariance_matches_direct_fits(self):
@@ -393,7 +399,8 @@ def families_from_both_routes(ts, p_max, orders=None):
     for target in range(nv):
         for dropped in [None, *range(nv)]:
             blocks = [v for v in range(nv) if v != dropped]
-            yield engine, engine.scan(target, blocks, orders), sliced._scan(target, blocks)
+            scan = engine.scan(target, blocks) if orders is None else engine._families([(target, blocks)])[0]
+            yield engine, scan, sliced._scan(target, blocks)
 
 
 def assert_same_scan(a, b):

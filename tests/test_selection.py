@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from granger_mdl.selection import (
 )
 from granger_mdl.timeseries import TimeSeriesMatrix, demean
 
-from oracles import code_length_by_terms, context_counts_by_loop, gaussian_loglik_by_sum
+from oracles import (
+    code_length_by_terms,
+    context_counts_by_loop,
+    count_bits_by_terms,
+    gaussian_loglik_by_sum,
+    markov_mdl_by_loop,
+)
 
 
 def ar2_series(n_samples, seed, noise_var=0.25):
@@ -288,6 +295,22 @@ class TestBernoulli:
     def test_matching_degenerate_theta_is_free(self):
         assert bernoulli_code_length([1, 1, 1], 1.0) == 0.0
 
+    @pytest.mark.parametrize("bits", [[], [0, 0], [1, 1, 1], [1, 0, 1, 1, 0], "random"])
+    def test_matches_the_terms_on_a_theta_grid(self, bits):
+        if bits == "random":
+            bits = np.random.default_rng(5).integers(0, 2, 500).tolist()
+        n1 = sum(bits)
+        for theta in np.linspace(0.0, 1.0, 1001).tolist():
+            want = count_bits_by_terms(n1, len(bits) - n1, theta)
+            if want is None:
+                symbol = 1 if theta == 0.0 else 0
+                with pytest.raises(ValidationError, match=f"observed symbol {symbol} with theta = {theta:g}: "):
+                    bernoulli_code_length(bits, theta)
+                continue
+            got = bernoulli_code_length(bits, theta)
+            assert type(got) is float and math.copysign(1.0, got) == 1.0  # never -0.0
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
     def test_expected_length_minimised_at_true_theta(self):
         # cross-entropy N * H(theta*, theta) is minimised at theta = theta*
         grid = np.round(np.linspace(0.05, 0.95, 19), 2)
@@ -339,6 +362,63 @@ class TestMarkovMdl:
         for got, want in zip(counts, looped):
             assert got.dtype == want.dtype and got.shape == want.shape
             np.testing.assert_array_equal(got, want)
+
+    @given(size=st.integers(1, 400), p_one=st.floats(0.0, 1.0), period=st.integers(0, 5),
+           gamma=st.integers(0, 4), d_max=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_context_loop(self, size, p_one, period, gamma, d_max, seed):
+        # period 0 draws bits at rate p_one; else the first period draws repeat
+        rng = np.random.default_rng(seed)
+        bits = np.resize(rng.random(period or size) < p_one, size)
+        self.check_against_the_loop(bits, min(gamma, size - 1), d_max)
+
+    @given(size=st.integers(1, 64), p_one=st.floats(0.0, 1.0), gamma=st.integers(0, 10),
+           d_max=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
+    def test_early_stop_keeps_the_selection(self, size, p_one, gamma, d_max, seed):
+        bits = np.random.default_rng(seed).random(size) < p_one
+        self.check_against_the_loop(bits, min(gamma, size - 1), d_max)
+
+    @staticmethod
+    def check_against_the_loop(bits, gamma_max, d_max):
+        want = markov_mdl_by_loop(_as_bits(bits), gamma_max, d_max)
+        if want is None:
+            with pytest.raises(ValidationError, match="no admissible"):
+                markov_mdl(bits, gamma_max, d_max)
+            return
+        got = markov_mdl(bits, gamma_max, d_max)
+        assert (got.k, got.d) == want[:2]
+        np.testing.assert_array_equal(got.theta_hat, want[2])
+        assert got.total_bits == pytest.approx(want[3], rel=1e-12, abs=0.0)
+
+    def test_orders_past_the_data_are_not_counted(self):
+        # 2^9 contexts cost more than 100 bits at one bit each, so gamma 9..70 cannot win
+        bits = np.random.default_rng(0).random(100) < 0.5
+        tracemalloc.start()
+        try:
+            got = markov_mdl(bits, 70, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        want = markov_mdl_by_loop(_as_bits(bits), 8, 1)
+        assert (got.k, got.d, got.total_bits) == (want[0], want[1], pytest.approx(want[3], rel=1e-12))
+
+    @pytest.mark.parametrize("function, args, name", [
+        (universal_int_bits, (2.5,), "j"),
+        (universal_int_bits, (True,), "j"),
+        (markov_mdl, ([0, 1] * 8, 2.5, 3), "gamma_max"),
+        (markov_mdl, ([0, 1] * 8, 2, "3"), "d_max"),
+        (bernoulli_code_length, ([0, 1], "0.5"), "theta"),
+        (bernoulli_code_length, ([0, 1], True), "theta"),
+    ], ids=["j-fraction", "j-bool", "gamma_max-fraction", "d_max-string", "theta-string", "theta-bool"])
+    def test_inputs_are_read_by_the_value_rule(self, function, args, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be "):
+            function(*args)
+
+    def test_whole_floats_read_as_integers(self):
+        bits = [0, 1] * 8
+        assert universal_int_bits(2.0) == universal_int_bits(2)
+        got, want = markov_mdl(bits, 2.0, 3.0), markov_mdl(bits, 2, 3)
+        assert (got.k, got.d, got.total_bits) == (want.k, want.d, want.total_bits)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

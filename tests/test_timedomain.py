@@ -721,7 +721,9 @@ def one_engine_loop(ts, method, p_max, alpha=0.05):
                 else:
                     n = _search_order(engine, [(i, [i] + rest)], "AIC")[0]
                     restricted = engine.scan(i, [i] + rest)
-                    unrestricted = engine.scan(i, [i, j] + rest, orders=n)
+                    if (error := engine._underdetermined(nv, n)) is not None:
+                        raise error
+                    unrestricted = engine._families([(i, [i, j] + rest)])[0]
                     if unrestricted.rss.shape[1] < n:
                         raise unrestricted.rank_error
                     result = _f_comparison(restricted.rss[0, n - 1], unrestricted.rss[0, n - 1], n,
