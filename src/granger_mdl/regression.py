@@ -173,7 +173,7 @@ def ols_fit(design: np.ndarray, response: np.ndarray) -> OlsFit:
     if k == 0:
         raise ValidationError("design has no columns")
 
-    _, _, coef, rank_error = _fit_prefixes(_qr_r(np.column_stack([X, y])), np.array([k]), str)
+    _, coef, rank_error = _fit_prefixes(_qr_r(np.column_stack([X, y])), np.array([k]), str)
     if rank_error is not None:
         raise rank_error
     coef = coef[:, 0]
@@ -243,11 +243,11 @@ class OrderScanEntry:
     response_sq: float
 
 
-# Orders 1..n of one family (see LagEngine.scan): ``coefficients`` (trial,
-# row, order), ``k`` each order's column count, ``rss`` (trial, order) and
-# ``rank_error``, the first rank-broken order's error or None. ``coefficients``
-# is None only for a drop-one family asked for its residual sums alone.
-NestedScan = namedtuple("NestedScan", "coefficients k rss rank_error", defaults=(None,))
+# Orders 1..n of a family of b blocks, order n having b n columns (see LagEngine.scan):
+# ``coefficients`` (trial, row, order), ``rss`` (trial, order) and ``rank_error``, the
+# first rank-broken order's error or None. ``coefficients`` is None only for a
+# drop-one family asked for its residual sums alone.
+NestedScan = namedtuple("NestedScan", "coefficients rss rank_error", defaults=(None,))
 
 
 def _qr_r(a: np.ndarray) -> np.ndarray:
@@ -277,7 +277,7 @@ def _fit_prefixes(factor: np.ndarray, sizes: np.ndarray, label):
     ``factor`` is R of [X | y], so its last column is Q'y. The first
     column with a zero pivot or 1/kappa_1 (see :func:`_inverse`) below
     RANK_TOL breaks the rank, and the sizes reaching it are dropped.
-    Returns (sizes that fit, their rss, their coefficients in columns,
+    Returns (the rss of the sizes that fit, their coefficients in columns,
     zero below each size, None or a RankDeficiencyError naming the column
     by ``label(index)``).
     """
@@ -294,8 +294,7 @@ def _fit_prefixes(factor: np.ndarray, sizes: np.ndarray, label):
             f"(1-norm condition number {condition:.3g} > {1 / RANK_TOL:g})", columns=[k])
         sizes = sizes[sizes <= k]
     tail = factor[width:, width]
-    rss, coefficients = _prefix_fits(r_inv, factor[:width, width], tail @ tail, sizes)
-    return sizes, rss, coefficients, rank_error
+    return _prefix_fits(r_inv, factor[:width, width], tail @ tail, sizes) + (rank_error,)
 
 
 def _through_blocks(per_block):
@@ -502,9 +501,9 @@ class LagEngine:
         factor = self._r[0][:, index + [nv * self.p_max + self._position[target]]]
         if index != list(range(len(index))):
             factor = _qr_r(factor)
-        kk, rss, coefficients, rank_error = _fit_prefixes(
+        rss, coefficients, rank_error = _fit_prefixes(
             factor, b * np.arange(1, n_fit + 1), lambda j: f"{self.ts.labels[columns[j][0]]}.lag{columns[j][1] + 1}")
-        return NestedScan(coefficients[None], kk, rss[None], rank_error)
+        return NestedScan(coefficients[None], rss[None], rank_error)
 
     def _full_families(self, r_inv):
         """Each target's full family, for every trial: :func:`_prefix_fits` on the shared R_L^-1."""
@@ -515,7 +514,7 @@ class LagEngine:
         tail_sq = np.array([[q[width:] @ q[width:] for q in target_qty] for target_qty in qty])
         for pos, target in enumerate(self.variables):
             rss, coefficients = _prefix_fits(r_inv, qty[pos, :, :width], tail_sq[pos], sizes)
-            self._memo[target, tuple(self.variables)] = NestedScan(coefficients, sizes, rss)
+            self._memo[target, tuple(self.variables)] = NestedScan(coefficients, rss)
 
     def _drop_one_families(self, formed):
         """Every (target, all but x) family, from the full ones by the Schur complement.
@@ -549,10 +548,9 @@ class LagEngine:
             # the added rss is a quadratic form, nothing to cancel
             added = np.maximum(np.einsum("nsxit,nsxit->sxtn", b_d, g), 0.0)
             rss = np.stack([scan.rss for scan in full], axis=1)[:, None] + added  # (trial, x, target, order)
-            sizes = (nv - 1) * np.arange(1, p + 1)
             for x, family in enumerate(families):
                 for pos, target in enumerate(self.variables):
-                    self._memo[target, family] = NestedScan(None, sizes, rss[:, x, pos])
+                    self._memo[target, family] = NestedScan(None, rss[:, x, pos])
             self._schur = blocks, d, g, b.reshape(trials, p, nv, p, nv)  # b as (trial, lag, v, order, target)
         blocks, d, g, b_rows = self._schur
         for x, family in enumerate(families):
@@ -598,7 +596,7 @@ class LagEngine:
         r_inv[..., np.tri(k, k, -1, dtype=bool)] = 0.0
         rss, coefficients = _prefix_fits(r_inv, qty[..., :k], qty[..., k] ** 2, sizes)
         for key, family_rss, family_coefficients in zip(keys, rss, coefficients):
-            self._memo[key] = NestedScan(family_coefficients, sizes, family_rss)
+            self._memo[key] = NestedScan(family_coefficients, family_rss)
 
 
 def ols_order_scan(

@@ -223,54 +223,50 @@ def _search_order(engine, families, criterion, delta=None, scale_floor=DEFAULT_S
 
 
 def _scores(engine, families, criterion, delta=None, scale_floor=DEFAULT_SCALE_FLOOR):
-    """(scans, errors, rows) of the (target, blocks) ``families`` of ``engine``, in engine columns.
+    """(rss, errors, rows) of the (target, blocks) ``families`` of ``engine``, in engine columns.
 
     ``errors[j, t]`` is family j's error in trial t or None, by the one
     failure rule: the engine's ValidationError in every trial if the family
     would interpolate the window at p_max (it then has no scan); under MDL,
     a DegenerateFitError in each trial with an order whose rss <= 1e-12
-    y'y; else the scan's rank error (one-series engines only). ``rows`` is
-    (row, family, trial, order): the criterion over orders 1..p_max, and
-    under MDL every :func:`_code_length_curve` row, NaN where ``errors``
-    is not None. The families some trial scores are scored together, every
-    (family, trial, order) one column of one array.
+    y'y; else the scan's rank error (one-series engines only). ``rss`` is
+    (family, trial, order) and ``rows`` (row, family, trial, order): the
+    criterion over orders 1..p_max, and under MDL every
+    :func:`_code_length_curve` row. Both are NaN exactly where ``errors``
+    is not None. A family of b blocks has b n coefficients at order n, and
+    every (family, trial, order) is one column of one scoring call.
     """
-    trials = len(engine._series)
-    scans = [None] * len(families)
-    errors = np.full((len(families), trials), None)
-    for j, (_, blocks) in enumerate(families):
-        errors[j] = engine._underdetermined(len(blocks), engine.p_max)
-    fitting = [j for j in range(len(families)) if errors[j, 0] is None]
-    fitted = engine._families([families[j] for j in fitting], coefficients=criterion == "MDL")
-    noiseless = [[False] * trials] * len(fitted)
-    if criterion == "MDL" and fitted:
-        response_sq = [engine._response_sq[families[j][0]][:, None] for j in fitting]
-        noiseless = np.array([(scan.rss <= 1e-12 * sq).any(axis=1) for scan, sq in zip(fitted, response_sq)]).tolist()
-    for j, scan, degenerate in zip(fitting, fitted, noiseless):
-        scans[j] = scan
-        if any(degenerate):
-            errors[j, degenerate] = DegenerateFitError(_NOISELESS)
-        elif scan.rank_error is not None:
+    mdl, p = criterion == "MDL", engine.p_max
+    width = [len(blocks) for _, blocks in families]
+    errors = np.full((len(families), len(engine._series)), None)
+    for j, b in enumerate(width):
+        errors[j] = engine._underdetermined(b, p)
+    fitting = [j for j, error in enumerate(errors[:, 0]) if error is None]
+    rss = np.full(errors.shape + (p,), np.nan)
+    # zero rows past a family's own coefficients are never priced
+    coefficients = np.zeros((max(width, default=0) * p,) + rss.shape) if mdl else None
+    for j, scan in zip(fitting, engine._families([families[j] for j in fitting], coefficients=mdl)):
+        if mdl:
+            noiseless = (scan.rss <= 1e-12 * engine._response_sq[families[j][0]][:, None]).any(axis=1)
+            errors[j, noiseless] = DegenerateFitError(_NOISELESS)
+        if scan.rank_error is None:
+            rss[j] = scan.rss
+            if mdl:
+                coefficients[:scan.coefficients.shape[1], j] = scan.coefficients.transpose(1, 0, 2)
+        elif errors[j, 0] is None:  # a rank error is a one-series engine's, unless its trial is noiseless
             errors[j] = scan.rank_error
     failed = np.not_equal(errors, None)
-    scored = np.flatnonzero(~failed.all(axis=1))
-    rows = np.full((6 if criterion == "MDL" else 1, len(families), trials, engine.p_max), np.nan)
-    if scored.size:
-        rss = np.array([scans[j].rss for j in scored])  # (family, trial, order)
-        rss[failed[scored]] = np.nan
-        k = np.repeat(np.array([scans[j].k for j in scored]), trials, axis=0).ravel()
-        if criterion == "MDL":
-            # zero rows past a family's own coefficients are never priced
-            coefficients = np.zeros((max(scans[j].coefficients.shape[1] for j in scored),) + rss.shape)
-            for column, j in enumerate(scored):
-                coefficients[:scans[j].coefficients.shape[1], column] = scans[j].coefficients.transpose(1, 0, 2)
-            curve = _code_length_curve(coefficients.reshape(coefficients.shape[0], -1), k, rss.ravel(),
-                                       engine.m, engine.ts.n_samples, delta, scale_floor)
-        else:
-            loglik = gaussian_loglik(rss.ravel(), engine.m)
-            curve = (aic(loglik, k) if criterion == "AIC" else bic(loglik, k, engine.m))[None]
-        rows[:, scored] = curve.reshape((-1,) + rss.shape)
-    return scans, errors, rows
+    rss[failed] = np.nan
+    k = np.broadcast_to(np.array(width)[:, None, None] * np.arange(1, p + 1), rss.shape).ravel()
+    if mdl:
+        curve = _code_length_curve(coefficients.reshape(len(coefficients), rss.size), k, rss.ravel(),
+                                   engine.m, engine.ts.n_samples, delta, scale_floor)
+    else:
+        loglik = gaussian_loglik(rss.ravel(), engine.m)
+        curve = (aic(loglik, k) if criterion == "AIC" else bic(loglik, k, engine.m))[None]
+    rows = curve.reshape(curve.shape[:1] + rss.shape)
+    rows[:, failed] = np.nan
+    return rss, errors, rows
 
 
 def _first_errors(table: np.ndarray) -> np.ndarray:
@@ -350,7 +346,8 @@ def markov_mdl(bits: Sequence[int], gamma_max: int, d_max: int) -> MarkovMdlResu
     charges gamma bits for the unmodelled prefix plus the exact
     conditional code of the rest; the model term is k*d plus universal
     integer codes for k and d. Ties break toward the smaller (gamma, d).
-    The search stops once no larger gamma can cost less.
+    The search stops once no larger gamma can cost less, or, with no pair
+    admissible yet, before counting more than max(n, 2^16) contexts.
     """
     arr = _as_bits(bits)
     gamma_max, d_max = checked_value(gamma_max, int, "gamma_max"), checked_value(d_max, int, "d_max")
@@ -368,6 +365,8 @@ def markov_mdl(bits: Sequence[int], gamma_max: int, d_max: int) -> MarkovMdlResu
         k = 2 ** gamma
         # the total below with no data bits and d = 1, summed alike: no total at gamma or above is less
         if best.total_bits <= gamma + 0.0 + k + universal_int_bits(k) + universal_int_bits(1):
+            break
+        if best.total_bits == math.inf and k > max(arr.size, 2 ** 16):
             break
         n0_ctx, n1_ctx = _context_counts(arr, gamma)
         totals = n0_ctx + n1_ctx

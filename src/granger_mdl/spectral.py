@@ -48,7 +48,8 @@ class BivariateVar:
 
     a_mats holds A_1..A_n with A_0 = I implied, so each A_l is the
     negated matrix of regression coefficients at lag l. noise_cov is
-    the contemporaneous residual covariance [[var_x, cov], [cov, var_y]].
+    the contemporaneous residual covariance [[var_x, cov], [cov, var_y]], a
+    ResidualCovariance. ``order`` >= 1 is read by :func:`checked_value`.
     """
 
     order: int
@@ -56,13 +57,18 @@ class BivariateVar:
     noise_cov: ResidualCovariance
 
     def __init__(self, order, a_mats, noise_cov):
+        order = checked_value(order, int, "order")
+        if order < 1:
+            raise ValidationError(f"order must be >= 1, got {order}")
+        if not isinstance(noise_cov, ResidualCovariance):
+            raise ValidationError(f"noise_cov must be a ResidualCovariance, got {type(noise_cov).__name__}")
         a_mats = tuple(np.asarray(a, dtype=float) for a in a_mats)
         if len(a_mats) != order:
             raise ValidationError(f"{len(a_mats)} lag matrices for order {order}")
         for a in a_mats:
             if a.shape != (2, 2) or not np.isfinite(a).all():
                 raise ValidationError("lag matrices must be finite 2x2 arrays")
-        object.__setattr__(self, "order", int(order))
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "a_mats", a_mats)
         object.__setattr__(self, "noise_cov", noise_cov)
 

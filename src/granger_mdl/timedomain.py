@@ -364,7 +364,7 @@ def conditional_f_test_gc(
     design, response = build_design(ts, spec, start)
     d2 = _f_dof(*design.shape)
     labels = [f"{ts.labels[v]}.lag{ell}" for v, lags in spec.predictors for ell in range(1, lags + 1)]
-    _, rss, _, rank_error = _fit_prefixes(
+    rss, _, rank_error = _fit_prefixes(
         _qr_r(np.column_stack([design, response])), np.array([len(labels) - q, len(labels)]), labels.__getitem__)
     if rank_error is not None:
         raise rank_error
@@ -510,13 +510,14 @@ def _f_edges(engine, cfg):
     trial: its rss at n against the full family's, on (n, m - V n - 1)
     degrees of freedom, as :func:`conditional_f_test_gc` with p = q = r = n
     on the engine's window. Only orders up to n of the full family need
-    fit the window. A trial's error is the first that the per-edge
+    fit the window. The restricted rss is :func:`_scores`', so an edge whose
+    search fails has a NaN F. A trial's error is the first that the per-edge
     traversal meets (see :func:`_first_errors`): the order search, the full
     family's window and rank, then the degrees of freedom.
     """
     nv, m = len(engine.variables), engine.m
     targets, sources = np.nonzero(~np.eye(nv, dtype=bool))
-    scans, errors, (rows, *_) = _scores(
+    rss, errors, (rows, *_) = _scores(
         engine, [(i, [v for v in range(nv) if v != j]) for i, j in zip(targets, sources)],
         cfg.order_criterion,
     )
@@ -538,14 +539,8 @@ def _f_edges(engine, cfg):
         table[e, 2, t] = full[targets[e]].rank_error
     for e, t in zip(*np.nonzero(d2 < 1)):
         table[e, 3, t] = ValidationError(_FEW_DOF.format(d2[e, t]))
-    trial_errors = _first_errors(table)
-    if np.equal(trial_errors, None).any():
-        # a trial without an error reads every family's scan, each of all p_max orders
-        rss_r = np.array([scan.rss for scan in scans])[np.arange(targets.size)[:, None], trials, n - 1]
-        f_value, p_value, _ = _f_values(rss_r, rss_u, n, d2)
-    else:
-        f_value, p_value = np.zeros(n.shape), np.ones(n.shape)
-    return _as_matrices(nv, sources, targets, p_value < cfg.alpha, f_value) + (trial_errors,)
+    f_value, p_value, _ = _f_values(rss[np.arange(targets.size)[:, None], trials, n - 1], rss_u, n, d2)
+    return _as_matrices(nv, sources, targets, p_value < cfg.alpha, f_value) + (_first_errors(table),)
 
 
 def _decided(engine, cfg: MethodConfig):

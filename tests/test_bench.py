@@ -863,3 +863,38 @@ class TestStackedChunk:
             for scan in engine._memo.values():
                 assert scan.rss.shape[0] == trials
                 assert scan.coefficients is None or scan.coefficients.shape[0] == trials
+
+
+SPEC = {"n_nodes": 2, "coefficients": [[0, 1, 1, 0.5]], "noise_variances": [0.1, 0.1],
+        "total_len": 50, "burn_in": 10, "initial_values": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("env, call, message", [
+    (None, lambda: NetworkSpec(**{**SPEC, "n_nodes": 0}), "n_nodes must be >= 1"),
+    (None, lambda: NetworkSpec(**{**SPEC, "noise_variances": [0.1]}), "1 noise variances for 2 nodes"),
+    (None, lambda: NetworkSpec(**{**SPEC, "noise_variances": [0.1, [0.3, 0.2]]}),
+     "bad noise variance range (0.3, 0.2)"),
+    (None, lambda: NetworkSpec(**{**SPEC, "noise_variances": [0.1, [-0.1, 0.2]]}),
+     "bad noise variance range (-0.1, 0.2)"),
+    (None, lambda: NetworkSpec(**{**SPEC, "noise_variances": [0.1, [0.1, 0.2, 0.3]]}),
+     "bad noise variance range (0.1, 0.2, 0.3)"),
+    (None, lambda: NetworkSpec(**{**SPEC, "noise_variances": [0.1, -0.1]}),
+     "noise variance must be nonnegative, got -0.1"),
+    (None, lambda: NetworkSpec(**{**SPEC, "total_len": 0}), "total_len must be >= 1"),
+    (None, lambda: NetworkSpec(**{**SPEC, "initial_values": [1.0]}), "1 initial values for 2 nodes"),
+    (None, lambda: run_bench_multi(builtin_3node(), [MethodConfig("mdl")], 0, 1), "n_trials must be >= 1"),
+    (None, lambda: run_bench_multi(builtin_3node(), [], 2, 1), "need at least one method config"),
+    (None, lambda: run_bench_multi(builtin_3node(), [MethodConfig("mdl"), MethodConfig(" MDL")], 2, 1),
+     "duplicate method configs"),
+    ("two", lambda: bench.worker_count(), "GRANGER_MDL_THREADS must be an integer, got 'two'"),
+    ("-1", lambda: bench.worker_count(), "worker count must be >= 0"),
+    (None, lambda: bench.worker_count(-1), "worker count must be >= 0"),
+], ids=["no nodes", "variance count", "reversed range", "negative range", "range of three", "negative variance",
+        "no rows", "initial value count", "no trials", "no configs", "duplicate configs", "threads not a number",
+        "negative threads", "negative workers"])
+def test_validation_messages(env, call, message, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("GRANGER_MDL_THREADS", env)
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

@@ -723,3 +723,19 @@ class TestRepeatedCalls:
         assert [call[0] for call in seen] == [0, 0, 0, 0, 2, 0]
         assert seen[0][1] != seen[1][1] and seen[2][3] != seen[3][3]
         assert builds == [1]
+
+
+@pytest.mark.parametrize("argv, file_text, message", [
+    (["mc-bench", "--network", "{file}", "--trials", "2"], "{", "error: network spec {file}: invalid JSON: "),
+    (["mc-bench", "--network", "3node", "--trials", "2", "--config", "{file}"], "[1, 2]",
+     "error: config {file}: expected a JSON object\n"),
+    (["spectral", "{csv}", "--x", "node1", "--y", "node2", "--freqs", "5:1", "--out", "{out}"], None,
+     "error: empty frequency range '5:1'\n"),
+], ids=["spec not JSON", "config not an object", "empty frequency range"])
+def test_validation_messages(argv, file_text, message, sim_csv, tmp_path, capsys):
+    names = {"file": tmp_path / "input.json", "csv": sim_csv, "out": tmp_path / "out.csv"}
+    if file_text is not None:
+        names["file"].write_text(file_text)
+    capsys.readouterr()
+    assert run_cli(*(arg.format(**names) for arg in argv)) == 2
+    assert capsys.readouterr().err.startswith(message.format(**names))

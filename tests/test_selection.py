@@ -239,7 +239,7 @@ class TestCodeLengthCurve:
         engine = LagEngine(ts, p_max)
         scan = engine.scan(0, [0, 1])
         curve = _code_length_curve(
-            scan.coefficients[0], scan.k, scan.rss[0], engine.m, ts.n_samples, None, scale_floor
+            scan.coefficients[0], 2 * np.arange(1, p_max + 1), scan.rss[0], engine.m, ts.n_samples, None, scale_floor
         )
         entries = ols_order_scan(ts, 0, [0, 1], p_max)
         for j, entry in enumerate(entries):
@@ -402,6 +402,21 @@ class TestMarkovMdl:
         want = markov_mdl_by_loop(_as_bits(bits), 8, 1)
         assert (got.k, got.d, got.total_bits) == (want[0], want[1], pytest.approx(want[3], rel=1e-12))
 
+    def test_no_admissible_pair_stops_at_the_context_bound(self):
+        # at one bit of precision every order up to 2^16 contexts snaps a context
+        # that saw a 1 to theta 0, so no pair is admissible; the search stops
+        # there instead of counting 2^gamma contexts up to gamma_max
+        bits = np.random.default_rng(0).random(2000) < 0.03
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="^no admissible .* increase d_max$"):
+                markov_mdl(bits, 1500, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        assert markov_mdl_by_loop(_as_bits(bits), 16, 1) is None
+
     @pytest.mark.parametrize("function, args, name", [
         (universal_int_bits, (2.5,), "j"),
         (universal_int_bits, (True,), "j"),
@@ -427,3 +442,21 @@ class TestMarkovMdl:
             markov_mdl([0, 1], 5, 1)
         with pytest.raises(ValidationError):
             markov_mdl([0, 2, 1], 0, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gaussian_loglik(1.0, 0), "m must be >= 1, got 0"),
+    (lambda: code_length_from_stats([0.5], 1.0, 0, 10), "m must be >= 1, got 0"),
+    (lambda: code_length_from_stats([0.5], 1.0, 10, 5), "total length 5 below effective sample 10"),
+    (lambda: code_length_from_stats([0.5], -1.0, 10, 20), "rss must be nonnegative, got [-1.]"),
+    (lambda: universal_int_bits(0), "universal integer code needs j >= 1, got 0"),
+    (lambda: bernoulli_code_length([0, 1], 1.5), "theta must be in [0, 1], got 1.5"),
+    (lambda: markov_mdl([0, 1] * 8, -1, 1), "gamma_max must be >= 0, got -1"),
+    (lambda: markov_mdl([0, 1] * 8, 2, 0), "d_max must be >= 1, got 0"),
+    (lambda: markov_mdl([[0, 1], [1, 0]], 1, 1), "bit sequence must be 1-D"),
+], ids=["loglik m", "curve m", "curve total length", "curve rss", "universal j", "theta range", "gamma_max",
+        "d_max", "bits 2-D"])
+def test_validation_messages(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

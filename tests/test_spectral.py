@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from granger_mdl.bench import NetworkSpec, builtin_3node, builtin_5node, simulate
-from granger_mdl.errors import NumericalError, ValidationError
+from granger_mdl.errors import GrangerMdlError, NumericalError, ValidationError
 from granger_mdl.regression import (
     LagSpec,
     ResidualCovariance,
@@ -469,3 +469,38 @@ def test_csv_output(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.1
     assert float(first[1]) == pytest.approx(sc.f_y_to_x[0])
+
+
+def near_duplicate_pair():
+    """x and x + 1e-10 noise: distinct columns whose lags are collinear to RANK_TOL."""
+    x, e = np.random.default_rng(4).standard_normal((2, 200))
+    return TimeSeriesMatrix(np.column_stack([x, x + 1e-10 * e]), ["x", "y"])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BivariateVar(True, [np.zeros((2, 2))], diagonal_noise()),
+     r"ValidationError: order must be an integer, got True"),
+    (lambda: BivariateVar(1.5, [np.zeros((2, 2))], diagonal_noise()),
+     r"ValidationError: order must be an integer, got 1\.5"),
+    (lambda: BivariateVar(0, [], diagonal_noise()), r"ValidationError: order must be >= 1, got 0"),
+    (lambda: BivariateVar(1, [np.zeros((2, 2))], np.eye(2)),
+     r"ValidationError: noise_cov must be a ResidualCovariance, got ndarray"),
+    (lambda: BivariateVar(1, [np.zeros((2, 2))], None),
+     r"ValidationError: noise_cov must be a ResidualCovariance, got NoneType"),
+    (lambda: BivariateVar(2, [np.zeros((2, 2))], diagonal_noise()), r"ValidationError: 1 lag matrices for order 2"),
+    (lambda: BivariateVar(1, [np.zeros((3, 3))], diagonal_noise()),
+     r"ValidationError: lag matrices must be finite 2x2 arrays"),
+    (lambda: BivariateVar(1, [np.full((2, 2), np.nan)], diagonal_noise()),
+     r"ValidationError: lag matrices must be finite 2x2 arrays"),
+    (lambda: fit_bivariate_var(near_duplicate_pair(), "x", "x", 2),
+     r"ValidationError: x and y must be distinct variables"),
+    (lambda: fit_bivariate_var(near_duplicate_pair(), "x", "y", 0), r"ValidationError: order must be >= 1, got 0"),
+    (lambda: fit_bivariate_var(near_duplicate_pair(), "x", "y", 3),
+     r"RankDeficiencyError: rank-deficient design: column y\.lag1 depends on the columns before it "
+     r"\(1-norm condition number [0-9.]+e\+[0-9]+ > 1e\+10\)"),
+], ids=["order bool", "order fraction", "order 0", "covariance array", "covariance None", "matrix count",
+        "matrix shape", "matrix not finite", "same variable", "fit order 0", "near-duplicate pair"])
+def test_validation_messages(call, message):
+    with pytest.raises(GrangerMdlError) as info:
+        call()
+    assert re.fullmatch(message, f"{type(info.value).__name__}: {info.value}")

@@ -980,6 +980,53 @@ class TestOneFailureRule:
             if alone_error is None:
                 assert keep[t].tobytes() == alone_keep.tobytes() and weight[t].tobytes() == alone_weight.tobytes()
 
+    @staticmethod
+    def mixed_panel():
+        """[w, z, t, x, y] on 40 rows: t is exactly 0.7 w one step back, y is x to 1e-10."""
+        rng = np.random.default_rng(3)
+        w, z, x, e = rng.standard_normal((4, 40))
+        t = np.zeros(40)
+        t[1:] = 0.7 * w[:-1]
+        return TimeSeriesMatrix(np.column_stack([w, z, t, x, x + 1e-10 * e]), ["w", "z", "t", "x", "y"])
+
+    @pytest.mark.parametrize("criterion", ["MDL", "AIC"])
+    @pytest.mark.parametrize("panel", ["one series", "stack", "short stack"])
+    def test_rss_and_rows_are_nan_exactly_where_a_family_fails(self, panel, criterion):
+        if panel == "one series":
+            # at p_max 10 the window has 30 rows: three blocks interpolate it
+            engine = LagEngine(self.mixed_panel(), 10)
+            families = [(1, [1]), (1, [0, 1]), (1, [0, 1, 3]), (2, [0]), (2, [0, 2]), (1, [3, 4]), (3, [3])]
+            kinds = {ValidationError, RankDeficiencyError} | ({DegenerateFitError} if criterion == "MDL" else set())
+        elif panel == "stack":
+            engine = LagEngine(self.driven_stack((1.0, 3e-7, 0.5)), 2)
+            families = [(target, [v for v in range(3) if mask >> v & 1]) for target in range(3) for mask in range(1, 8)]
+            kinds = {DegenerateFitError} if criterion == "MDL" else set()
+        else:
+            engine = LagEngine([TimeSeriesMatrix(np.random.default_rng(seed).standard_normal((12, 3)))
+                                for seed in range(2)], 5)
+            families = [(0, [0, 1]), (1, [0, 1, 2])]
+            kinds = {ValidationError}
+        rss, errors, rows = selection._scores(engine, families, criterion)
+        failed = np.not_equal(errors, None)
+        assert {type(error) for error in errors[failed]} == kinds
+        assert rss.shape == failed.shape + (engine.p_max,) and rows.shape[1:] == rss.shape
+        np.testing.assert_array_equal(np.isnan(rss), np.broadcast_to(failed[..., None], rss.shape))
+        np.testing.assert_array_equal(np.isnan(rows), np.broadcast_to(failed[..., None], rows.shape))
+        for (target, blocks), family_rss, family_rows, family_failed in zip(families, rss, rows.transpose(1, 2, 0, 3), failed):
+            if family_failed.all():
+                continue
+            scan = engine.scan(target, blocks)
+            k = len(blocks) * np.arange(1, engine.p_max + 1)
+            for t in np.flatnonzero(~family_failed):
+                np.testing.assert_array_equal(family_rss[t], scan.rss[t])
+                if criterion == "MDL":
+                    # C order, so that each order's terms are summed row by row, as in one call for all
+                    want = selection._code_length_curve(np.ascontiguousarray(scan.coefficients[t]), k, scan.rss[t],
+                                                         engine.m, engine.ts.n_samples, None, 1.0)
+                else:
+                    want = selection.aic(selection.gaussian_loglik(scan.rss[t], engine.m), k)[None]
+                np.testing.assert_array_equal(family_rows[t], want)
+
     def test_malformed_family_raises_before_an_earlier_family_fails(self):
         # the first family alone raises "column x.lag2" RankDeficiencyError
         ts = near_copy(1e-10)
@@ -1028,3 +1075,14 @@ class TestFScaleInvariance:
         assert ((p0 < 0.05) == (p1 < 0.05))[away].all()
         if away.all():
             np.testing.assert_array_equal(graphs[0].adjacency, graphs[1].adjacency)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MethodConfig.parse("ftest:abc"), "bad alpha in 'ftest:abc'"),
+    (lambda: conditional_f_test_gc(sim3(0), 0, 1, [2], 2, 2, 0), "conditioning order r must be >= 1, got 0"),
+    (lambda: joint_mdl_gc(sim3(0), 0, 1, 1), "x, y, z must be three distinct variables"),
+], ids=["alpha not a number", "conditioning order 0", "joint sources repeat"])
+def test_validation_messages(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

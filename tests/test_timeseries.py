@@ -316,3 +316,18 @@ def test_demean_centres_columns():
     centred = demean(ts)
     np.testing.assert_allclose(centred.values.mean(axis=0), [0.0, 0.0], atol=1e-15)
     np.testing.assert_array_equal(ts.values, [[1.0, 10.0], [3.0, 30.0]])
+
+
+@pytest.mark.parametrize("contents, call, message", [
+    (None, lambda path: TimeSeriesMatrix(np.zeros((2, 2, 2))), "values must be 2-D, got 3-D"),
+    (None, lambda path: TimeSeriesMatrix(np.zeros((0, 2))), "values must be at least 1x1, got shape (0, 2)"),
+    ("\n\n", load_csv, "{}: empty file"),
+    ("a,b\n", load_csv, "{}: header but no data rows"),
+], ids=["3-D values", "no rows", "empty file", "header alone"])
+def test_validation_messages(contents, call, message, tmp_path):
+    path = tmp_path / "panel.csv"
+    if contents is not None:
+        path.write_text(contents)
+    with pytest.raises(ValidationError) as info:
+        call(path)
+    assert str(info.value) == message.format(path)
