@@ -17,7 +17,6 @@ import math
 import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
@@ -48,6 +47,9 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e12
 STACK_LIMIT = 64  # trials in one chunk, decided as one stack, at most: bounds a chunk's memory
+# total_len x n_nodes at most: simulate holds every value as a Python float
+# in a list of rows, 62-152 bytes a value (10 nodes to 1), so under 1.6 GB
+MAX_VALUES = 10**7
 
 # Noise-variance presets for the 3-node network. The plain names follow
 # the simulation protocol scale; the table-* names are the same ranges
@@ -145,6 +147,10 @@ class NetworkSpec:
         burn_in = checked_value(burn_in, int, "burn_in")
         if total_len < 1:
             raise ValidationError("total_len must be >= 1")
+        if total_len * n_nodes > MAX_VALUES:
+            raise ValidationError(
+                f"total_len x n_nodes is {total_len * n_nodes}, above the {MAX_VALUES} values a simulation may hold"
+            )
         if not 0 <= burn_in < total_len:
             raise ValidationError(
                 f"burn_in {burn_in} must satisfy 0 <= burn_in < total_len {total_len}"
@@ -243,6 +249,14 @@ def builtin_5node() -> NetworkSpec:
     )
 
 
+def _checked_seed(seed, name: str) -> int:
+    """``seed`` as an integer >= 0, else a ValidationError naming it (numpy seeds no negative number)."""
+    seed = checked_value(seed, int, name)
+    if seed < 0:
+        raise ValidationError(f"{name} must be >= 0, got {seed}")
+    return seed
+
+
 def simulate(spec: NetworkSpec, seed: int) -> TimeSeriesMatrix:
     """Run the network's difference equations with Gaussian noise.
 
@@ -253,7 +267,7 @@ def simulate(spec: NetworkSpec, seed: int) -> TimeSeriesMatrix:
     divergence error naming the node and step. The steps run in a
     function compiled once per network structure (:func:`_recursion`).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed, "seed"))
     variances = np.array(
         [
             rng.uniform(v[0], v[1]) if isinstance(v, tuple) else v
@@ -383,12 +397,16 @@ _OPENBLAS_THREAD_CALLS = (
 )
 
 
-def _loaded_openblas() -> list:
-    """(get, set) thread-count calls of every OpenBLAS this process has loaded.
+@functools.lru_cache(maxsize=1)
+def _loaded_openblas() -> tuple:
+    """(get, set) thread-count calls of every OpenBLAS this process had loaded at its first call.
 
     The libraries are found in the process's memory map, so none are
     found where there is no ``/proc``, and opened with ``RTLD_NOLOAD``,
-    so nothing new is loaded.
+    so nothing new is loaded. They are found once: importing this module
+    loads numpy and ``scipy.linalg``, and with them every OpenBLAS that a
+    trial calls, while reading the map took 0.5-0.6 ms, which every run,
+    a serial one included, would pay.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -396,7 +414,7 @@ def _loaded_openblas() -> list:
                 line.split(None, 5)[5].strip() for line in fh if "openblas" in line
             })
     except OSError:
-        return []
+        return ()
     calls = []
     for path in paths:
         try:
@@ -410,33 +428,34 @@ def _loaded_openblas() -> list:
                 set_.argtypes, set_.restype = (ctypes.c_int,), None
                 calls.append((get, set_))
                 break
-    return calls
+    return tuple(calls)
 
 
 def _pool_context():
-    """The ``fork`` context on Linux, so workers inherit :func:`_one_blas_thread`.
+    """The ``fork`` context on Linux, so workers inherit :func:`_one_blas_thread`; else the default.
 
     Named rather than left to the interpreter's default, which is
     ``forkserver`` on Linux from Python 3.14: a server process loads
-    OpenBLAS afresh at the library default. Elsewhere None, the default:
-    no OpenBLAS is found there, so there is nothing to inherit.
+    OpenBLAS afresh at the library default. Elsewhere no OpenBLAS is
+    found, so there is nothing to inherit.
     """
-    return multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
+    return multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
 
 
 @contextmanager
 def _one_blas_thread():
     """Hold every loaded OpenBLAS at one thread, then restore each count.
 
-    Pool workers are forked inside this block (:func:`_pool_context`), so
-    they inherit one BLAS thread each and cannot oversubscribe the cores.
-    Setting the count in each child from a pool initializer is not
+    :func:`run_bench_multi` decides its own share of the trials inside
+    this block, and forks its workers inside it (:func:`_pool_context`),
+    so every process of a run has one BLAS thread and none oversubscribes
+    the cores. Setting the count in each child after the fork is not
     enough: in a forked child the setter first starts OpenBLAS's thread
     pool at the inherited count, leaving one spinning thread per library
     in every worker. With 16 three-node trials an op and 2 workers on
     2 cores, the op median was 178-268 ms with the library default,
-    117-131 ms with the initializer and 46 ms with this block, the same
-    as ``OPENBLAS_NUM_THREADS=1`` for the whole process.
+    117-131 ms with the setter in each worker and 46 ms with this block,
+    the same as ``OPENBLAS_NUM_THREADS=1`` for the whole process.
     """
     calls = _loaded_openblas()
     saved = [get() for get, _ in calls]
@@ -487,6 +506,35 @@ def _run_chunk(args):
     return out
 
 
+def _run_share(send, tasks):
+    """A pool worker: send each chunk's :func:`_run_chunk` results, in order, or the exception met.
+
+    The worker first freezes the heap it inherits, so its collections
+    never walk, and so never copy, the caller's pages. The caller freezes
+    nothing: on CPython 3.11 gc.freeze() leaves gc.get_count() at
+    (0, 0, 0), and a caller that froze on every call never reached a full
+    collection and grew by 28 tracked objects a call.
+    """
+    gc.freeze()
+    try:
+        chunks = [_run_chunk(task) for task in tasks]
+    except Exception as exc:
+        chunks = exc
+    send.send(chunks)
+
+
+def _received(proc, receive) -> list:
+    """The chunks that worker ``proc`` sent down ``receive``; raises what it met, or names its exit code."""
+    try:
+        chunks = receive.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"a Monte Carlo worker exited with code {proc.exitcode} before sending its trials") from None
+    if isinstance(chunks, Exception):
+        raise chunks
+    return chunks
+
+
 def _failure_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -502,14 +550,19 @@ def run_bench_multi(
     """Benchmark several methods on the same simulated trials.
 
     Every method sees the identical per-trial series, so the reported
-    accuracies are directly comparable. The reduction runs in trial
-    order, making the reports byte-identical for any worker count.
+    accuracies are directly comparable. The trials are split into one
+    equal, contiguous share per worker. The caller decides the first
+    share itself, and forked workers decide the others; every process
+    runs one BLAS thread (:func:`_one_blas_thread`). The reduction runs in
+    trial order, making the reports byte-identical for any worker count.
     Trials that raise are recorded in the report's failures and count
     against every accuracy; they are never silently dropped. A p_max that
     no window (``total_len - burn_in`` rows) fits raises before any trial.
+    An exception in any share, or a worker that dies (the error names
+    its exit code), stops every worker before the call returns.
     """
     n_trials = checked_value(n_trials, int, "n_trials")
-    master_seed = checked_value(master_seed, int, "master_seed")
+    master_seed = _checked_seed(master_seed, "master_seed")
     if n_trials < 1:
         raise ValidationError("n_trials must be >= 1")
     if not configs:
@@ -525,23 +578,35 @@ def run_bench_multi(
     workers = worker_count(n_workers)
     # Each chunk is one stack. The fewest stacks of at most STACK_LIMIT trials
     # that give every worker the same number, as contiguous chunks whose sizes
-    # differ by at most one (the larger first); a serial run is one worker.
+    # differ by at most one (the larger first).
     n_chunks = min(n_trials, workers * -(-n_trials // (workers * STACK_LIMIT)))
     tasks = [(spec, tuple(configs), chunk, demean) for chunk in np.array_split(seeds, n_chunks)]
+    # n_chunks is a multiple of pool_size, so the shares are equal and contiguous;
+    # the caller decides the first, and a serial run is the one share
     pool_size = min(workers, len(tasks))
-    if pool_size <= 1:
-        chunks = list(map(_run_chunk, tasks))
-    else:
-        # Each worker freezes the heap it inherits before its first task, so
-        # its collections never walk, and so never copy, the parent's pages.
-        # The parent freezes nothing: on CPython 3.11 gc.freeze() leaves
-        # gc.get_count() at (0, 0, 0), and a parent that froze on every call
-        # never reached a full collection and grew by 28 tracked objects a call.
-        _recursion(spec.n_nodes, tuple(row[:3] for row in spec.coefficients))  # before the fork: workers inherit it
-        with _one_blas_thread(), ProcessPoolExecutor(
-            max_workers=pool_size, mp_context=_pool_context(), initializer=gc.freeze
-        ) as pool:
-            chunks = list(pool.map(_run_chunk, tasks))
+    per_share = len(tasks) // pool_size
+    shares = [tasks[i:i + per_share] for i in range(0, len(tasks), per_share)]
+    _recursion(spec.n_nodes, tuple(row[:3] for row in spec.coefficients))  # before the fork: workers inherit it
+    context, procs = _pool_context(), []
+    with _one_blas_thread():
+        try:
+            for share in shares[1:]:
+                receive, send = context.Pipe(duplex=False)
+                proc = context.Process(target=_run_share, args=(send, share), daemon=True)
+                proc.start()
+                procs.append((proc, receive))
+                send.close()
+            chunks = [_run_chunk(task) for task in shares[0]]
+            for proc, receive in procs:
+                chunks += _received(proc, receive)
+        except BaseException:
+            for proc, _ in procs:
+                proc.terminate()
+            raise
+        finally:
+            for proc, receive in procs:
+                proc.join()
+                receive.close()
     results = [trial for chunk in chunks for trial in chunk]
 
     truth = true_edge_matrix(spec)

@@ -4,8 +4,9 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -101,6 +102,14 @@ class TestBuiltinSpecs:
         spec = NetworkSpec(2, [(0, 1, 9, 0.5)], [0.1, 0.1], total_len=10, burn_in=0, initial_values=[1.0, 1.0])
         assert simulate(spec, 0).values.tobytes() == simulate_by_loop(spec, 0).tobytes()
 
+    def test_values_are_bounded_before_any_allocation(self):
+        at_bound = NetworkSpec(4, [], [0.1] * 4, total_len=bench.MAX_VALUES // 4, burn_in=0, initial_values=[1.0] * 4)
+        assert at_bound.total_len * at_bound.n_nodes == bench.MAX_VALUES
+        for n_nodes, total_len in ((4, bench.MAX_VALUES // 4 + 1), (1, 10**30)):
+            with pytest.raises(ValidationError, match=f"is {n_nodes * total_len}, above the 10000000 values"):
+                NetworkSpec(n_nodes, [], [0.1] * n_nodes, total_len=total_len, burn_in=0,
+                            initial_values=[1.0] * n_nodes)
+
     def test_no_coefficients_is_white_noise(self):
         spec = NetworkSpec(2, [], [0.1, [0.2, 0.3]], total_len=120, burn_in=20, initial_values=[1.0, 1.0])
         assert spec.max_lag == 0 and not true_edge_matrix(spec).any()
@@ -183,6 +192,12 @@ class TestSimulate:
         a = simulate(builtin_3node(), 123)
         b = simulate(builtin_3node(), 123)
         np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("seed, message", [(-1, "seed must be >= 0, got -1"),
+                                               (1.5, "seed must be an integer, got 1.5")])
+    def test_seed_is_a_nonnegative_integer(self, seed, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            simulate(builtin_3node(), seed)
 
     def test_different_seeds_differ(self):
         a = simulate(builtin_3node(), 1)
@@ -508,17 +523,17 @@ class TestRunBench:
 
 
 def _report_blas_threads(args):
-    """Pool task stand-in: every trial fails with this worker's BLAS thread counts."""
+    """Pool task stand-in: every trial fails with this process's BLAS thread counts."""
     counts = [get() for get, _ in bench._loaded_openblas()]
     return [(None, f"threads {counts}")] * len(args[2])
 
 
-def _fail_in_worker(args):
-    raise RuntimeError("worker failed")
+def _fail(args):
+    raise RuntimeError("chunk failed")
 
 
 def _report_freeze_count(args):
-    """Pool task stand-in: every trial fails with the objects frozen in this worker."""
+    """Pool task stand-in: every trial fails with whether objects are frozen in this process."""
     return [(None, f"frozen {gc.get_freeze_count() > 0}")] * len(args[2])
 
 
@@ -535,6 +550,23 @@ def collector(request):
     (gc.enable if request.param else gc.disable)()
     yield request.param
     (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The processes that run_bench starts, recorded through its pool context."""
+    processes, context = [], bench._pool_context()
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(context, name)
+
+        def Process(self, *args, **kwargs):
+            processes.append(context.Process(*args, **kwargs))
+            return processes[-1]
+
+    monkeypatch.setattr(bench, "_pool_context", Recording)
+    return processes
 
 
 @pytest.fixture
@@ -563,10 +595,12 @@ def default_start_method(request):
 
 
 class TestPoolWorkers:
+    @pytest.mark.parametrize("n_workers", [1, 2], ids=["serial", "pool"])
     def test_workers_run_one_blas_thread(self, parent_blas_at_two, default_start_method,
-                                         monkeypatch):
+                                         n_workers, monkeypatch):
+        # the caller's share, a serial run's only one, runs at one thread too
         monkeypatch.setattr(bench, "_run_chunk", _report_blas_threads)
-        rep = run_bench(builtin_3node(), MethodConfig("mdl"), 12, master_seed=0, n_workers=2)
+        rep = run_bench(builtin_3node(), MethodConfig("mdl"), 12, master_seed=0, n_workers=n_workers)
         assert len(rep.failures) == 12
         assert {err for _, err in rep.failures} == {f"threads {[1] * len(parent_blas_at_two)}"}
 
@@ -574,8 +608,8 @@ class TestPoolWorkers:
         spec, cfg = builtin_3node(), MethodConfig("mdl", p_max=4)
         run_bench(spec, cfg, 4, master_seed=0, n_workers=2)
         assert [get() for get, _ in parent_blas_at_two] == [2] * len(parent_blas_at_two)
-        monkeypatch.setattr(bench, "_run_chunk", _fail_in_worker)
-        with pytest.raises(RuntimeError, match="worker failed"):
+        monkeypatch.setattr(bench, "_run_chunk", _fail)
+        with pytest.raises(RuntimeError, match="chunk failed"):
             run_bench(spec, cfg, 4, master_seed=0, n_workers=2)
         assert [get() for get, _ in parent_blas_at_two] == [2] * len(parent_blas_at_two)
 
@@ -583,10 +617,11 @@ class TestPoolWorkers:
         spec, cfg = builtin_3node(), MethodConfig("mdl", p_max=4)
         monkeypatch.setattr(bench, "_run_chunk", _report_freeze_count)
         rep = run_bench(spec, cfg, 4, master_seed=0, n_workers=2)
-        assert {err for _, err in rep.failures} == {"frozen True"}
+        # the caller decides the first two trials and freezes nothing
+        assert rep.failures == ((0, "frozen False"), (1, "frozen False"), (2, "frozen True"), (3, "frozen True"))
         assert gc.get_freeze_count() == 0 and gc.isenabled() == collector
-        monkeypatch.setattr(bench, "_run_chunk", _fail_in_worker)
-        with pytest.raises(RuntimeError, match="worker failed"):
+        monkeypatch.setattr(bench, "_run_chunk", _fail)
+        with pytest.raises(RuntimeError, match="chunk failed"):
             run_bench(spec, cfg, 4, master_seed=0, n_workers=2)
         assert gc.get_freeze_count() == 0 and gc.isenabled() == collector
 
@@ -619,17 +654,56 @@ class TestPoolWorkers:
         assert any(obj is mine for obj in gc.get_objects())
         assert {err for _, err in rep.failures} == {"frozen True"}
 
-    def test_pool_starts_no_idle_workers(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers, mp_context, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, mp_context, **kwargs)
-
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_starts_no_idle_workers(self, started):
         run_bench(builtin_3node(), MethodConfig("mdl", p_max=4), 2, master_seed=0, n_workers=8)
-        assert sizes == [2]
+        # two chunks of one trial: the caller decides one, one worker the other
+        assert len(started) == 1
+
+    def test_serial_run_starts_no_process(self, started):
+        run_bench(builtin_3node(), MethodConfig("mdl", p_max=4), 4, master_seed=0, n_workers=1)
+        assert started == []
+
+    def test_dead_worker_names_its_exit_code(self, started, monkeypatch):
+        caller = os.getpid()
+
+        def exit_in_worker(args):
+            if os.getpid() != caller:
+                os._exit(9)
+            return _report_chunk(args)
+
+        monkeypatch.setattr(bench, "_run_chunk", exit_in_worker)
+        with pytest.raises(RuntimeError, match="exited with code 9"):
+            run_bench(builtin_3node(), MethodConfig("mdl", p_max=4), 6, master_seed=0, n_workers=3)
+        assert len(started) == 2 and multiprocessing.active_children() == []
+
+    def test_failing_share_stops_every_worker(self, started, monkeypatch):
+        caller = os.getpid()
+
+        def fail_in_caller(args):
+            if os.getpid() == caller:
+                raise RuntimeError("caller's share failed")
+            time.sleep(60)
+
+        monkeypatch.setattr(bench, "_run_chunk", fail_in_caller)
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="caller's share failed"):
+            run_bench(builtin_3node(), MethodConfig("mdl", p_max=4), 6, master_seed=0, n_workers=3)
+        assert time.perf_counter() - t0 < 30
+        assert len(started) == 2 and multiprocessing.active_children() == []
+        assert [proc.exitcode for proc in started] == [-signal.SIGTERM] * 2  # terminated, not finished
+
+    def test_workers_exception_reaches_the_caller(self, started, monkeypatch):
+        caller = os.getpid()
+
+        def fail_in_worker(args):
+            if os.getpid() != caller:
+                raise ValidationError("worker's share failed")
+            return _report_chunk(args)
+
+        monkeypatch.setattr(bench, "_run_chunk", fail_in_worker)
+        with pytest.raises(ValidationError, match="worker's share failed"):
+            run_bench(builtin_3node(), MethodConfig("mdl", p_max=4), 4, master_seed=0, n_workers=2)
+        assert len(started) == 1 and multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("n_trials, workers, sizes", [
         (16, 2, [8, 8]),
@@ -663,6 +737,7 @@ class TestPoolWorkers:
         ({"n_workers": True}, "worker count must be an integer, got True"),
         ({"n_trials": 2.5}, "n_trials must be an integer, got 2.5"),
         ({"master_seed": 2.5}, "master_seed must be an integer, got 2.5"),
+        ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
     ])
     def test_counts_are_not_truncated(self, kwargs, message):
         args = {"n_trials": 2, "master_seed": 0, "n_workers": 1, **kwargs}

@@ -471,6 +471,25 @@ class TestMcBench:
         assert run_cli(command, "--network", "3node", *extra, "--config", str(config)) == 2
         assert "config 'seed' must be an integer, got None" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "mc-bench"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_negative_seed_exits_2(self, command, given, tmp_path, capsys):
+        config = tmp_path / "seed.json"
+        config.write_text('{"seed": -1}')
+        seed = ["--seed", "-1"] if given == "flag" else ["--config", str(config)]
+        extra = ["--out", str(tmp_path / "sim.csv")] if command == "simulate" else ["--trials", "2"]
+        assert run_cli(command, "--network", "3node", *extra, *seed) == 2
+        assert re.search(r"^error: (master_)?seed must be >= 0, got -1$", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["simulate", "mc-bench"])
+    def test_spec_past_the_value_bound_exits_2(self, command, tmp_path, capsys):
+        spec = {"n_nodes": 1, "coefficients": [], "noise_variances": [0.1],
+                "total_len": 10**30, "burn_in": 0, "initial_values": [1.0]}
+        spec_path = tmp_path / "huge.json"
+        spec_path.write_text(json.dumps(spec))
+        assert run_cli(command, "--network", str(spec_path), "--out", str(tmp_path / "out")) == 2
+        assert f"total_len x n_nodes is {10**30}, above the 10000000 values" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text, shown", [
         ('{"trials": 1e999}', "inf"),
         ('{"trials": 2.7}', "2.7"),
