@@ -4,19 +4,14 @@ Builds the restricted/unrestricted autoregressions every causality test
 rests on. Every fit takes one route: an R-only QR of [X | y], one rank
 check on the 1-norm condition number of R's leading blocks, then R^-1.
 A single design (`ols_fit`'s, an F test's) takes it as it stands; every
-model family is fitted by a `LagEngine`: one QR of all lags of a
-series' variables. When the engine certifies that this changes no
-rank decision, two kinds of family, the full one (every variable) and
-the drop-one ones (every variable but one), come for every target at
-once from one inverse of that QR's lag block, and the smaller families
-asked for together (each target's own history, its pairs) are fitted in
-one batch. On an engine that does not certify, every family takes one
-small QR that yields the residual sums and coefficients of all its
-orders.
+model family, one of four kinds (own, pair, drop-one, full) named by
+index, is fitted by a `LagEngine` from one QR of all lags of a series'
+variables, kind by kind as arrays.
 """
 
 from __future__ import annotations
 
+import mmap
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -243,11 +238,11 @@ class OrderScanEntry:
     response_sq: float
 
 
-# Orders 1..n of a family of b blocks, order n having b n columns (see LagEngine.scan):
-# ``coefficients`` (trial, row, order), ``rss`` (trial, order) and ``rank_error``, the
-# first rank-broken order's error or None. ``coefficients`` is None only for a
-# drop-one family asked for its residual sums alone.
-NestedScan = namedtuple("NestedScan", "coefficients rss rank_error", defaults=(None,))
+# A family's scan as LagEngine.scan returns it: ``coefficients`` (trial, row, order), zero below each order's
+# columns, ``rss`` (trial, order), NaN past the orders fitted, and the first rank-broken order's error or None. A
+# kind's memo (``_Scans``) adds leading (target, source) axes and ``held``: 1 the rss, 2 the coefficients too.
+NestedScan = namedtuple("NestedScan", "coefficients rss rank_error")
+_Scans = namedtuple("_Scans", "coefficients rss rank_error held")
 
 
 def _qr_r(a: np.ndarray) -> np.ndarray:
@@ -324,30 +319,36 @@ class LagEngine:
 
     ``ts`` is one series or a stack of series with one shape and one set
     of labels, such as the trials of a Monte Carlo chunk. The stack is the
-    engine's leading trial axis: R, R_L^-1 and every array of a memoised
-    scan have it, of length 1 for one series, and each trial is summed in
-    the same order as alone.
+    engine's leading trial axis: R, R_L^-1 and every memoised array have
+    it, of length 1 for one series, and each trial is summed in the same
+    order as alone.
+
+    A family regresses a target on lags 1..n of its blocks at every order
+    n. ``variables`` (labels or indices; default all, ascending) fixes the
+    engine's V positions, in which blocks are taken, and a family is one of
+    four kinds named by (kind, target, source) in positions: ``own`` (t,
+    [t]), ``pair`` (t, [t, s]), ``drop`` (t, all but s; s may be t) and
+    ``full`` (t, all); own and full have source 0. Kinds that coincide at
+    V <= 3 are one entry (see :meth:`_kind`). Each kind's scans are memoised
+    as arrays indexed by (target, source) (``_Scans``); scores are not.
 
     ``Z = [lags 1..p_max of every variable, lag-major | the responses]`` on
     the window starting at row p_max is factored once as Z = QR, keeping
-    only R. A model family's design (its blocks share one order) has
-    columns S of Z, so a QR of the slice ``R[:, S + [target's response]]``
-    is a QR of its own design with its response appended: the top-left
-    block is the design's R, the last column is Q'y over it. Columns that
-    lead Z read R as it is.
+    only R. A family's design (its blocks share one order) has columns S
+    of Z, so a QR of the slice ``R[:, S + [target's response]]`` is a QR
+    of its own design with its response appended: the top-left block is
+    the design's R, the last column is Q'y over it.
 
-    Two kinds of family skip the slice QR and come, for every target at
-    once, from one inverse R_L^-1 of the lag block R_L = R[:V p, :V p]
-    (V variables, p = p_max): the *full* family (every variable) and the
-    *drop-one* families (every variable but one, x). At order n the full
-    design is Z's first k = nV columns, so its coefficients b are R_L^-1's
-    leading block times Q'y. The drop-one design is that prefix without
-    x's n columns D, and with Sigma = R_k^-1 R_k^-T the Schur complement
-    gives it: rss = rss_full + b_D' Sigma_DD^-1 b_D and coefficients
-    b_keep - Sigma_keep,D Sigma_DD^-1 b_D. Sigma_DD does not depend on the
-    target, so every order, source, target and trial is one batched solve.
-    The families with fewer blocks (a target's own history, a pair) that
-    are asked for together are fitted in one batch per width.
+    The full and drop-one kinds come, for every target at once, from one
+    inverse R_L^-1 of the lag block R_L = R[:V p, :V p] (p = p_max). At
+    order n the full design is Z's first k = nV columns, so its
+    coefficients b are R_L^-1's leading block times Q'y. The drop-one
+    design is that prefix without the source x's n columns D, and with
+    Sigma = R_k^-1 R_k^-T the Schur complement gives it: rss = rss_full +
+    b_D' Sigma_DD^-1 b_D and coefficients b_keep - Sigma_keep,D Sigma_DD^-1
+    b_D. Sigma_DD does not depend on the target, so every order, source,
+    target and trial is one batched solve. The own and pair families asked
+    for together are fitted in one batch of slice QRs.
 
     These routes run only if every trial certifies them, which the engine
     decides when it is built: m > V p (every order fits the window), no
@@ -363,11 +364,6 @@ class LagEngine:
     its own slice QR and rank check; a stack that does not certify scans
     nothing (ValidationError), and is decided series by series through
     :meth:`_groups`.
-
-    ``variables`` (labels or indices; default all, ascending) fixes the
-    engine's order. Blocks are always taken in that order, and each
-    family is scanned once per engine, however its blocks are listed.
-    Scans are memoised; scores are not.
     """
 
     def __init__(self, ts, p_max: int, variables=None):
@@ -387,47 +383,69 @@ class LagEngine:
             variables = range(ts.n_variables)
         self.variables = list(dict.fromkeys(ts.column(v) for v in variables))
         self._position = {v: i for i, v in enumerate(self.variables)}
+        nv = len(self.variables)
+        self._width = {"own": 1, "pair": 2, "drop": nv - 1, "full": nv}  # blocks per kind
         self.ts, self.p_max, self.m, self._series = ts, p_max, n - p_max, series
         columns = [(v, ell) for ell in range(1, p_max + 1) for v in self.variables]
         responses = [s.values[p_max:] for s in series]
         # one series at a time, so that one Z is held at once
         self._r = np.array([_qr_r(np.hstack([_lagged(s.values, p_max, columns), r[:, self.variables]]))
                             for s, r in zip(series, responses)])
-        response_sq = np.array([[r[:, v] @ r[:, v] for v in self.variables] for r in responses])
-        self._response_sq = dict(zip(self.variables, response_sq.T))
-        self._memo = {}
+        self._response_sq = np.array([[r[:, v] @ r[:, v] for v in self.variables] for r in responses]).T
+        self._memo = {}  # kind: _Scans
         self._schur = None  # what the drop-one coefficients need (see _drop_one_families)
         self._split = None
         self._lag_inverse = None  # R_L^-1 if every trial certifies the routes above, which memoise every full family
-        width = len(self.variables) * p_max
+        width = nv * p_max
         if self.m > width:
             inverses = [_inverse(r) for r in self._r[:, :width, :width]]
             if all(r_inv.shape[0] == width and kappa[-1] * width ** 2 * RANK_TOL <= 1.0
                    for r_inv, kappa in inverses):
                 self._lag_inverse = np.array([r_inv for r_inv, _ in inverses])
-                self._full_families(self._lag_inverse)
+                # the full families off R_L^-1; Q'y as (target, trial, row), contiguous: the tail sums as in a slice QR
+                qty = np.ascontiguousarray(self._r[:, :, width:].transpose(2, 0, 1))
+                tail_sq = np.array([[q[width:] @ q[width:] for q in target_qty] for target_qty in qty])
+                full = self._scans("full")
+                for pos in range(nv):
+                    full.rss[pos, 0], full.coefficients[pos, 0] = _prefix_fits(
+                        self._lag_inverse, qty[pos, :, :width], tail_sq[pos], nv * np.arange(1, p_max + 1))
+                full.held[:] = 2
 
     def scan(self, target, block_vars: Sequence) -> NestedScan:
         """The family {order n: every block gets lags 1..n}: its memo entry, with the trial axis.
 
-        Orders 1..min(p_max, (m - 1) // b) are fitted, stopping before the
-        first rank-broken one, whose error ``rank_error`` holds. A window
-        with no more rows than the b*p_max columns at p_max would
-        interpolate the data and is a ValidationError.
+        Orders 1..p_max are fitted, stopping before the first rank-broken
+        one, whose error ``rank_error`` holds (the rss past it are NaN). A
+        window with no more rows than the b*p_max columns at p_max would
+        interpolate the data and is a ValidationError, as is a block set of
+        no kind (see :meth:`_index`).
         """
-        target, blocks = self._family(target, block_vars)
-        error = self._underdetermined(len(blocks), self.p_max)
+        kind, target, source = self._index(target, block_vars)
+        error = self._underdetermined(self._width[kind], self.p_max)
         if error is not None:
             raise error
-        return self._families([(target, blocks)])[0]
+        (rss,), (coefficients,), (rank_error,) = self._families(kind, [target], [source])
+        return NestedScan(coefficients, rss, rank_error)
 
-    def _family(self, target, block_vars):
-        """(target, blocks) as engine columns, blocks in the engine's order; repeated or no blocks: ValidationError."""
-        target = self.ts.column(target)
-        blocks = sorted((self.ts.column(v) for v in block_vars), key=self._position.__getitem__)
-        if not blocks or len(set(blocks)) != len(blocks):
-            raise ValidationError(f"predictor blocks must be distinct and non-empty, got {blocks}")
-        return target, blocks
+    def _index(self, target, block_vars):
+        """(kind, target, source) of the family (target, block_vars), by label or index; no kind: ValidationError."""
+        block_vars = list(block_vars)
+        t = self._position.get(self.ts.column(target))
+        blocks = [self._position.get(self.ts.column(v)) for v in block_vars]
+        nv, width = len(self.variables), len(blocks)
+        if (t is not None and None not in blocks and len(set(blocks)) == width > 0
+                and (width >= nv - 1 or width <= 2 and t in blocks)):
+            return self._kind(width, t, sum(blocks))
+        labels = [self.ts.labels[v] for v in self.variables]
+        raise ValidationError(f"no model family has target {target!r} and blocks {block_vars!r}: distinct blocks are "
+                              f"the target's own, a pair with it, or all or all but one of {labels}")
+
+    def _kind(self, width: int, targets, sums):
+        """(kind, targets, sources) of the families of ``width`` blocks whose positions sum to ``sums``, elementwise."""
+        nv = len(self.variables)
+        # the routes by width (V - 1 blocks leave the source out); where two kinds coincide, the later one
+        kind = {1: "own", 2: "pair", nv - 1: "drop", nv: "full"}[width]
+        return kind, targets, {"drop": nv * (nv - 1) // 2 - sums, "full": 0 * targets}.get(kind, sums - targets)
 
     def _underdetermined(self, width: int, orders: int):
         """The ValidationError of a family of ``width`` blocks read up to ``orders``, or None if it fits."""
@@ -452,33 +470,42 @@ class LagEngine:
                            for t, s in enumerate(self._series)]
         return self._split
 
-    def _families(self, families, coefficients: bool = True) -> List[NestedScan]:
-        """The scans of (target, blocks) ``families``, blocks distinct engine variables in any order.
+    def _scans(self, kind: str) -> _Scans:
+        """The kind's memo, allocated empty on first use."""
+        if kind not in self._memo:
+            nv, trials, p = len(self.variables), len(self._series), self.p_max
+            shape = (nv, nv if kind in ("pair", "drop") else 1)
+            size = shape + (trials, self._width[kind] * p, p)
+            # drop-one coefficients are formed only where read: an anonymous map is zeroed page by page as it is
+            # written, where numpy's zeros may be touched whole (recycled memory, or huge pages past 4 MB)
+            coefficients = np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(size)))) if kind == "drop" else np.zeros(size)
+            self._memo[kind] = _Scans(coefficients.reshape(size), np.full(shape + (trials, p), np.nan),
+                                      np.empty(shape, dtype=object), np.zeros(shape, dtype=np.int8))
+        return self._memo[kind]
 
-        Each family must fit at least its first order (m > b). Scans are
-        memoised; on a certified engine the missing ones come off R_L^-1
-        or, per width, from one batch of slice QRs (see the class docstring).
-        Without ``coefficients`` the drop-one families may come without
-        them (None), as residual sums only. A stack that does not certify
-        has no scan: ValidationError.
+    def _families(self, kind: str, targets, sources, coefficients: bool = True):
+        """(rss, coefficients or None, rank errors) of the families (kind, targets[j], sources[j]) from the memo.
+
+        Each must fit its first order (m > its width). Missing scans are
+        made first, on a certified engine by the routes above, else one by
+        one (:meth:`_scan`); a stack that does not certify has no scan.
         """
-        keys = [(target, tuple(sorted(blocks, key=self._position.__getitem__))) for target, blocks in families]
-        missing = [key for key in dict.fromkeys(keys)
-                   if key not in self._memo or coefficients and self._memo[key].coefficients is None]
-        nv = len(self.variables)
-        if missing and self._lag_inverse is not None:
-            dropped = [key for key in missing if len(key[1]) == nv - 1]
-            if dropped:
-                self._drop_one_families(set(dropped) if coefficients else set())
-            for width in sorted({len(blocks) for _, blocks in missing if len(blocks) < nv - 1}):
-                self._stacked([key for key in missing if len(key[1]) == width])
-        elif missing and len(self._series) > 1:
+        if self._lag_inverse is None and len(self._series) > 1:
             raise ValidationError("a stack of series that does not certify the shared routes has no one scan: "
                                   "scan each series alone")
-        for key in missing:
-            if key not in self._memo:
-                self._memo[key] = self._scan(*key)
-        return [self._memo[key] for key in keys]
+        targets, sources = np.asarray(targets), np.asarray(sources)
+        memo = self._scans(kind)
+        missing = memo.held[targets, sources] < 1 + coefficients
+        if missing.any():
+            if self._lag_inverse is None:
+                for target, source in zip(targets[missing], sources[missing]):
+                    self._scan(kind, target, source)
+            elif kind == "drop":
+                self._drop_one_families(targets[missing & coefficients], sources[missing & coefficients])
+            else:
+                self._stacked(kind, targets[missing], sources[missing])
+        return (memo.rss[targets, sources], memo.coefficients[targets, sources] if coefficients else None,
+                memo.rank_error[targets, sources])
 
     def residual_covariance(self) -> np.ndarray:
         """Residual covariance (divisor m) of the first series' responses on every lag column.
@@ -492,53 +519,45 @@ class LagEngine:
         t = self._r[0, width:, width:]
         return t.T @ t / self.m
 
-    def _scan(self, target: int, blocks: List[int]) -> NestedScan:
-        """The family by its own slice QR and rank check, on a one-series engine (see :meth:`_groups`)."""
-        b, nv = len(blocks), len(self.variables)
-        n_fit = min(self.p_max, (self.m - 1) // b)
+    def _scan(self, kind: str, target: int, source: int):
+        """Memoise the family by its own slice QR and rank check, on a one-series engine (see :meth:`_groups`)."""
+        nv = len(self.variables)
+        blocks = {"own": [target], "pair": sorted([target, source]),
+                  "drop": [v for v in range(nv) if v != source], "full": list(range(nv))}[kind]
+        n_fit = min(self.p_max, (self.m - 1) // len(blocks))
         columns = [(v, ell) for ell in range(n_fit) for v in blocks]
-        index = [ell * nv + self._position[v] for v, ell in columns]
-        factor = self._r[0][:, index + [nv * self.p_max + self._position[target]]]
+        index = [ell * nv + v for v, ell in columns]
+        factor = self._r[0][:, index + [nv * self.p_max + target]]
         if index != list(range(len(index))):
             factor = _qr_r(factor)
         rss, coefficients, rank_error = _fit_prefixes(
-            factor, b * np.arange(1, n_fit + 1), lambda j: f"{self.ts.labels[columns[j][0]]}.lag{columns[j][1] + 1}")
-        return NestedScan(coefficients[None], rss[None], rank_error)
+            factor, len(blocks) * np.arange(1, n_fit + 1),
+            lambda j: f"{self.ts.labels[self.variables[columns[j][0]]]}.lag{columns[j][1] + 1}")
+        memo = self._scans(kind)
+        memo.rss[target, source, 0, :rss.size] = rss
+        memo.coefficients[target, source, 0, :len(coefficients), :rss.size] = coefficients
+        memo.rank_error[target, source], memo.held[target, source] = rank_error, 2
 
-    def _full_families(self, r_inv):
-        """Each target's full family, for every trial: :func:`_prefix_fits` on the shared R_L^-1."""
-        width = r_inv.shape[-1]
-        sizes = len(self.variables) * np.arange(1, self.p_max + 1)
-        # (target, trial, row), contiguous as in the slice QR's factor: the tail's dot sums in the same order
-        qty = np.ascontiguousarray(self._r[:, :, width:].transpose(2, 0, 1))
-        tail_sq = np.array([[q[width:] @ q[width:] for q in target_qty] for target_qty in qty])
-        for pos, target in enumerate(self.variables):
-            rss, coefficients = _prefix_fits(r_inv, qty[pos, :, :width], tail_sq[pos], sizes)
-            self._memo[target, tuple(self.variables)] = NestedScan(coefficients, rss)
-
-    def _drop_one_families(self, formed):
-        """Every (target, all but x) family, from the full ones by the Schur complement.
+    def _drop_one_families(self, targets, sources):
+        """Every drop-one rss, and the coefficients of the families (targets, sources), by the Schur complement.
 
         Order n's Sigma sums r r' over the columns r of R_L^-1 in lag blocks
         1..n (see :func:`_through_blocks`). Sigma_DD of orders below p_max
         is padded to p_max x p_max with an identity block against a zero
-        right-hand side, so one batched solve g serves every order, source,
-        target and trial and gives every rss. It runs once per engine: g is
-        kept with the blocks of R_L^-1, and every family is memoised with
-        its rss. Coefficients (which code-length scores and :meth:`scan`
-        read, and the F test does not) are formed only for the (target,
-        family) keys in ``formed`` that lack them, with the columns
-        Sigma_:,D of one source at a time.
+        right-hand side, so one batched solve g, kept with the blocks of
+        R_L^-1, serves every order, source, target and trial and gives every
+        rss. Coefficients (which code-length scores and :meth:`scan` read, and
+        the F test does not) are formed for the families asked for alone, with
+        the columns Sigma_:,D of one source at a time.
         """
-        nv, p = len(self.variables), self.p_max
-        width, trials = nv * p, len(self._r)
-        families = [tuple(v for v in self.variables if v != x) for x in self.variables]
+        nv, p, trials = len(self.variables), self.p_max, len(self._r)
+        memo = self._scans("drop")
         if self._schur is None:
-            full = [self._memo[target, tuple(self.variables)] for target in self.variables]
-            b = np.stack([scan.coefficients for scan in full], axis=-1)  # (trial, row, order, target)
+            full = self._scans("full")
+            b = np.ascontiguousarray(np.moveaxis(full.coefficients[:, 0], 0, -1))  # (trial, row, order, target)
             # the block axis leads, so that _through_blocks' product only gains columns
             blocks = np.ascontiguousarray(
-                self._lag_inverse.reshape(trials, width, p, nv).transpose(2, 0, 1, 3))  # (block, trial, row, col)
+                self._lag_inverse.reshape(trials, -1, p, nv).transpose(2, 0, 1, 3))  # (block, trial, row, col)
             d = blocks.reshape(p, trials, p, nv, nv).transpose(0, 1, 3, 2, 4)  # (block, trial, x, lag of x, col)
             padding = np.eye(p) * (np.arange(p) > np.arange(p)[:, None])[:, None, :]
             sigma_dd = _through_blocks(d @ d.transpose(0, 1, 2, 4, 3))
@@ -547,56 +566,47 @@ class LagEngine:
             g = np.linalg.solve(sigma_dd, b_d)
             # the added rss is a quadratic form, nothing to cancel
             added = np.maximum(np.einsum("nsxit,nsxit->sxtn", b_d, g), 0.0)
-            rss = np.stack([scan.rss for scan in full], axis=1)[:, None] + added  # (trial, x, target, order)
-            for x, family in enumerate(families):
-                for pos, target in enumerate(self.variables):
-                    self._memo[target, family] = NestedScan(None, rss[:, x, pos])
+            rss = full.rss[:, 0].transpose(1, 0, 2)[:, None] + added  # (trial, x, target, order)
+            memo.rss[:], memo.held[:] = rss.transpose(2, 1, 0, 3), 1
             self._schur = blocks, d, g, b.reshape(trials, p, nv, p, nv)  # b as (trial, lag, v, order, target)
         blocks, d, g, b_rows = self._schur
-        for x, family in enumerate(families):
-            wanted = [pos for pos, target in enumerate(self.variables)
-                      if (target, family) in formed and self._memo[target, family].coefficients is None]
-            if not wanted:
-                continue
+        for x in np.unique(sources):
+            formed = targets[sources == x]
             keep = [v for v in range(nv) if v != x]
             # the product is over every target, then selected: a product of
             # one column (a BLAS gemv) rounds differently from a wider one
             correction = _through_blocks(blocks @ d[:, :, x].transpose(0, 1, 3, 2)) @ g[:, :, x]
             # (order, trial, lag, v, target)
-            correction = correction.reshape(p, trials, p, nv, nv)[:, :, :, keep][..., wanted]
-            shaped = b_rows[:, :, keep][..., wanted].transpose(4, 0, 1, 2, 3) - correction.transpose(4, 1, 2, 3, 0)
-            for pos, coefficients in zip(wanted, np.ascontiguousarray(shaped).reshape(len(wanted), trials, -1, p)):
-                key = (self.variables[pos], family)
-                self._memo[key] = self._memo[key]._replace(coefficients=coefficients)
+            correction = correction.reshape(p, trials, p, nv, nv)[:, :, :, keep][..., formed]
+            shaped = b_rows[:, :, keep][..., formed].transpose(4, 0, 1, 2, 3) - correction.transpose(4, 1, 2, 3, 0)
+            memo.coefficients[formed, x], memo.held[formed, x] = shaped.reshape(len(formed), trials, -1, p), 2
 
-    def _stacked(self, keys):
-        """Memoise families of one width together, as :meth:`_scan` on a certified engine, for every trial.
+    def _stacked(self, kind: str, targets, sources):
+        """Memoise own or pair families together, as :meth:`_scan` on a certified engine, for every trial.
 
-        Each family and trial takes the same slice of R, QR and triangular
-        inverse, with no rank check to make; the prefix sums of all of them
-        are one batched pass. The QRs stay one LAPACK call per slice:
-        numpy's stacked ``qr`` is no faster on these sizes. The factors
-        keep LAPACK's Householder vectors below the diagonal, which
-        ``dtrtri`` leaves in place, so the inverses are made upper
-        triangular once, together.
+        Each family and trial takes its slice of R, QR and triangular inverse,
+        with no rank check to make, and the prefix sums of all of them are one
+        batched pass. The QRs stay one LAPACK call per slice (numpy's stacked
+        ``qr`` is no faster here); ``dtrtri`` leaves the Householder vectors
+        below the diagonal, so the inverses are made upper triangular together.
         """
         nv, p = len(self.variables), self.p_max
-        k = len(keys[0][1]) * p
-        position = np.array([[self._position[v] for v in (*blocks, target)] for target, blocks in keys])
-        lagged = np.arange(p)[:, None] * nv + position[:, None, :-1]  # (family, lag, block)
-        index = np.hstack([lagged.reshape(len(keys), k), nv * p + position[:, -1:]])
-        r_inv, qty = np.empty((len(keys), len(self._r), k, k)), np.empty((len(keys), len(self._r), k + 1))
+        blocks = targets[:, None] if kind == "own" else np.sort(np.column_stack([targets, sources]), axis=1)
+        k = blocks.shape[1] * p
+        lagged = np.arange(p)[:, None] * nv + blocks[:, None, :]  # (family, lag, block)
+        index = np.hstack([lagged.reshape(len(targets), k), nv * p + targets[:, None]])
+        r_inv, qty = np.empty((len(targets), len(self._r), k, k)), np.empty((len(targets), len(self._r), k + 1))
         for r_inv_j, qty_j, columns in zip(r_inv, qty, index):
             # each slice in Fortran order, which LAPACK factors in place
             for t, slice_ in enumerate(self._r.transpose(0, 2, 1)[:, columns]):
                 factor = scipy.linalg.lapack.dgeqrf(slice_.T, overwrite_a=True)[0]
                 r_inv_j[t] = scipy.linalg.lapack.dtrtri(factor[:k, :k])[0]
                 qty_j[t] = factor[:k + 1, k]
-        sizes = len(keys[0][1]) * np.arange(1, p + 1)
         r_inv[..., np.tri(k, k, -1, dtype=bool)] = 0.0
-        rss, coefficients = _prefix_fits(r_inv, qty[..., :k], qty[..., k] ** 2, sizes)
-        for key, family_rss, family_coefficients in zip(keys, rss, coefficients):
-            self._memo[key] = NestedScan(family_coefficients, family_rss)
+        memo = self._scans(kind)
+        memo.rss[targets, sources], memo.coefficients[targets, sources] = _prefix_fits(
+            r_inv, qty[..., :k], qty[..., k] ** 2, blocks.shape[1] * np.arange(1, p + 1))
+        memo.held[targets, sources] = 2
 
 
 def ols_order_scan(
@@ -615,7 +625,7 @@ def ols_order_scan(
     scan = engine.scan(target, block_vars)
     if scan.rank_error is not None:
         raise scan.rank_error
-    b, response_sq = len(block_vars), float(engine._response_sq[ts.column(target)][0])
+    b, response_sq = len(block_vars), float(engine._response_sq[engine._position[ts.column(target)], 0])
     return [
         OrderScanEntry(
             order=order, k=b * order,

@@ -200,9 +200,10 @@ def _search_order(engine, families, criterion, delta=None, scale_floor=DEFAULT_S
     """The shared order 1..p_max minimising the summed curves of ``families`` on ``engine``'s one series.
 
     This is every lag search: each caller builds the :class:`LagEngine`
-    over its variables. Each (target, blocks) family, one or more, is
-    scanned once per engine and scored at every order as an array; ties
-    go to the smaller order. Every family is resolved, and ``delta`` and
+    over its variables. Each (target, blocks) family, one or more of one
+    kind, is mapped to its index once, scanned once per engine and scored
+    at every order as an array; ties go to the smaller order. Every
+    family is mapped (see :meth:`LagEngine._index`), and ``delta`` and
     ``scale_floor`` read, before any is scanned; then the first family
     that fails raises its error (see :func:`_scores`). Returns (order,
     value, per-family CodeLength at the order, an empty list unless MDL).
@@ -211,8 +212,9 @@ def _search_order(engine, families, criterion, delta=None, scale_floor=DEFAULT_S
     if criterion not in CRITERIA:
         raise ValidationError(f"unknown criterion {criterion!r}; pick one of {CRITERIA}")
     scale_floor, delta = _checked_floor(scale_floor), _checked_delta(delta)
-    families = [engine._family(target, blocks) for target, blocks in families]
-    _, errors, rows = _scores(engine, families, criterion, delta, scale_floor)
+    kinds, targets, sources = zip(*[engine._index(target, blocks) for target, blocks in families])
+    (kind,) = set(kinds)  # every caller sums families of one kind
+    _, errors, rows = _scores(engine, kind, list(targets), list(sources), criterion, delta, scale_floor)
     (error,) = _first_errors(errors)
     if error is not None:
         raise error
@@ -222,11 +224,11 @@ def _search_order(engine, families, criterion, delta=None, scale_floor=DEFAULT_S
     return best + 1, float(summed[best]), lengths
 
 
-def _scores(engine, families, criterion, delta=None, scale_floor=DEFAULT_SCALE_FLOOR):
-    """(rss, errors, rows) of the (target, blocks) ``families`` of ``engine``, in engine columns.
+def _scores(engine, kind, targets, sources, criterion, delta=None, scale_floor=DEFAULT_SCALE_FLOOR):
+    """(rss, errors, rows) of the families (``kind``, targets[j], sources[j]) of ``engine`` (see :class:`LagEngine`).
 
     ``errors[j, t]`` is family j's error in trial t or None, by the one
-    failure rule: the engine's ValidationError in every trial if the family
+    failure rule: the engine's ValidationError in every trial if the kind
     would interpolate the window at p_max (it then has no scan); under MDL,
     a DegenerateFitError in each trial with an order whose rss <= 1e-12
     y'y; else the scan's rank error (one-series engines only). ``rss`` is
@@ -236,30 +238,23 @@ def _scores(engine, families, criterion, delta=None, scale_floor=DEFAULT_SCALE_F
     is not None. A family of b blocks has b n coefficients at order n, and
     every (family, trial, order) is one column of one scoring call.
     """
-    mdl, p = criterion == "MDL", engine.p_max
-    width = [len(blocks) for _, blocks in families]
-    errors = np.full((len(families), len(engine._series)), None)
-    for j, b in enumerate(width):
-        errors[j] = engine._underdetermined(b, p)
-    fitting = [j for j, error in enumerate(errors[:, 0]) if error is None]
-    rss = np.full(errors.shape + (p,), np.nan)
-    # zero rows past a family's own coefficients are never priced
-    coefficients = np.zeros((max(width, default=0) * p,) + rss.shape) if mdl else None
-    for j, scan in zip(fitting, engine._families([families[j] for j in fitting], coefficients=mdl)):
+    mdl, p, b = criterion == "MDL", engine.p_max, engine._width[kind]
+    error = engine._underdetermined(b, p)
+    errors = np.full((len(targets), len(engine._series)), error)
+    if error is None:
+        rss, coefficients, rank_errors = engine._families(kind, targets, sources, coefficients=mdl)
         if mdl:
-            noiseless = (scan.rss <= 1e-12 * engine._response_sq[families[j][0]][:, None]).any(axis=1)
-            errors[j, noiseless] = DegenerateFitError(_NOISELESS)
-        if scan.rank_error is None:
-            rss[j] = scan.rss
-            if mdl:
-                coefficients[:scan.coefficients.shape[1], j] = scan.coefficients.transpose(1, 0, 2)
-        elif errors[j, 0] is None:  # a rank error is a one-series engine's, unless its trial is noiseless
-            errors[j] = scan.rank_error
+            errors[(rss <= 1e-12 * engine._response_sq[targets, :, None]).any(axis=2)] = DegenerateFitError(_NOISELESS)
+        # a rank error is a one-series engine's, unless its trial is noiseless
+        errors = np.where(np.equal(errors, None), rank_errors[:, None], errors)
+    else:
+        rss, coefficients = np.full(errors.shape + (p,), np.nan), np.zeros(errors.shape + (b * p, p))
     failed = np.not_equal(errors, None)
     rss[failed] = np.nan
-    k = np.broadcast_to(np.array(width)[:, None, None] * np.arange(1, p + 1), rss.shape).ravel()
+    k = np.broadcast_to(b * np.arange(1, p + 1), rss.shape).ravel()
     if mdl:
-        curve = _code_length_curve(coefficients.reshape(len(coefficients), rss.size), k, rss.ravel(),
+        # rows past a family's own coefficients are zero and never priced
+        curve = _code_length_curve(coefficients.transpose(2, 0, 1, 3).reshape(b * p, rss.size), k, rss.ravel(),
                                    engine.m, engine.ts.n_samples, delta, scale_floor)
     else:
         loglik = gaussian_loglik(rss.ravel(), engine.m)

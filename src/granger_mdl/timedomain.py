@@ -466,31 +466,33 @@ def _mdl_edges(engine):
     L(all but source) - L(all) decides the edge and is its weight. The
     network is scored in three passes over all targets and trials: the own
     families, the pairwise ones, then every drop-one family that some
-    trial's gate passes, with its target's full family. The edges are
+    trial's gate passes, with its target's full family; at V = 3 those
+    drop-one families are pairs, read from the second pass. The edges are
     arrays in the per-edge traversal order, target by target and each
     target's sources ascending, which is ``np.nonzero(~np.eye(V))``. A
-    trial's error is the first that traversal meets (see
-    :func:`_first_errors`): own, pair, then where the trial's gate passes,
-    all but the source and all.
+    trial's error is the first that traversal meets (see :func:`_first_errors`):
+    own, pair, then where the trial's gate passes, all but the source and all.
     """
     nv = len(engine.variables)
     targets, sources = np.nonzero(~np.eye(nv, dtype=bool))
-    _, own_errors, (own_rows, *_) = _scores(engine, [(t, [t]) for t in range(nv)], "MDL")
-    _, pair_errors, (pair_rows, *_) = _scores(engine, [(t, [t, s]) for t, s in zip(targets, sources)], "MDL")
+    _, own_errors, (own_rows, *_) = _scores(engine, *engine._kind(1, np.arange(nv), np.arange(nv)), "MDL")
+    _, pair_errors, (pair_rows, *_) = _scores(engine, *engine._kind(2, targets, targets + sources), "MDL")
     pairwise = own_rows.min(axis=2)[targets] - pair_rows.min(axis=2)  # (edge, trial)
     gated = pairwise > 0 if nv > 2 else np.zeros(pairwise.shape, dtype=bool)
     edges = np.flatnonzero(gated.any(axis=1))
-    full = np.array(sorted(set(targets[edges].tolist())), dtype=int)
-    dropped = [(targets[e], [v for v in range(nv) if v != sources[e]]) for e in edges]
-    _, gate_errors, (gate_rows, *_) = _scores(engine, dropped + [(t, range(nv)) for t in full], "MDL")
-    gate_best = gate_rows.min(axis=2)
-    own_full = edges.size + np.searchsorted(full, targets[edges])
+    full = np.unique(targets[edges])
+    if nv == 3:  # (t, all but s) is the pair of t's other edge
+        drop_errors, drop_rows = pair_errors[edges ^ 1], pair_rows[edges ^ 1]
+    else:
+        _, drop_errors, (drop_rows, *_) = _scores(engine, "drop", targets[edges], sources[edges], "MDL")
+    _, full_errors, (full_rows, *_) = _scores(engine, "full", full, 0 * full, "MDL")
+    own_full = np.searchsorted(full, targets[edges])
     conditional = np.full(pairwise.shape, np.nan)
-    conditional[edges] = gate_best[:edges.size] - gate_best[own_full]
+    conditional[edges] = drop_rows.min(axis=2) - full_rows.min(axis=2)[own_full]
     table = np.full((targets.size, 4) + pairwise.shape[1:], None)  # (edge, stage, trial)
     table[:, 0], table[:, 1] = own_errors[targets], pair_errors
-    table[edges, 2] = np.where(gated[edges], gate_errors[:edges.size], None)
-    table[edges, 3] = np.where(gated[edges], gate_errors[own_full], None)
+    table[edges, 2] = np.where(gated[edges], drop_errors, None)
+    table[edges, 3] = np.where(gated[edges], full_errors[own_full], None)
     return _as_matrices(nv, sources, targets, np.where(gated, conditional > 0, pairwise > 0),
                         np.where(gated, conditional, pairwise)) + (_first_errors(table),)
 
@@ -517,26 +519,19 @@ def _f_edges(engine, cfg):
     """
     nv, m = len(engine.variables), engine.m
     targets, sources = np.nonzero(~np.eye(nv, dtype=bool))
-    rss, errors, (rows, *_) = _scores(
-        engine, [(i, [v for v in range(nv) if v != j]) for i, j in zip(targets, sources)],
-        cfg.order_criterion,
-    )
+    rss, errors, (rows, *_) = _scores(engine, "drop", targets, sources, cfg.order_criterion)
     n = np.argmin(rows, axis=2) + 1  # (edge, trial)
     d2 = m - nv * n - 1
     reached = np.equal(errors, None) & (m > nv * n)
-    needed = sorted(set(targets[reached.any(axis=1)].tolist()))
-    full = dict(zip(needed, engine._families([(i, range(nv)) for i in needed])))
-    full_rss = np.full((nv,) + rows.shape[1:], np.nan)  # (target, trial, order), NaN past the orders that fit
-    for i, scan in full.items():
-        full_rss[i, :, :scan.rss.shape[1]] = scan.rss
+    # (target, trial, order), NaN past the orders that fit, and each target's rank error
+    full_rss, _, full_errors = engine._families("full", np.arange(nv), np.zeros(nv, dtype=int), coefficients=False)
     trials = np.arange(rows.shape[1])
     rss_u = full_rss[targets[:, None], trials, n - 1]
     table = np.full((targets.size, 4, trials.size), None)  # (edge, stage, trial)
     table[:, 0] = errors
     for e, t in zip(*np.nonzero(m <= nv * n)):
         table[e, 1, t] = engine._underdetermined(nv, int(n[e, t]))
-    for e, t in zip(*np.nonzero(reached & np.isnan(rss_u))):
-        table[e, 2, t] = full[targets[e]].rank_error
+    table[:, 2] = np.where(reached & np.isnan(rss_u), full_errors[targets, None], None)
     for e, t in zip(*np.nonzero(d2 < 1)):
         table[e, 3, t] = ValidationError(_FEW_DOF.format(d2[e, t]))
     f_value, p_value, _ = _f_values(rss[np.arange(targets.size)[:, None], trials, n - 1], rss_u, n, d2)

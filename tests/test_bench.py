@@ -906,7 +906,7 @@ class TestStackedChunk:
             with pytest.raises(ValidationError, match="does not certify"):
                 stack.scan(target, blocks)
             with pytest.raises(ValidationError, match="does not certify"):
-                stack._families([(target, blocks)], coefficients=False)
+                stack._families(*stack._index(target, blocks), coefficients=False)
         assert stack._memo == {}
 
     def test_a_stack_that_does_not_certify_splits_into_its_series(self):
@@ -930,14 +930,14 @@ class TestStackedChunk:
         together = LagEngine([ts for ts, passed in zip(series, certified) if passed], 3)
         for cfg in configs:
             timedomain._decided(together, cfg)
-        assert together._lag_inverse is not None and {len(blocks) for _, blocks in together._memo} == {1, 2, 3}
-        assert any(part._lag_inverse is None and part._memo for _, part in groups)
+        # at 3 variables the pairwise families are drop-one ones
+        assert together._lag_inverse is not None and together._memo.keys() == {"own", "drop", "full"}
+        assert any(part._lag_inverse is None and part._memo["drop"].held.any() for _, part in groups)
         for engine in [together] + [part for _, part in groups]:
             trials = len(engine._series)
-            assert all(sq.shape == (trials,) for sq in engine._response_sq.values())
-            for scan in engine._memo.values():
-                assert scan.rss.shape[0] == trials
-                assert scan.coefficients is None or scan.coefficients.shape[0] == trials
+            assert engine._response_sq.shape == (3, trials)
+            for scans in engine._memo.values():  # (target, source, trial, ...)
+                assert scans.rss.shape[2] == trials and scans.coefficients.shape[2] == trials
 
 
 SPEC = {"n_nodes": 2, "coefficients": [[0, 1, 1, 0.5]], "noise_variances": [0.1, 0.1],

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import granger_mdl
 
@@ -758,3 +761,147 @@ def test_validation_messages(argv, file_text, message, sim_csv, tmp_path, capsys
     capsys.readouterr()
     assert run_cli(*(arg.format(**names) for arg in argv)) == 2
     assert capsys.readouterr().err.startswith(message.format(**names))
+
+
+BAD_CELLS = ["", "abc", "1_0", "1e400", "nan", "inf", "-inf", "0x1p3", "1,5", '"2"', "\t"]
+# each flag's (valid, invalid) values
+FLAG_VALUES = {
+    "--method": (["mdl", "ftest"], ["F", "x"]),
+    "--alpha": (["0.05", "0.5"], ["0", "1", "nan", "x", "1e-300"]),
+    "--p-max": (["2", "3", "1"], ["0", "-2", "2.5", "x", "99", "99999999999999999999"]),
+    "--order-criterion": (["AIC", "BIC", "MDL"], ["aic"]),
+    "--order": (["1", "2"], ["0", "-1", "x", "50"]),
+    "--freqs": (["1:5", "0.5,2"], ["", "nan", "1:1000000000", "5:1", "a", "1_0"]),
+    "--sample-rate": (["10", "200"], ["0", "-1", "nan", "inf", "x"]),
+    "--seed": (["0", "1"], ["-1", "2.5", "x", "99999999999999999999"]),
+    "--trials": (["1", "2"], ["0", "-1", "x"]),
+    "--methods": (["mdl", "ftest:0.05", "mdl,ftest:0.01"], ["ftest:x", "bogus", ",", "mdl,MDL"]),
+    "--noise": (["low"], ["x"]),
+}
+CONFIG_VALUES = {
+    "seed": [1, -1, 2.5, "1", None], "method": ["ftest", "x", None], "alpha": [0.01, 2.5, "x", None],
+    "p_max": [2, 0, True, [1]], "order_criterion": ["BIC", "x"], "demean": [False, 1, "no"], "order": [1, 0, None],
+    "freqs": ["1:4", "", 3], "sample_rate": [20.0, -1.0, 1e300], "trials": [1, 0, "2"], "methods": ["mdl", "x"],
+}
+SPEC_VALUES = {
+    "n_nodes": ([2], [1, 3, 0, -1, 2.5, "2", None]),
+    "coefficients": ([[[1, 0, 1, 0.4], [0, 0, 2, -0.3]]],
+                     [[], [[0, 5, 1, 0.5]], [[0, 0, 0, 0.5]], [[0, 0, 1, 2.0]], [[0, 0, 1, "x"]], [[0, 0]], "x"]),
+    "noise_variances": ([[0.1, [0.1, 0.2]]], [[0.1], [0.1, 0.2, 0.3], [-0.1, 0.1], [0.0, 0.0], ["x"]]),
+    "total_len": ([60, 150], [10, 0, -1, 10 ** 30, 2.5, "x"]),
+    "burn_in": ([5], [0, 200, -1, 1.5]),
+    "initial_values": ([[1.0, 1.0]], [[1.0], [float("inf")] * 2, "x"]),
+}
+# what a generated call may get wrong; most calls get one thing wrong or none
+FAULTS = ["cell", "ragged", "empty", "bytes", "lagged copy", "flags", "config", "spec", "json"]
+
+
+@st.composite
+def csv_bytes(draw, faults):
+    """A small random-walk panel, with a BOM and CRLF ends or not, and the ``faults`` drawn for it."""
+    if "empty" in faults:
+        return b""
+    n_cols, n_rows = draw(st.integers(2, 4)), draw(st.integers(20, 60))
+    values = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal((n_rows, n_cols)).cumsum(axis=0)
+    if "lagged copy" in faults:  # the last column is the first one step back: no full rank
+        values[1:, -1] = values[:-1, 0]
+    rows = [[f"{v:.6g}" for v in row] for row in values]
+    i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))
+    if "cell" in faults:
+        rows[i][j] = draw(st.sampled_from(BAD_CELLS))
+    if "ragged" in faults:
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    data = end.join(",".join(row) for row in [[f"v{j}" for j in range(n_cols)]] + rows).encode() + end.encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if "bytes" in faults:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def json_text(draw, values, broken):
+    """A JSON object of ``values``' keys, each (valid, invalid) candidates; if ``broken``, some invalid or left out."""
+    payload = {}
+    for key, (valid, invalid) in values.items():
+        if not broken or draw(st.integers(0, 3)) < 3:
+            payload[key] = draw(st.sampled_from(valid + (invalid if broken else [])))
+    return json.dumps(payload)
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv with {csv}, {spec}, {config}, {graph_a}, {graph_b} and {out} holes, files to write)."""
+    faults = draw(st.sets(st.sampled_from(FAULTS), max_size=2))
+    if "json" in faults:  # a file that is no JSON object
+        return (["simulate", "--network", "{spec}", "--out", "{out}"] if draw(st.booleans()) else
+                ["analyze", "{csv}", "--config", "{config}"]), {
+                    "spec": b"{", "csv": draw(csv_bytes(())), "config": draw(st.sampled_from([b"[1, 2]", b"{"]))}
+    files = {}
+    command = draw(st.sampled_from(["analyze", "spectral", "simulate", "mc-bench", "similarity"]))
+    if command in ("analyze", "spectral"):
+        files["csv"] = draw(csv_bytes(faults))
+        argv = [command, "{csv}"]
+        if command == "spectral":
+            bad = "flags" in faults
+            argv += ["--x", draw(st.sampled_from(["v1"] + bad * ["v0", "2", "v9"])),
+                     "--y", draw(st.sampled_from(["v0"] + bad * ["v1", "0", "-1"]))]
+        flags = (["--method", "--alpha", "--p-max", "--order-criterion"] if command == "analyze"
+                 else ["--order", "--p-max", "--freqs", "--sample-rate"])
+    elif command == "similarity":
+        nodes = st.sampled_from([["a", "b"], ["b", "a"], ["a", "a"], ["a", "b", "c"], "a"])
+        edges = st.lists(st.fixed_dictionaries({"from": st.sampled_from(["a", "b", "z"]),
+                                                "to": st.sampled_from(["a", "b"]),
+                                                "weight": st.sampled_from([0.5, -1.0, "x", None, float("inf")])}),
+                         max_size=3)
+        for name in ("graph_a", "graph_b"):
+            files[name] = json.dumps({"nodes": draw(nodes), "edges": draw(edges)}).encode()
+        return ["similarity", "{graph_a}", "{graph_b}"], files
+    else:
+        network = draw(st.sampled_from(["{spec}", "3node", "5node", "missing.json"]))
+        files["spec"] = json_text(draw, SPEC_VALUES, "spec" in faults).encode()
+        argv = [command, "--network", network]
+        flags = ["--seed", "--noise"] + (["--trials", "--methods", "--p-max"] if command == "mc-bench" else [])
+        if command == "mc-bench":
+            argv += ["--workers", "1", "--trials", "2"]  # no pool, few trials; a later --trials wins
+    for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=3)):
+        valid, invalid = FLAG_VALUES[flag]
+        argv += [flag, draw(st.sampled_from(valid + (invalid if "flags" in faults else [])))]
+    if command in ("analyze", "spectral") and draw(st.booleans()):
+        argv.append("--no-demean")
+    if "config" in faults or draw(st.booleans()):
+        files["config"] = json_text(draw, {key: (values[:1], values[1:]) for key, values in CONFIG_VALUES.items()
+                                           if draw(st.booleans())}, "config" in faults).encode()
+        argv += ["--config", "{config}"]
+    if command != "mc-bench" or draw(st.booleans()):
+        argv += ["--out", "{out}"]
+    return argv, files
+
+
+@settings(max_examples=400)
+@given(call=cli_calls())
+def test_generated_inputs_exit_cleanly(call, tmp_path_factory):
+    # every input ends in exit 0, or in exit 2 or 3 with one line on stderr
+    # naming the problem: argparse's usage error, or the program's own
+    argv, files = call
+    folder = tmp_path_factory.getbasetemp() / "probe"
+    folder.mkdir(exist_ok=True)
+    paths = {name: folder / name for name in ("csv", "spec", "config", "graph_a", "graph_b", "out")}
+    paths["out"].unlink(missing_ok=True)
+    for name, data in files.items():
+        paths[name].write_bytes(data)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main([arg.format(**paths) for arg in argv])
+        except SystemExit as exc:  # argparse refuses the flags before main's own checks
+            assert exc.code == 2
+            lines = stderr.getvalue().splitlines()
+            assert lines[0].startswith("usage: ") and re.match(r"granger-mdl [a-z-]+: error: ", lines[-1])
+            return
+    lines = stderr.getvalue().splitlines()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: " if code == 2 else "numerical error: ")

@@ -1,22 +1,25 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from granger_mdl.bench import NetworkSpec, builtin_3node, builtin_5node, simulate
 from granger_mdl.errors import RankDeficiencyError, ValidationError
 from granger_mdl.regression import (
     LagEngine,
     LagSpec,
+    NestedScan,
     build_design,
     ols_fit,
     ols_order_scan,
     residual_covariance,
     stability_check,
 )
+from granger_mdl.selection import _search_order
 from granger_mdl.spectral import fit_bivariate_var
 from granger_mdl.timedomain import (
     MethodConfig,
@@ -294,7 +297,7 @@ class TestOrderScan:
             ols_order_scan(ts, 0, [0, 1], 4)
         assert "var0" not in str(info.value)
         scan = LagEngine(ts, 4).scan(0, [0, 1])
-        assert scan.rss.shape == (1, 1)
+        assert np.isnan(scan.rss).tolist() == [[False, True, True, True]]  # orders from the break on: NaN
         assert scan.rank_error is not None
 
     @pytest.mark.parametrize(
@@ -321,12 +324,19 @@ class TestOrderScan:
         np.testing.assert_array_equal(by_label.rss, by_index.rss)
 
 
+def memo_scan(engine, target, blocks):
+    """The memo entry of a family as :meth:`LagEngine.scan` returns it, also for a family that does not fit p_max."""
+    kind, t, s = engine._index(target, blocks)
+    (rss,), (coefficients,), (rank_error,) = engine._families(kind, [t], [s])
+    return NestedScan(coefficients, rss, rank_error)
+
+
 def check_engine_scan(engine, target, blocks, orders):
     """Every order 1..orders of an engine scan against a fresh ols_fit, to 1e-10."""
-    scan = engine.scan(target, blocks) if orders == engine.p_max else engine._families([(target, blocks)])[0]
-    ordered = sorted(blocks)  # the engine's default order is ascending
+    scan = engine.scan(target, blocks) if orders == engine.p_max else memo_scan(engine, target, blocks)
+    ordered = [v for v in engine.variables if v in blocks]  # blocks are taken in the engine's order
     b = len(blocks)
-    assert scan.rss.shape == (1, orders)
+    assert scan.rss.shape == (1, engine.p_max) and np.isnan(scan.rss[0, orders:]).all()
     for n in range(1, orders + 1):
         spec = LagSpec(target, [(v, n) for v in ordered])
         fit = ols_fit(*build_design(engine.ts, spec, start=engine.p_max))
@@ -346,31 +356,85 @@ class TestLagEngine:
 
     def test_random_families_match_per_order_fits(self):
         rng = np.random.default_rng(21)
-        engine = LagEngine(self.panel(300, 12, 5), 10)
-        families = [(3, list(range(12))), (0, [7]), (5, [1, 2])]  # all, one, target outside
+        panel = self.panel(300, 12, 5)
+        engine = LagEngine(panel, 10)
+        # own, pair, drop-one (of another variable and of the target) and full
+        for target, blocks in [(0, [0]), (5, [1, 5]), (3, [v for v in range(12) if v != 7]), (4, list(range(1, 12))),
+                               (3, list(range(12)))]:
+            check_engine_scan(engine, target, blocks, 10)
+        # any block set is the full or drop-one family of an engine over its own variables
+        families = [(0, [7]), (5, [1, 2])]  # one, target outside
         for _ in range(12):
             b = int(rng.integers(1, 13))
             families.append((int(rng.integers(12)), rng.permutation(12)[:b].tolist()))
         for target, blocks in families:
-            check_engine_scan(engine, target, blocks, 10)
+            check_engine_scan(LagEngine(panel, 10, variables=[*blocks, target]), target, blocks, 10)
 
     def test_memo_returns_one_scan_per_family(self):
         engine = LagEngine(self.panel(200, 5, 6), 6)
-        first = engine.scan(2, [4, 2, 0])
-        assert engine.scan("v2", [0, 2, 4]) is first
-        assert engine._families([(2, [2, 0, 4])])[0] is first
-        assert engine.scan(1, [4, 2, 0]) is not first
-        check_engine_scan(engine, 2, [0, 2, 4], 6)
+        first = engine.scan(2, [4, 2, 0, 1])
+        assert engine._index(2, [4, 2, 0, 1]) == engine._index("v2", [0, 1, 2, 4]) == ("drop", 2, 3)
+        assert_same_scan(engine.scan("v2", [0, 1, 2, 4]), first)
+        # every drop-one rss came at once, and the coefficients of this family alone
+        assert np.argwhere(engine._memo["drop"].held == 2).tolist() == [[2, 3]]
+        assert not np.array_equal(engine.scan(1, [4, 2, 0, 3]).rss, first.rss)
+        check_engine_scan(engine, 2, [0, 1, 2, 4], 6)
 
     def test_wide_factor(self):
         # 90 rows against 12 * 10 + 12 columns of Z: R is 90 x 132
         engine = LagEngine(self.panel(100, 12, 7), 10)
         assert engine.m < 12 * 10 + 12
-        for target, blocks in [(0, [0, 3, 5]), (4, [6, 1])]:
+        for target, blocks in [(0, [0]), (4, [6, 4])]:
             check_engine_scan(engine, target, blocks, 10)
         # 9 blocks at order 10 are 90 columns on 90 rows: they interpolate
+        wide = LagEngine(self.panel(100, 12, 7), 10, variables=[*range(9), 11])
+        assert wide.m < 10 * 10 + 10
         with pytest.raises(ValidationError, match="90 rows ≤ 90 columns at order 10"):
-            engine.scan(11, list(range(9)))
+            wide.scan(11, list(range(9)))
+
+    @pytest.mark.parametrize("target, blocks", [
+        ("v0", ["v1"]), ("v0", ["v1", "v2"]), ("v3", ["v0", "v1", "v3"]), ("v0", ["v0", "v1", "v2"]),
+    ], ids=["one other", "two others", "three with the target", "three of five"])
+    def test_block_set_of_no_kind_raises(self, target, blocks):
+        engine = LagEngine(self.panel(120, 5, 9), 3)
+        with pytest.raises(ValidationError, match=re.escape(f"no model family has target {target!r} and blocks "
+                                                            f"{blocks!r}")):
+            engine.scan(target, blocks)
+        with pytest.raises(ValidationError, match="no model family"):
+            _search_order(engine, [(target, blocks)], "MDL")
+        assert engine._memo.keys() == {"full"}  # built with the engine, nothing scanned
+
+    def test_search_sums_families_of_one_kind(self):
+        # one search over two own families: its value is their summed code length at its order
+        engine = LagEngine(self.panel(120, 5, 9), 3)
+        order, value, lengths = _search_order(engine, [("v0", ["v0"]), ("v1", ["v1"])], "MDL")
+        assert 1 <= order <= 3 and len(lengths) == 2 and value == lengths[0].total + lengths[1].total
+
+    @settings(max_examples=20, deadline=None)
+    @given(nv=st.integers(2, 5), p_max=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+           certified=st.booleans())
+    def test_coinciding_kinds_read_one_entry(self, nv, p_max, seed, certified):
+        # own (t, [t]), pair (t, [t, s]), drop-one (t, all but s) and full (t, all): a
+        # block set that two kinds name (at V <= 3) is one memo entry, scanned once
+        ts = self.panel(nv * p_max + p_max + (40 if certified else 0), nv, seed)
+        engine = LagEngine(ts, p_max)
+        assert (engine._lag_inverse is not None) == certified
+        families = {}
+        for target in range(nv):
+            for blocks in [[target], *([target, s] for s in range(nv) if s != target),
+                           *([v for v in range(nv) if v != s] for s in range(nv)), list(range(nv))]:
+                families.setdefault((target, frozenset(blocks)), set()).add(engine._index(target, blocks))
+        assert all(len(index) == 1 for index in families.values())
+        for (target, blocks), ((kind, t, s),) in families.items():
+            if engine._underdetermined(len(blocks), 1) is None:
+                memo_scan(engine, target, sorted(blocks))
+                assert engine._memo[kind].held[t, s] == 2
+        scanned = [(target, blocks) for target, blocks in families
+                   if engine._underdetermined(len(blocks), 1) is None]
+        own_names = {2: set(), 3: {"own"}}.get(nv, {"own", "pair"}) | {"drop", "full"}
+        assert engine._memo.keys() <= own_names
+        # drop-one rss come all at once on a certified engine; coefficients per entry
+        assert sum(int((scans.held == 2).sum()) for scans in engine._memo.values()) == len(scanned)
 
     def test_orders_that_fit_the_window(self):
         # all 12 blocks need 120 columns at p_max 10; 90 rows fit orders 1..7
@@ -399,8 +463,14 @@ def families_from_both_routes(ts, p_max, orders=None):
     for target in range(nv):
         for dropped in [None, *range(nv)]:
             blocks = [v for v in range(nv) if v != dropped]
-            scan = engine.scan(target, blocks) if orders is None else engine._families([(target, blocks)])[0]
-            yield engine, scan, sliced._scan(target, blocks)
+            scan = engine.scan(target, blocks) if orders is None else memo_scan(engine, target, blocks)
+            yield engine, scan, sliced_scan(sliced, target, blocks)
+
+
+def sliced_scan(engine, target, blocks):
+    """The family by the rank-checked slice QR, which a certified engine does not take."""
+    engine._scan(*engine._index(target, blocks))
+    return memo_scan(engine, target, blocks)
 
 
 def assert_same_scan(a, b):
@@ -441,32 +511,32 @@ class TestInverseRoute:
         panel = demean(simulate(builtin_5node(), 4))
         engine = LagEngine(panel, 5)
         _decided(engine, MethodConfig("ftest", p_max=5))
-        memo = engine._memo
-        dropped = [key for key in memo if len(key[1]) == 4]
-        assert len(dropped) == 25 and all(memo[key].coefficients is None for key in dropped)
+        dropped = engine._memo["drop"]  # (target, source) of all 25 drop-one families
+        assert dropped.held.shape == (5, 5) and (dropped.held == 1).all()
         _, (weight,), _ = _decided(engine, MethodConfig("mdl", p_max=5))
-        read = [key for key in dropped if memo[key].coefficients is not None]
-        assert 0 < len(read) < 20
-        assert all(memo[key].coefficients.shape == (1, 20, 5) for key in read)
+        read = dropped.held == 2
+        assert 0 < read.sum() < 20
+        assert dropped.coefficients.shape == (5, 5, 1, 20, 5) and not dropped.coefficients[~read].any()
         alone = LagEngine(panel, 5)  # the code-length score without the F test first
         _decided(alone, MethodConfig("mdl", p_max=5))
-        assert read == [key for key in dropped if alone._memo[key].coefficients is not None]
+        np.testing.assert_array_equal(alone._memo["drop"].held == 2, read)
         fresh = infer_network(panel, "mdl", p_max=5)
         np.testing.assert_array_equal(weight, fresh.weight)
         sliced = LagEngine(panel, 5)
-        for target, blocks in read:
-            np.testing.assert_allclose(memo[target, blocks].coefficients,
-                                       sliced._scan(target, list(blocks)).coefficients, rtol=0, atol=1e-12)
+        for target, source in np.argwhere(read):
+            sliced._scan("drop", target, source)
+        np.testing.assert_allclose(dropped.coefficients[read], sliced._memo["drop"].coefficients[read],
+                                   rtol=0, atol=1e-12)
 
     def test_batched_families_are_bit_identical(self):
         # a target's own and pairwise families are fitted in one batch per width
         panel = TestLagEngine().panel(300, 12, 5)
         engine, sliced = LagEngine(panel, 10), LagEngine(panel, 10)
+        engine._families("own", np.arange(12), np.zeros(12, dtype=int))
+        engine._families("pair", *np.nonzero(~np.eye(12, dtype=bool)))
         for target in range(12):
-            families = [[target]] + [sorted([target, j]) for j in range(12) if j != target]
-            engine._families([(target, b) for b in families])
-            for blocks in families:
-                assert_same_scan(engine.scan(target, blocks), sliced._scan(target, blocks))
+            for blocks in [[target]] + [[target, j] for j in range(12) if j != target]:
+                assert_same_scan(engine.scan(target, blocks), sliced_scan(sliced, target, blocks))
         assert engine._lag_inverse is not None
 
     @pytest.mark.parametrize("n, orders", [(100, 7), (130, 9)])
@@ -498,9 +568,9 @@ class TestInverseRoute:
         fitted, inverted = [], []
         scan, dtrtri = LagEngine._scan, scipy.linalg.lapack.dtrtri
 
-        def counted_scan(self, target, blocks):
-            fitted.append(len(set(blocks)))
-            return scan(self, target, blocks)
+        def counted_scan(self, *family):
+            fitted.append(family)
+            return scan(self, *family)
 
         def counted_dtrtri(r, *args, **kwargs):
             inverted.append(r.shape)

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import re
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from granger_mdl import selection, timedomain
-from granger_mdl.bench import builtin_3node, builtin_5node, simulate
+from granger_mdl import regression, selection, timedomain
+from granger_mdl.bench import NetworkSpec, builtin_3node, builtin_5node, simulate
 from granger_mdl.errors import (
     DegenerateFitError,
     RankDeficiencyError,
@@ -39,7 +41,7 @@ from granger_mdl.spectral import fit_bivariate_var
 from granger_mdl.timeseries import TimeSeriesMatrix, demean, save_csv
 
 from oracles import f_cdf_oracle, lagged_rss_longdouble
-from test_regression import near_copy
+from test_regression import memo_scan, near_copy
 
 
 def sim3(seed, **kwargs):
@@ -413,6 +415,47 @@ class TestScaleInvariance:
             )
 
 
+def ring_spec(nv=12, rows=300):
+    """Own AR(2) on every node and one incoming cross edge per node, from a node one to three places on."""
+    coefficients = []
+    for t in range(nv):
+        coefficients += [(t, t, 1, 0.5), (t, t, 2, -0.2), (t, (t + 1 + t % 3) % nv, 1 + t % 2, 0.3 * (-1) ** t)]
+    return NetworkSpec(n_nodes=nv, coefficients=coefficients, noise_variances=[0.1] * nv,
+                       total_len=rows, burn_in=100, initial_values=[0.0] * nv)
+
+
+class TestPinnedWeights:
+    """analyze's graph JSON, weights included, byte for byte.
+
+    The digests were recorded before model families were named by kind
+    and index. At 2 and 3 variables the kinds coincide: own is drop-one
+    and pair is full at 2, pair is drop-one at 3.
+    """
+
+    GRAPH_SHA256 = {
+        ("2", "mdl"): "1da527f38726b6e4f1ed9e3d00b079a480a338ca44c7a5de7be7322db267e70b",
+        ("2", "ftest"): "7c5ca83f3354bbba36df069aa385e5c292b17f8e93892220565663c9a2d6a2f8",
+        ("3", "mdl"): "8fad25ab93dd59c3eafb4ddc648e6cff1c9f4d7d6fff3c458be939d4057b5c9e",
+        ("3", "ftest"): "682cc91f6d32e83ab2c3ea6fc9458e71893f81af0eb47bb91d5a9860674285d9",
+        ("5", "mdl"): "b1112ef7783623219ff016eb8bf204471c1e12c5e62a424e81d4d50cab0abb4f",
+        ("5", "ftest"): "f0295d8f90ef11ff38d792005dd8dc7b4bb2c885e2f6b98655992c0a64a2cb44",
+        ("12", "mdl"): "7311499dfd0ab30381a802ea173c788ca47fb092e4633333ee200a15c3366162",
+        ("12", "ftest"): "b952394d7c1a03a1255b30724aca3b0d4fe45137c1bae25601e91ed7ff3b46f9",
+    }
+
+    @staticmethod
+    def panel(nv):
+        three = sim3(1)
+        if nv == "2":
+            return TimeSeriesMatrix(three.values[:, :2], three.labels[:2])
+        return {"3": three, "5": demean(simulate(builtin_5node(), 1)), "12": demean(simulate(ring_spec(), 5))}[nv]
+
+    @pytest.mark.parametrize("nv, method", list(GRAPH_SHA256))
+    def test_graph_json_matches_pinned_digest(self, nv, method):
+        graph = infer_network(self.panel(nv), method, p_max=10)
+        assert hashlib.sha256(graph.to_json().encode()).hexdigest() == self.GRAPH_SHA256[nv, method]
+
+
 def sparse_var_panel(seed, nv, n=240):
     """A stable VAR(1) panel with own lags and a few cross edges."""
     rng = np.random.default_rng(seed)
@@ -546,6 +589,32 @@ class TestSimilarity:
             similarity(a, other)
 
 
+def scores(engine, families, criterion):
+    """``selection._scores`` of (target, blocks) families, one call per family, stacked on the family axis."""
+    scored = [selection._scores(engine, kind, [t], [s], criterion)
+              for kind, t, s in (engine._index(target, blocks) for target, blocks in families)]
+    rss, errors, rows = zip(*scored)
+    return np.concatenate(rss), np.concatenate(errors), np.concatenate(rows, axis=1)
+
+
+def kind_families(nv):
+    """Every (target, blocks) that is a target's own, pair, drop-one or full family on ``nv`` variables."""
+    return [(target, blocks) for target in range(nv) for mask in range(1, 2 ** nv)
+            if len(blocks := [v for v in range(nv) if mask >> v & 1]) >= nv - 1
+            or target in blocks and len(blocks) <= 2]
+
+
+def held(engine):
+    """What each memo entry of each kind holds (see ``regression._Scans``), copied."""
+    return {kind: scans.held.copy() for kind, scans in engine._memo.items()}
+
+
+def assert_same_held(a, b):
+    assert a.keys() == b.keys()
+    for kind in a:
+        np.testing.assert_array_equal(a[kind], b[kind])
+
+
 class TestScannedOnce:
     """Scans are memoised per engine, scores are not: deciding again fits nothing and raises the same errors."""
 
@@ -570,20 +639,75 @@ class TestScannedOnce:
         ts = demean(simulate(builtin_5node(), 11))
         engine = LagEngine(ts, 10)
         _, (first,), (error,) = _decided(engine, MethodConfig("mdl"))
-        assert error is None and len(engine._memo) > 20  # pairwise and conditional families
-        seen, families = dict(calls), len(engine._memo)
+        # own, pairwise and conditional families
+        assert error is None and engine._memo.keys() == {"own", "pair", "drop", "full"}
+        seen, families = dict(calls), held(engine)
         _, (again,), _ = _decided(engine, MethodConfig("mdl"))
-        assert calls == seen and len(engine._memo) == families
+        assert calls == seen
+        assert_same_held(held(engine), families)
         np.testing.assert_array_equal(again, first)
+
+    def test_three_node_pairs_are_scored_once(self, monkeypatch):
+        # at 3 variables the gate's drop-one families are the pairwise ones:
+        # their rows come from the pairwise pass, so only the own (3), the
+        # pairwise (6) and the gated targets' full families are scored
+        stack = LagEngine([sim3(seed) for seed in range(8)], 10)
+        columns, curve = [], selection._code_length_curve
+
+        def counted(coefficients, *args):
+            columns.append(coefficients.shape[1])
+            return curve(coefficients, *args)
+
+        monkeypatch.setattr(selection, "_code_length_curve", counted)
+        keep, weight, errors = _decided(stack, MethodConfig("mdl"))
+        assert errors == [None] * 8
+        assert columns == [3 * 8 * 10, 6 * 8 * 10, 2 * 8 * 10]
+        monkeypatch.undo()
+        for t, seed in enumerate(range(8)):
+            graph = infer_network(sim3(seed), "mdl")
+            assert keep[t].tobytes() == graph.adjacency.tobytes() and weight[t].tobytes() == graph.weight.tobytes()
+
+    @pytest.mark.parametrize("method", ["mdl", "ftest"])
+    def test_certified_decision_makes_no_per_family_object(self, method, monkeypatch):
+        # families are (kind, target, source) index arrays: no block set is
+        # mapped, no family scanned alone and no scan record made
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a per-family route ran")
+
+        for name in ("_index", "_scan", "scan"):
+            monkeypatch.setattr(LagEngine, name, forbidden)
+        monkeypatch.setattr(regression, "NestedScan", forbidden)
+        for ts in (sim3(4), demean(simulate(builtin_5node(), 4)), demean(simulate(ring_spec(), 5))):
+            engine = LagEngine(ts, 5)
+            assert engine._lag_inverse is not None
+            _decided(engine, MethodConfig(method, p_max=5))
+
+    @pytest.mark.parametrize("method", ["mdl", "ftest"])
+    def test_warm_decision_does_not_grow_with_the_families(self, method):
+        # a decision whose scans are all memoised makes as many Python calls
+        # at 12 variables (132 edges) as at 6 (30 edges)
+        counts = []
+        for nv in (6, 12):
+            engine = LagEngine(demean(simulate(ring_spec(nv), 5)), 3)
+            cfg = MethodConfig(method, p_max=3)
+            _decided(engine, cfg)
+            calls = Counter()
+            sys.setprofile(lambda frame, event, arg: calls.update([event]) if event == "call" else None)
+            try:
+                _decided(engine, cfg)
+            finally:
+                sys.setprofile(None)
+            counts.append(calls["call"])
+        assert counts[0] == counts[1]
 
     def test_second_f_config_reads_stored_scans(self, calls):
         ts = demean(simulate(builtin_5node(), 12))
         engine = LagEngine(ts, 10)
         _decided(engine, MethodConfig("ftest", alpha=0.05))
-        memo = engine._memo
-        seen, families = dict(calls), len(memo)
+        seen, families = dict(calls), held(engine)
         shared = _decided(engine, MethodConfig("ftest", alpha=0.01))
-        assert calls == seen and len(memo) == families
+        assert calls == seen
+        assert_same_held(held(engine), families)
         fresh = infer_network(ts, "ftest", alpha=0.01)
         np.testing.assert_array_equal(shared[0][0], fresh.adjacency)
         np.testing.assert_array_equal(shared[1][0], fresh.weight)
@@ -594,9 +718,10 @@ class TestScannedOnce:
         engine = LagEngine(replay_panel(name), 3)
         _, _, (first,) = _decided(engine, MethodConfig(method, p_max=3))
         assert first is not None and engine._lag_inverse is None and calls["_scan"] > 0
-        seen, families = dict(calls), len(engine._memo)
+        seen, families = dict(calls), held(engine)
         _, _, (again,) = _decided(engine, MethodConfig(method, p_max=3))
-        assert calls == seen and len(engine._memo) == families
+        assert calls == seen
+        assert_same_held(held(engine), families)
         assert type(again) is type(first) and str(again) == str(first)
         with pytest.raises(type(first)) as info:
             infer_network(replay_panel(name), method, p_max=3)
@@ -723,8 +848,8 @@ def one_engine_loop(ts, method, p_max, alpha=0.05):
                     restricted = engine.scan(i, [i] + rest)
                     if (error := engine._underdetermined(nv, n)) is not None:
                         raise error
-                    unrestricted = engine._families([(i, [i, j] + rest)])[0]
-                    if unrestricted.rss.shape[1] < n:
+                    unrestricted = memo_scan(engine, i, [i, j] + rest)
+                    if np.isnan(unrestricted.rss[0, n - 1]):  # rank-broken at or below n
                         raise unrestricted.rank_error
                     result = _f_comparison(restricted.rss[0, n - 1], unrestricted.rss[0, n - 1], n,
                                            _f_dof(engine.m, nv * n), alpha)
@@ -849,8 +974,7 @@ class TestErrorReplay:
         y[1:] = 0.5 * x[:-1]
         a[1:] = 0.8 * y[:-1] + 0.3 * e[1:]
         ts = TimeSeriesMatrix(np.column_stack([a, y, x]), ["a", "y", "x"])
-        _, errors, rows = selection._scores(LagEngine(ts, p_max), [(0, [0]), (0, [0, 1]), (0, [0, 1, 2]),
-                                                                 (1, [1, 2])], "MDL")
+        _, errors, rows = scores(LagEngine(ts, p_max), [(0, [0]), (0, [0, 1]), (0, [0, 1, 2]), (1, [1, 2])], "MDL")
         errors, rows = errors[:, 0].tolist(), rows[0]  # the one trial's errors, the criterion row
         assert errors[:2] == [None, None] and np.nanmin(rows[0]) > np.nanmin(rows[1])
         assert isinstance(errors[2], RankDeficiencyError) and isinstance(errors[3], DegenerateFitError)
@@ -867,12 +991,14 @@ class TestErrorReplay:
 
     @pytest.mark.parametrize("panel", ["certified", "lagged copy", "noiseless target of four"])
     def test_three_scoring_passes_per_network(self, panel, monkeypatch):
+        # own, pair, then drop-one and full; at 3 variables a pair is the
+        # drop-one family of the third, so the third pass scores full alone
         ts = demean(simulate(builtin_5node(), 3)) if panel == "certified" else replay_panel(panel)
         calls = []
 
-        def counted(engine, families, *args):
-            calls.append(len(families))
-            return selection._scores(engine, families, *args)
+        def counted(engine, kind, targets, *args):
+            calls.append((kind, len(targets)))
+            return selection._scores(engine, kind, targets, *args)
 
         monkeypatch.setattr(timedomain, "_scores", counted)
         try:
@@ -880,7 +1006,8 @@ class TestErrorReplay:
         except (RankDeficiencyError, DegenerateFitError):
             pass
         nv = ts.n_variables
-        assert len(calls) == 3 and calls[:2] == [nv, nv * (nv - 1)]
+        kinds = ["own", "drop", "full"] if nv == 3 else ["own", "pair", "drop", "full"]
+        assert [kind for kind, _ in calls] == kinds and [n for _, n in calls[:2]] == [nv, nv * (nv - 1)]
 
     def test_noiseless_target_passes_the_f_test(self):
         # the F path meets no noiseless code length: both sources are kept
@@ -914,9 +1041,8 @@ class TestOneFailureRule:
     def test_stored_error_is_the_search_error_alone(self, name, p_max, criterion):
         ts = near_copy(1e-10) if name == "near copy" else replay_panel(name)
         nv = ts.n_variables
-        families = [(target, [v for v in range(nv) if mask >> v & 1])
-                    for target in range(nv) for mask in range(1, 2 ** nv)]
-        _, errors, rows = selection._scores(LagEngine(ts, p_max), families, criterion)
+        families = kind_families(nv)
+        _, errors, rows = scores(LagEngine(ts, p_max), families, criterion)
         errors, rows = errors[:, 0], rows[0, :, 0]  # the one trial's
         assert any(error is not None for error in errors)
         for family, error, row in zip(families, errors, rows):
@@ -945,12 +1071,12 @@ class TestOneFailureRule:
     @pytest.mark.parametrize("epsilons", [(1.0, 3e-7), (3e-7, 1.0), (1.0, 0.5, 3e-7), (3e-7, 3e-7)])
     def test_a_stack_fails_each_trial_as_that_trial_alone(self, epsilons, criterion):
         trials = self.driven_stack(epsilons)
-        families = [(target, [v for v in range(3) if mask >> v & 1]) for target in range(3) for mask in range(1, 8)]
+        families = kind_families(3)
         stack = LagEngine(trials, 2)
         assert stack._lag_inverse is not None
-        _, errors, (rows, *_) = selection._scores(stack, families, criterion)
+        _, errors, (rows, *_) = scores(stack, families, criterion)
         for t, ts in enumerate(trials):
-            _, alone_errors, (alone_rows, *_) = selection._scores(LagEngine(ts, 2), families, criterion)
+            _, alone_errors, (alone_rows, *_) = scores(LagEngine(ts, 2), families, criterion)
             np.testing.assert_array_equal(np.isnan(rows[:, t]), np.isnan(alone_rows[:, 0]))
             for error, alone, row in zip(errors[:, t], alone_errors[:, 0], rows[:, t]):
                 assert (alone is None) == (not np.isnan(row).any())
@@ -995,18 +1121,20 @@ class TestOneFailureRule:
         if panel == "one series":
             # at p_max 10 the window has 30 rows: three blocks interpolate it
             engine = LagEngine(self.mixed_panel(), 10)
-            families = [(1, [1]), (1, [0, 1]), (1, [0, 1, 3]), (2, [0]), (2, [0, 2]), (1, [3, 4]), (3, [3])]
+            # own, pair and drop-one families: the drop-one ones interpolate the window, t's
+            # pair with w leaves no residual, and x's pair with y is rank-deficient
+            families = [(1, [1]), (1, [0, 1]), (1, [0, 1, 2, 3]), (2, [2]), (2, [0, 2]), (3, [3, 4]), (3, [3])]
             kinds = {ValidationError, RankDeficiencyError} | ({DegenerateFitError} if criterion == "MDL" else set())
         elif panel == "stack":
             engine = LagEngine(self.driven_stack((1.0, 3e-7, 0.5)), 2)
-            families = [(target, [v for v in range(3) if mask >> v & 1]) for target in range(3) for mask in range(1, 8)]
+            families = kind_families(3)
             kinds = {DegenerateFitError} if criterion == "MDL" else set()
         else:
             engine = LagEngine([TimeSeriesMatrix(np.random.default_rng(seed).standard_normal((12, 3)))
                                 for seed in range(2)], 5)
             families = [(0, [0, 1]), (1, [0, 1, 2])]
             kinds = {ValidationError}
-        rss, errors, rows = selection._scores(engine, families, criterion)
+        rss, errors, rows = scores(engine, families, criterion)
         failed = np.not_equal(errors, None)
         assert {type(error) for error in errors[failed]} == kinds
         assert rss.shape == failed.shape + (engine.p_max,) and rows.shape[1:] == rss.shape
@@ -1032,7 +1160,7 @@ class TestOneFailureRule:
         ts = near_copy(1e-10)
         with pytest.raises(RankDeficiencyError, match=r"x\.lag2"):
             _search_order(LagEngine(ts, 2), [("x", ["x", "y"])], "MDL")
-        with pytest.raises(ValidationError, match="distinct and non-empty"):
+        with pytest.raises(ValidationError, match=r"no model family has target 'x' and blocks \['x', 'x'\]"):
             _search_order(LagEngine(ts, 2), [("x", ["x", "y"]), ("x", ["x", "x"])], "MDL")
 
     @pytest.mark.parametrize("criterion", CRITERIA)
