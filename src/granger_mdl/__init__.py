@@ -12,7 +12,6 @@ from .bench import (
     NetworkSpec,
     builtin_3node,
     builtin_5node,
-    run_bench,
     run_bench_multi,
     simulate,
     true_edge_matrix,
@@ -43,7 +42,6 @@ from .selection import (
     bic,
     gaussian_loglik,
     markov_mdl,
-    mdl_code_length,
     select_order,
 )
 from .spectral import (
@@ -67,7 +65,7 @@ from .timedomain import (
     mdl_gc,
     similarity,
 )
-from .timeseries import TimeSeriesMatrix, ValidationReport, demean, load_csv, save_csv, validate
+from .timeseries import TimeSeriesMatrix, demean, load_csv, save_csv
 
 __all__ = [
     "BenchReport",
@@ -75,7 +73,6 @@ __all__ = [
     "NetworkSpec",
     "builtin_3node",
     "builtin_5node",
-    "run_bench",
     "run_bench_multi",
     "simulate",
     "true_edge_matrix",
@@ -100,7 +97,6 @@ __all__ = [
     "bic",
     "gaussian_loglik",
     "markov_mdl",
-    "mdl_code_length",
     "select_order",
     "BivariateVar",
     "SpectralCausality",
@@ -120,11 +116,9 @@ __all__ = [
     "mdl_gc",
     "similarity",
     "TimeSeriesMatrix",
-    "ValidationReport",
     "demean",
     "load_csv",
     "save_csv",
-    "validate",
 ]
 
 __version__ = "0.1.0"

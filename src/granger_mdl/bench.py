@@ -39,7 +39,6 @@ __all__ = [
     "builtin_5node",
     "simulate",
     "true_edge_matrix",
-    "run_bench",
     "run_bench_multi",
     "format_report_table",
     "worker_count",
@@ -360,20 +359,12 @@ class BenchReport:
 
 
 def worker_count(requested: Optional[int] = None) -> int:
-    """Resolve the worker count: argument, else GRANGER_MDL_THREADS, else 1.
+    """Resolve the worker count: the argument, else 1 (serial).
 
     A value of 0 means every CPU this process may run on.
     """
     if requested is None:
-        env = os.environ.get("GRANGER_MDL_THREADS", "")
-        if env == "":
-            return 1
-        try:
-            requested = int(env)
-        except ValueError:
-            raise ValidationError(
-                f"GRANGER_MDL_THREADS must be an integer, got {env!r}"
-            ) from None
+        return 1
     requested = checked_value(requested, int, "worker count")
     if requested < 0:
         raise ValidationError("worker count must be >= 0")
@@ -638,20 +629,6 @@ def run_bench_multi(
         )
         for c_idx, cfg in enumerate(configs)
     }
-
-
-def run_bench(
-    spec: NetworkSpec,
-    method: MethodConfig,
-    n_trials: int,
-    master_seed: int,
-    n_workers: Optional[int] = None,
-    demean: bool = True,
-) -> BenchReport:
-    """Benchmark a single method; see :func:`run_bench_multi`."""
-    return run_bench_multi(
-        spec, [method], n_trials, master_seed, n_workers, demean
-    )[method.label]
 
 
 def format_report_table(reports: Dict[str, BenchReport]) -> str:

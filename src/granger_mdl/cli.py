@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p_mc, "--noise")
     _setting(p_mc, "--p-max")
     _setting(p_mc, "--workers",
-             help="parallel workers (default GRANGER_MDL_THREADS, "
+             help="parallel workers (default 1, serial; "
                   "0 = every CPU this process may run on)")
     p_mc.add_argument("--out", default=None)
     p_mc.add_argument("--config", default=None)

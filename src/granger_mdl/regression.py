@@ -125,6 +125,7 @@ def build_design(ts: TimeSeriesMatrix, spec: LagSpec, start: int = None):
     """
     values = ts.values
     max_lag = spec.max_lag
+    start = checked_value(start, int, "start", nullable=True)
     if start is None:
         start = max_lag
     if start < max_lag:
@@ -201,13 +202,18 @@ def stability_check(coefficients) -> float:
     Accepts either a 1-D array of scalar AR coefficients (a_1..a_p) or a
     sequence of (k x k) lag matrices A_1..A_p. A radius below 1 means
     the fitted difference equation is stationary; callers may warn
-    otherwise.
+    otherwise. No lags, an empty lag or a non-finite coefficient is a
+    ValidationError.
     """
     arr = [np.atleast_2d(np.asarray(a, dtype=float)) for a in _as_lag_list(coefficients)]
+    if not arr or arr[0].size == 0:
+        raise ValidationError("stability_check needs at least one lag coefficient")
     k = arr[0].shape[0]
-    for a in arr:
+    for ell, a in enumerate(arr, start=1):
         if a.shape != (k, k):
             raise ValidationError("lag matrices must share one square shape")
+        if not np.isfinite(a).all():
+            raise ValidationError(f"lag {ell} coefficients are not finite")
     p = len(arr)
     companion = np.zeros((k * p, k * p))
     companion[:k, :] = np.hstack(arr)
@@ -235,7 +241,6 @@ class OrderScanEntry:
     coefficients: np.ndarray
     rss: float
     m: int
-    response_sq: float
 
 
 # A family's scan as LagEngine.scan returns it: ``coefficients`` (trial, row, order), zero below each order's
@@ -625,12 +630,12 @@ def ols_order_scan(
     scan = engine.scan(target, block_vars)
     if scan.rank_error is not None:
         raise scan.rank_error
-    b, response_sq = len(block_vars), float(engine._response_sq[engine._position[ts.column(target)], 0])
+    b = len(block_vars)
     return [
         OrderScanEntry(
             order=order, k=b * order,
             coefficients=scan.coefficients[0, :b * order, order - 1].reshape(order, b).T.ravel(),
-            rss=float(scan.rss[0, order - 1]), m=engine.m, response_sq=response_sq,
+            rss=float(scan.rss[0, order - 1]), m=engine.m,
         )
         for order in range(1, p_max + 1)
     ]

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateFitError, ValidationError
-from .regression import LagEngine, OlsFit
+from .regression import LagEngine
 from .timeseries import TimeSeriesMatrix, checked_value
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "gaussian_loglik",
     "aic",
     "bic",
-    "mdl_code_length",
     "code_length_from_stats",
     "select_order",
     "markov_mdl",
@@ -182,18 +181,6 @@ def _code_length_curve(coefficients, k, rss, m, n_total, delta, scale_floor):
 
 def _at(curve: np.ndarray, j: int) -> CodeLength:
     return CodeLength(*curve[:5, j].tolist(), n_params_counted=int(curve[5, j]))
-
-
-def mdl_code_length(
-    fit: OlsFit,
-    n_total: int,
-    delta: Optional[float] = None,
-    scale_floor: float = DEFAULT_SCALE_FLOOR,
-) -> CodeLength:
-    """Two-part code length of a fitted regression over ``n_total`` points."""
-    return code_length_from_stats(
-        fit.coefficients, fit.rss, fit.m, n_total, delta, scale_floor
-    )
 
 
 def _search_order(engine, families, criterion, delta=None, scale_floor=DEFAULT_SCALE_FLOOR):

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .regression import LagEngine, ResidualCovariance, stability_check
 from .selection import _search_order
 from .timeseries import TimeSeriesMatrix, checked_sample_rate, checked_value, distinct_columns
@@ -32,7 +32,6 @@ __all__ = [
     "SpectralCausality",
     "select_var_order",
     "fit_bivariate_var",
-    "transfer_matrix",
     "geweke_spectrum",
     "default_frequency_grid",
     "spectral_to_csv",
@@ -173,26 +172,6 @@ def _influence(h: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         intrinsic = np.abs(h[:, 0, 0] + cov / var_x * h[:, 0, 1]) ** 2 * var_x
         routed = np.abs(h[:, 0, 1]) ** 2 * (var_y - cov * cov / var_x)
         return np.where(intrinsic > 0, np.log1p(routed / intrinsic), np.nan)
-
-
-def transfer_matrix(model: BivariateVar, omega: float) -> np.ndarray:
-    """Normalised transfer matrix D(omega) = [P A(e^{-i omega})]^{-1} = H P^{-1}.
-
-    P removes the instantaneous correlation so the transformed noise
-    pair has the diagonal covariance diag(var_x, var_y - cov^2/var_x).
-    omega must be a finite number. Raises NumericalError when var_x is
-    not positive or A is singular at omega (a NaN row of geweke_spectrum).
-    """
-    omega = checked_value(omega, float, "omega")
-    if not np.isfinite(omega):
-        raise ValidationError(f"omega {omega!r} is not finite")
-    cov = model.noise_cov
-    if cov.var_x <= 0:
-        raise NumericalError("noise variance of the first equation must be positive")
-    h, singular = _transfer(model, np.array([omega]))
-    if singular[0]:
-        raise NumericalError(f"transfer matrix singular at omega={omega:.6g} rad/sample")
-    return h[0] @ np.array([[1.0, 0.0], [cov.cov_xy / cov.var_x, 1.0]])
 
 
 def geweke_spectrum(

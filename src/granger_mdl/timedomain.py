@@ -38,7 +38,6 @@ __all__ = [
     "f_cdf",
     "f_test_gc",
     "conditional_f_test_gc",
-    "log_variance_ratio",
     "mdl_gc",
     "conditional_mdl_gc",
     "joint_mdl_gc",
@@ -369,17 +368,6 @@ def conditional_f_test_gc(
     if rank_error is not None:
         raise rank_error
     return _f_comparison(rss[0], rss[1], q, d2, alpha)
-
-
-def log_variance_ratio(result: FTestResult) -> float:
-    """ln(var(restricted residual) / var(unrestricted residual)).
-
-    Reported as descriptive evidence only; the decision rule of the
-    F-test path is the significance threshold.
-    """
-    if result.rss_unrestricted == 0.0:
-        return math.inf
-    return math.log(result.rss_restricted / result.rss_unrestricted)
 
 
 def mdl_gc(

@@ -16,10 +16,8 @@ from .errors import ValidationError
 
 __all__ = [
     "TimeSeriesMatrix",
-    "ValidationReport",
     "load_csv",
     "save_csv",
-    "validate",
     "demean",
 ]
 
@@ -152,16 +150,6 @@ def checked_sample_rate(sample_rate_hz) -> Optional[float]:
     return sample_rate_hz
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Per-variable summary statistics plus a finiteness flag."""
-
-    per_variable_mean: tuple
-    per_variable_variance: tuple
-    finite_ok: bool
-    length: int
-
-
 def _raise_first_bad_cell(path, rows, first_lineno: int) -> None:
     """Raise on the first row of the wrong width or cell float() rejects, in file order."""
     n_cols = len(rows[0])
@@ -252,26 +240,6 @@ def save_csv(ts: TimeSeriesMatrix, path, header: bool = True) -> None:
             fh.write(",".join(ts.labels) + "\n")
         for row in ts.values:
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
-
-def validate(ts: TimeSeriesMatrix) -> ValidationReport:
-    """Summarise a matrix: per-variable mean, unbiased variance, finiteness.
-
-    Reports, never raises; the input is not modified. Variance uses the
-    n-1 divisor and is 0.0 for a single sample.
-    """
-    vals = ts.values
-    means = tuple(float(x) for x in vals.mean(axis=0))
-    if vals.shape[0] > 1:
-        variances = tuple(float(x) for x in vals.var(axis=0, ddof=1))
-    else:
-        variances = tuple(0.0 for _ in range(vals.shape[1]))
-    return ValidationReport(
-        per_variable_mean=means,
-        per_variable_variance=variances,
-        finite_ok=bool(np.isfinite(vals).all()),
-        length=vals.shape[0],
-    )
 
 
 def demean(ts: TimeSeriesMatrix) -> TimeSeriesMatrix:

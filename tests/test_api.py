@@ -1,4 +1,6 @@
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -6,19 +8,19 @@ import granger_mdl
 
 PUBLIC = [
     "BenchReport", "MethodConfig", "NetworkSpec", "builtin_3node", "builtin_5node",
-    "run_bench", "run_bench_multi", "simulate", "true_edge_matrix",
+    "run_bench_multi", "simulate", "true_edge_matrix",
     "DegenerateFitError", "DivergenceError", "GrangerMdlError", "NumericalError",
     "RankDeficiencyError", "ValidationError",
     "LagSpec", "OlsFit", "ResidualCovariance", "build_design", "ols_fit",
     "residual_covariance", "stability_check",
     "CodeLength", "CriterionScore", "MarkovMdlResult", "aic", "bernoulli_code_length",
-    "bic", "gaussian_loglik", "markov_mdl", "mdl_code_length", "select_order",
+    "bic", "gaussian_loglik", "markov_mdl", "select_order",
     "BivariateVar", "SpectralCausality", "default_frequency_grid", "fit_bivariate_var",
     "geweke_spectrum", "select_var_order",
     "CausalGraph", "FTestResult", "MdlCausality", "conditional_f_test_gc",
     "conditional_mdl_gc", "f_cdf", "f_test_gc", "infer_network", "joint_mdl_gc",
     "mdl_gc", "similarity",
-    "TimeSeriesMatrix", "ValidationReport", "demean", "load_csv", "save_csv", "validate",
+    "TimeSeriesMatrix", "demean", "load_csv", "save_csv",
 ]
 
 
@@ -39,7 +41,14 @@ def test_module_all_resolves(module):
 
 
 def test_module_only_names_stay_listed():
-    from granger_mdl import regression, spectral
+    from granger_mdl import regression
 
-    assert "transfer_matrix" in spectral.__all__
     assert "residual_covariance" in regression.__all__
+
+
+def test_readme_library_sketch_runs(capsys):
+    """The README's python block runs as printed, and its first line prints the sketch's graph."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (sketch,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(sketch, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "[(0, 1), (0, 2)]"

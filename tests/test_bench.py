@@ -22,7 +22,6 @@ from granger_mdl.bench import (
     builtin_5node,
     child_seeds,
     format_report_table,
-    run_bench,
     run_bench_multi,
     simulate,
     true_edge_matrix,
@@ -31,6 +30,11 @@ from granger_mdl.errors import DivergenceError, ValidationError
 from granger_mdl.regression import LagEngine
 from granger_mdl.timeseries import demean
 from oracles import simulate_by_loop
+
+
+def run_bench(spec, method, n_trials, master_seed, **kwargs):
+    """One method's report of :func:`run_bench_multi`."""
+    return run_bench_multi(spec, [method], n_trials, master_seed, **kwargs)[method.label]
 
 # a zero-variance node, a fixed variance, a range, a lag-3 term and no burn-in,
 # so the retained rows start with the initial values
@@ -554,7 +558,7 @@ def collector(request):
 
 @pytest.fixture
 def started(monkeypatch):
-    """The processes that run_bench starts, recorded through its pool context."""
+    """The processes that run_bench_multi starts, recorded through its pool context."""
     processes, context = [], bench._pool_context()
 
     class Recording:
@@ -731,6 +735,10 @@ class TestPoolWorkers:
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity mask")
     def test_zero_workers_means_cpus_this_process_may_use(self):
         assert bench.worker_count(0) == len(os.sched_getaffinity(0))
+
+    def test_no_environment_variable_sets_the_default(self, monkeypatch):
+        monkeypatch.setenv("GRANGER_MDL_THREADS", "two")
+        assert bench.worker_count() == 1
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"n_workers": 2.5}, "worker count must be an integer, got 2.5"),
@@ -944,32 +952,27 @@ SPEC = {"n_nodes": 2, "coefficients": [[0, 1, 1, 0.5]], "noise_variances": [0.1,
         "total_len": 50, "burn_in": 10, "initial_values": [1.0, 1.0]}
 
 
-@pytest.mark.parametrize("env, call, message", [
-    (None, lambda: NetworkSpec(**{**SPEC, "n_nodes": 0}), "n_nodes must be >= 1"),
-    (None, lambda: NetworkSpec(**{**SPEC, "noise_variances": [0.1]}), "1 noise variances for 2 nodes"),
-    (None, lambda: NetworkSpec(**{**SPEC, "noise_variances": [0.1, [0.3, 0.2]]}),
+@pytest.mark.parametrize("call, message", [
+    (lambda: NetworkSpec(**{**SPEC, "n_nodes": 0}), "n_nodes must be >= 1"),
+    (lambda: NetworkSpec(**{**SPEC, "noise_variances": [0.1]}), "1 noise variances for 2 nodes"),
+    (lambda: NetworkSpec(**{**SPEC, "noise_variances": [0.1, [0.3, 0.2]]}),
      "bad noise variance range (0.3, 0.2)"),
-    (None, lambda: NetworkSpec(**{**SPEC, "noise_variances": [0.1, [-0.1, 0.2]]}),
+    (lambda: NetworkSpec(**{**SPEC, "noise_variances": [0.1, [-0.1, 0.2]]}),
      "bad noise variance range (-0.1, 0.2)"),
-    (None, lambda: NetworkSpec(**{**SPEC, "noise_variances": [0.1, [0.1, 0.2, 0.3]]}),
+    (lambda: NetworkSpec(**{**SPEC, "noise_variances": [0.1, [0.1, 0.2, 0.3]]}),
      "bad noise variance range (0.1, 0.2, 0.3)"),
-    (None, lambda: NetworkSpec(**{**SPEC, "noise_variances": [0.1, -0.1]}),
+    (lambda: NetworkSpec(**{**SPEC, "noise_variances": [0.1, -0.1]}),
      "noise variance must be nonnegative, got -0.1"),
-    (None, lambda: NetworkSpec(**{**SPEC, "total_len": 0}), "total_len must be >= 1"),
-    (None, lambda: NetworkSpec(**{**SPEC, "initial_values": [1.0]}), "1 initial values for 2 nodes"),
-    (None, lambda: run_bench_multi(builtin_3node(), [MethodConfig("mdl")], 0, 1), "n_trials must be >= 1"),
-    (None, lambda: run_bench_multi(builtin_3node(), [], 2, 1), "need at least one method config"),
-    (None, lambda: run_bench_multi(builtin_3node(), [MethodConfig("mdl"), MethodConfig(" MDL")], 2, 1),
+    (lambda: NetworkSpec(**{**SPEC, "total_len": 0}), "total_len must be >= 1"),
+    (lambda: NetworkSpec(**{**SPEC, "initial_values": [1.0]}), "1 initial values for 2 nodes"),
+    (lambda: run_bench_multi(builtin_3node(), [MethodConfig("mdl")], 0, 1), "n_trials must be >= 1"),
+    (lambda: run_bench_multi(builtin_3node(), [], 2, 1), "need at least one method config"),
+    (lambda: run_bench_multi(builtin_3node(), [MethodConfig("mdl"), MethodConfig(" MDL")], 2, 1),
      "duplicate method configs"),
-    ("two", lambda: bench.worker_count(), "GRANGER_MDL_THREADS must be an integer, got 'two'"),
-    ("-1", lambda: bench.worker_count(), "worker count must be >= 0"),
-    (None, lambda: bench.worker_count(-1), "worker count must be >= 0"),
+    (lambda: bench.worker_count(-1), "worker count must be >= 0"),
 ], ids=["no nodes", "variance count", "reversed range", "negative range", "range of three", "negative variance",
-        "no rows", "initial value count", "no trials", "no configs", "duplicate configs", "threads not a number",
-        "negative threads", "negative workers"])
-def test_validation_messages(env, call, message, monkeypatch):
-    if env is not None:
-        monkeypatch.setenv("GRANGER_MDL_THREADS", env)
+        "no rows", "initial value count", "no trials", "no configs", "duplicate configs", "negative workers"])
+def test_validation_messages(call, message):
     with pytest.raises(ValidationError) as info:
         call()
     assert str(info.value) == message

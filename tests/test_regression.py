@@ -315,7 +315,7 @@ class TestOrderScan:
         assert len(by_generator) == len(by_list) == 3
         for got, want in zip(by_generator, by_list):
             np.testing.assert_array_equal(got.coefficients, want.coefficients)
-            assert (got.order, got.k, got.rss, got.m, got.response_sq) == (want.order, want.k, want.rss, want.m, want.response_sq)
+            assert (got.order, got.k, got.rss, got.m) == (want.order, want.k, want.rss, want.m)
 
     def test_scan_resolves_labels(self):
         ts = TimeSeriesMatrix(np.random.default_rng(4).standard_normal((60, 3)), ["a", "b", "c"])
@@ -733,11 +733,20 @@ def white_panel(labels=("a", "b"), n=30, seed=0):
     (lambda: LagSpec(0, []), "LagSpec needs at least one predictor"),
     (lambda: build_design(white_panel(), LagSpec(0, [(2, 1)])), "predictor variable 2 out of range"),
     (lambda: build_design(white_panel(), LagSpec(2, [(0, 1)])), "target variable 2 out of range"),
+    (lambda: build_design(white_panel(), LagSpec(0, [(0, 1)]), start=2.5), "start must be an integer, got 2.5"),
+    (lambda: build_design(white_panel(), LagSpec(0, [(0, 1)]), start="3"), "start must be an integer, got '3'"),
     (lambda: ols_fit(np.ones(5), np.ones(5)), "design must be 2-D"),
     (lambda: ols_fit(np.ones((5, 1)), np.ones(4)), "response length (4,) != design rows 5"),
     (lambda: stability_check(np.ones((2, 3))), "lag matrices must share one square shape"),
+    (lambda: stability_check([]), "stability_check needs at least one lag coefficient"),
+    (lambda: stability_check(np.zeros((0, 2, 2))), "stability_check needs at least one lag coefficient"),
+    (lambda: stability_check(np.zeros((0, 0))), "stability_check needs at least one lag coefficient"),
+    (lambda: stability_check([0.5, np.nan]), "lag 2 coefficients are not finite"),
+    (lambda: stability_check([[[0.5, np.inf], [0.0, 0.3]]]), "lag 1 coefficients are not finite"),
+    (lambda: stability_check([np.eye(2), np.full((2, 2), -np.inf)]), "lag 2 coefficients are not finite"),
 ], ids=["stack lengths", "stack labels", "stack widths", "p_max 0", "no predictors", "predictor range",
-        "target range", "1-D design", "response length", "non-square lag matrix"])
+        "target range", "fractional start", "string start", "1-D design", "response length", "non-square lag matrix",
+        "no lags", "no lag matrices", "empty lag matrix", "nan lag", "inf lag", "-inf lag"])
 def test_validation_messages(call, message):
     with pytest.raises(ValidationError) as info:
         call()

@@ -18,7 +18,6 @@ from granger_mdl.selection import (
     code_length_from_stats,
     gaussian_loglik,
     markov_mdl,
-    mdl_code_length,
     select_order,
     universal_int_bits,
 )
@@ -133,7 +132,7 @@ class TestCodeLength:
         ts = ar2_series(300, seed=9)
         X, y = build_design(ts, LagSpec(0, [(0, 2)]))
         fit = ols_fit(X, y)
-        cl = mdl_code_length(fit, ts.n_samples)
+        cl = code_length_from_stats(fit.coefficients, fit.rss, fit.m, ts.n_samples)
         total, data, param, order = code_length_by_terms(
             fit.coefficients, fit.rss, fit.m, ts.n_samples
         )
@@ -151,7 +150,7 @@ class TestCodeLength:
             k=1,
         )
         with pytest.raises(DegenerateFitError):
-            mdl_code_length(fit, 10)
+            code_length_from_stats(fit.coefficients, fit.rss, fit.m, 10)
 
     def test_param_term_nonnegative_and_counts(self):
         cl = code_length_from_stats([0.5, 0.001], rss=10.0, m=20, n_total=400)
@@ -268,8 +267,8 @@ class TestMonotonePenalty:
             ts = TimeSeriesMatrix(np.column_stack([x, w]), ["x", "w"])
             Xr, y = build_design(ts, LagSpec(0, [(0, 1)]), start=1)
             Xu, _ = build_design(ts, LagSpec(0, [(0, 1), (1, 1)]), start=1)
-            base = mdl_code_length(ols_fit(Xr, y), n)
-            wide = mdl_code_length(ols_fit(Xu, y), n)
+            fits = [ols_fit(X, y) for X in (Xr, Xu)]
+            base, wide = (code_length_from_stats(fit.coefficients, fit.rss, fit.m, n) for fit in fits)
             increases += wide.total > base.total
         assert increases >= 0.90 * trials
 

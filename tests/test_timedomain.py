@@ -26,7 +26,6 @@ from granger_mdl.timedomain import (
     f_test_gc,
     infer_network,
     joint_mdl_gc,
-    log_variance_ratio,
     mdl_gc,
     similarity,
     MethodConfig,
@@ -160,10 +159,6 @@ class TestFTest:
         assert result.rss_restricted == pytest.approx(float(rss_r), rel=1e-12)
         assert result.rss_unrestricted == pytest.approx(float(rss_u), rel=1e-12)
         assert result.f_value == pytest.approx(float((rss_r - rss_u) / n / (rss_u / d2)), rel=1e-12)
-
-    def test_log_variance_ratio(self):
-        result = _f_comparison(rss_r=8.0, rss_u=4.0, q=1, d2=20, alpha=0.05)
-        assert log_variance_ratio(result) == pytest.approx(math.log(2.0))
 
     def test_validation(self):
         ts = white_pair(2)
