@@ -175,6 +175,42 @@ class TestTransferMatrix:
             )
             np.testing.assert_allclose(h_omega @ a_poly, np.eye(2), atol=1e-10)
 
+    def test_uncorrelated_noise_skips_normalisation(self):
+        # with Sigma_xy = 0 the intrinsic part is |H_xx|^2 Sigma_xx of the plain inverse
+        a1 = np.array([[-0.5, 0.1], [0.2, -0.4]])
+        model = BivariateVar(order=1, a_mats=[a1], noise_cov=diagonal_noise(1.3, 0.9))
+        freqs = np.array([0.05, 0.2, 0.35, 0.5])
+        sc = geweke_spectrum(model, freqs, 1.0)
+        for f_hz, fyx in zip(freqs, sc.f_y_to_x):
+            h = np.linalg.inv(np.eye(2) + a1 * np.exp(-2j * np.pi * f_hz))
+            expected = np.log1p(0.9 * abs(h[0, 1]) ** 2 / (1.3 * abs(h[0, 0]) ** 2))
+            assert fyx == pytest.approx(expected, rel=1e-12)
+
+    def test_p_normalised_transfer_gives_the_influence(self):
+        # P = [[1, 0], [-Sigma_xy/Sigma_xx, 1]] makes P Sigma P^T diagonal; the
+        # normalised transfer (P A)^{-1} = H P^{-1} splits S_xx into the intrinsic
+        # |H~_xx|^2 Sigma_xx and the part routed through y
+        rng = np.random.default_rng(78)
+        a1 = rng.uniform(-0.3, 0.3, (2, 2))
+        a2 = rng.uniform(-0.2, 0.2, (2, 2))
+        cov = diagonal_noise(1.3, 0.9, 0.4)
+        model = BivariateVar(order=2, a_mats=[a1, a2], noise_cov=cov)
+        p = np.array([[1.0, 0.0], [-cov.cov_xy / cov.var_x, 1.0]])
+        sigma_p = p @ cov.matrix @ p.T
+        assert sigma_p[0, 1] == pytest.approx(0.0, abs=1e-15)
+        freqs = rng.uniform(1e-3, 0.5, 32)
+        sc = geweke_spectrum(model, freqs, 1.0)
+        h, _ = _transfer(model, 2.0 * np.pi * freqs)
+        for idx, f_hz in enumerate(freqs):
+            omega = 2.0 * np.pi * f_hz
+            a_poly = np.eye(2) + a1 * np.exp(-1j * omega) + a2 * np.exp(-2j * omega)
+            h_p = h[idx] @ np.linalg.inv(p)
+            np.testing.assert_allclose(h_p @ (p @ a_poly), np.eye(2), atol=1e-10)
+            s = h_p @ sigma_p @ h_p.conj().T
+            np.testing.assert_allclose(sc.spectra[idx], s, rtol=1e-10, atol=1e-12)
+            intrinsic = abs(h_p[0, 0]) ** 2 * sigma_p[0, 0]
+            assert sc.f_y_to_x[idx] == pytest.approx(np.log(s[0, 0].real / intrinsic), rel=1e-10)
+
 
 class TestGewekeSpectrum:
     def test_decoupled_true_model_gives_exact_zero(self):
